@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import sgrp_bounds
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, config_number
 from .hazards import Hazard, hazard_from_config
 from .repair import RepairModel, repair_from_config
 from .superpose import MaskedHistory
@@ -83,8 +83,8 @@ class ApproxModel:
         except ValueError:
             raise ConfigError(f"unknown normalization {norm!r}") from None
         return cls(
-            n=int(cfg["n"]),
-            delta=float(cfg["delta"]),
+            n=config_number("n", cfg["n"], int),
+            delta=config_number("delta", cfg["delta"]),
             hazard=hazard_from_config(cfg["hazard"]),
             repair=repair_from_config(cfg["repair"]),
             normalization=normalization,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .repair import check_history
-from .superpose import MaskedHistory
+from .superpose import BLOCK_ROWS, MaskedHistory
 
 __all__ = ["BoundPair", "srp_bounds", "sgrp_bounds", "sgrp_bounds_at_events",
            "heterogeneous_upper", "ara_lag_offsets", "ara_last_component_offset"]
@@ -56,7 +56,7 @@ def _eval_time(mh, t):
     return t
 
 
-def ara_lag_offsets(times, n, m, rho) -> np.ndarray:
+def ara_lag_offsets(times, n, m, rho, lengths=None) -> np.ndarray:
     """Age offsets of the n lag intensities forming the lower envelope.
 
     Lag i (i = 0..n-1) stands for the component whose latest assumed failure
@@ -64,30 +64,61 @@ def ara_lag_offsets(times, n, m, rho) -> np.ndarray:
     events further back. Lags with no attributed failure keep offset 0 (a
     fresh component). Once every lag has a failure (N > n) the geometric
     memory is capped uniformly at min(floor(N/n), m) terms per lag.
+
+    With ``lengths``, an array of prefix lengths, it returns one row per
+    length: row r equals, bit for bit, the offsets of ``times[:lengths[r]]``.
     """
     times = np.asarray(times, dtype=float)
-    big_n = int(times.size)
-    if big_n == 0 or rho == 0.0:
-        return np.zeros(n)
-    if big_n <= n:
-        k = big_n - np.arange(n)
-        return np.where(k >= 1, rho * times[np.maximum(k, 1) - 1], 0.0)
-    q = min(big_n // n - 1, m - 1)
-    j = np.arange(q + 1)[:, None]
-    idx = big_n - n * j - np.arange(n)[None, :]
-    weights = rho * np.power(1.0 - rho, j)
-    vals = np.where(idx >= 1, times[np.maximum(idx, 1) - 1], 0.0)
-    return (weights * vals).sum(axis=0)
+    if lengths is None:
+        big_n = n_max = times.size
+    else:
+        big_n = np.asarray(lengths)[:, None]
+        n_max = int(big_n.max(initial=0))
+    if times.size == 0 or rho == 0.0:
+        return np.zeros(np.shape(big_n)[:1] + (n,))
+    q_max = min(max(n_max // n - 1, 0), m - 1)
+    q = q_max if lengths is None else np.minimum(big_n // n - 1, m - 1)
+    weights = rho * np.power(1.0 - rho, np.arange(q_max + 1))
+    lag_n = big_n - np.arange(n)  # 1-based index of each lag's newest time
+    out = None
+    for j, w in enumerate(weights):
+        idx = lag_n - n * j
+        keep = idx >= 1
+        if j:  # rows whose memory holds fewer terms add +0.0
+            keep &= q >= j
+        term = w * np.where(keep, times[np.maximum(idx, 1) - 1], 0.0)
+        out = term if out is None else out + term
+    return out
 
 
-def ara_last_component_offset(times, m, rho) -> float:
-    """Offset when the last min(N, m) masked times all hit one component."""
+def _geometric_tail(times, ends, terms, rho):
+    """Sum over j < terms of rho (1-rho)^j times[ends - 1 - j], along the last axis."""
+    j = np.arange(terms)
+    return np.sum(rho * np.power(1.0 - rho, j) * times[ends - 1 - j], axis=-1)
+
+
+def ara_last_component_offset(times, m, rho, lengths=None):
+    """Offset when the last min(N, m) masked times all hit one component.
+
+    With ``lengths``, an array of prefix lengths, it returns one value per
+    length, equal bit for bit to the offset of ``times[:lengths[r]]``.
+    """
     times = np.asarray(times, dtype=float)
-    big_n = int(times.size)
-    if big_n == 0 or rho == 0.0:
-        return 0.0
-    j = np.arange(min(m, big_n))
-    return float(np.sum(rho * np.power(1.0 - rho, j) * times[big_n - 1 - j]))
+    if lengths is None:
+        big_n = times.size
+        if big_n == 0 or rho == 0.0:
+            return 0.0
+        return float(_geometric_tail(times, big_n, min(m, big_n), rho))
+    lengths = np.asarray(lengths)
+    out = np.zeros(lengths.size)
+    if rho != 0.0:
+        terms = np.minimum(lengths, m)
+        # one row-wise sum per term count: zero padding would regroup the
+        # pairwise summation of rows longer than eight terms
+        for c in set(terms.tolist()) - {0}:
+            rows = terms == c
+            out[rows] = _geometric_tail(times, lengths[rows, None], c, rho)
+    return out
 
 
 def srp_bounds(mh: MaskedHistory, hazard, t) -> BoundPair:
@@ -128,21 +159,27 @@ def sgrp_bounds_at_events(times, n, model, hazard):
     """Left-limit envelopes at each event of a masked trajectory.
 
     Row k is evaluated at ``times[k]`` with the history strictly before it, so
-    it matches ``sgrp_bounds`` on the k-event prefix. Returns (lower, upper)
-    arrays.
+    it equals ``sgrp_bounds`` on the k-event prefix, bit for bit. Rows are
+    evaluated in blocks of at most ``BLOCK_ROWS``, with one rate call per
+    block. Returns (lower, upper) arrays.
     """
     _require_nondecreasing(hazard)
     ara = _require_improving(model)
     times = check_history(times)
     lower = np.empty(times.size)
     upper = np.empty(times.size)
-    for k in range(times.size):
-        hist = times[:k]
-        t = float(times[k])
-        lo = ara_lag_offsets(hist, n, ara.m, ara.rho)
-        uo = ara_last_component_offset(hist, ara.m, ara.rho)
-        lower[k] = np.sum(hazard.rate(t - lo))
-        upper[k] = (n - 1) * hazard.rate(t) + hazard.rate(t - uo)
+    for k0 in range(0, times.size, BLOCK_ROWS):
+        k1 = min(k0 + BLOCK_ROWS, times.size)
+        prefix = np.arange(k0, k1)
+        t = times[k0:k1]
+        # columns: the n lag ages, the fresh age, the single-component age
+        ages = np.empty((k1 - k0, n + 2))
+        ages[:, :n] = t[:, None] - ara_lag_offsets(times, n, ara.m, ara.rho, prefix)
+        ages[:, n] = t
+        ages[:, n + 1] = t - ara_last_component_offset(times, ara.m, ara.rho, prefix)
+        rates = hazard.rate(ages)
+        lower[k0:k1] = rates[:, :n].sum(axis=1)
+        upper[k0:k1] = (n - 1) * rates[:, n] + rates[:, n + 1]
     return lower, upper
 
 

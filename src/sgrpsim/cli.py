@@ -27,7 +27,7 @@ import scipy
 from . import __version__
 from .approx import ApproxModel, Normalization
 from .bounds import sgrp_bounds_at_events
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, config_number
 from .hazards import Hazard, hazard_from_config
 from .io import (read_events_csv, write_bounds_csv, write_events_csv,
                  write_manifest, write_rates_csv)
@@ -91,14 +91,14 @@ def parse_config(doc: dict) -> RunConfig:
     system = doc["system"]
     if "n" not in system:
         raise ConfigError("system section needs 'n'")
-    n = int(system["n"])
+    n = config_number("system.n", system["n"], int)
     if n < 1:
         raise ConfigError(f"system.n must be >= 1, got {n}")
 
     approx = doc.get("approx", {})
     if not isinstance(approx, dict):
         raise ConfigError("config section 'approx' must be an object")
-    delta = float(approx.get("delta", 0.5))
+    delta = config_number("approx.delta", approx.get("delta", 0.5))
     norm_str = approx.get("normalization", Normalization.SYSTEM_SPLIT.value)
     try:
         normalization = Normalization(norm_str)
@@ -111,17 +111,17 @@ def parse_config(doc: dict) -> RunConfig:
     if (n_events is None) == (horizon is None):
         raise ConfigError("run section needs exactly one of 'n_events' or 'horizon'")
     if n_events is not None:
-        n_events = int(n_events)
+        n_events = config_number("run.n_events", n_events, int)
         if n_events < 1:
             raise ConfigError("run.n_events must be >= 1")
     if horizon is not None:
-        horizon = float(horizon)
+        horizon = config_number("run.horizon", horizon)
         if not horizon > 0.0:
             raise ConfigError("run.horizon must be positive")
     seed = run.get("seed", 0)
-    if int(seed) != seed or int(seed) < 0:
+    if config_number("run.seed", seed, int) != seed or int(seed) < 0:
         raise ConfigError(f"run.seed must be a nonnegative integer, got {seed}")
-    bin_width = float(run.get("bin_width", DEFAULT_BIN_WIDTH))
+    bin_width = config_number("run.bin_width", run.get("bin_width", DEFAULT_BIN_WIDTH))
     if not bin_width > 0.0:
         raise ConfigError("run.bin_width must be positive")
     return RunConfig(hazard=hazard, repair=repair, n=n, delta=delta,
@@ -130,7 +130,11 @@ def parse_config(doc: dict) -> RunConfig:
 
 
 def _resolve_seed(cfg: RunConfig, args) -> int:
-    return cfg.seed if args.seed is None else args.seed
+    if args.seed is None:
+        return cfg.seed
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
+    return args.seed
 
 
 def _out_dir(args) -> Path:
@@ -161,14 +165,6 @@ def _approx_model(cfg: RunConfig, delta=None, repair=None) -> ApproxModel:
         repair=cfg.repair if repair is None else repair,
         normalization=cfg.normalization,
     )
-
-
-def _sgrp_component_hazard(cfg: RunConfig, repair=None) -> Hazard:
-    """Per-component hazard for exact superposition runs, honoring the
-    normalization so exact and model-based curves share a scale."""
-    if cfg.normalization is Normalization.SYSTEM_SPLIT:
-        return cfg.hazard.scaled(1.0 / cfg.n)
-    return cfg.hazard
 
 
 def cmd_simulate_sgrp(args):
@@ -281,7 +277,8 @@ def _run_figure_task(task):
     rho = task.get("rho")
     repair = cfg.repair if rho is None else ARA(1, rho)
     if task["kind"] == "sgrp":
-        hc = _sgrp_component_hazard(cfg)
+        # the model's per-component hazard, so exact and model curves share a scale
+        hc = _approx_model(cfg).component_hazard()
         full = simulate_sgrp(cfg.n, repair, hc, n_events=cfg.n_events,
                              horizon=cfg.horizon, seed=task["seed"])
         times = full.times

@@ -14,15 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, config_number
 
 __all__ = ["Hazard", "PowerLawHazard", "ConstantHazard", "hazard_from_config"]
 
 
 def _nonnegative(values, name):
     arr = np.asarray(values, dtype=float)
-    if arr.size and float(arr.min()) < 0.0:
-        raise DomainError(f"{name} must be nonnegative, got {float(arr.min())}")
+    # a scalar skips the array reduction: the samplers call with one value per event
+    low = float(arr) if arr.ndim == 0 else (float(arr.min()) if arr.size else 0.0)
+    if low < 0.0:
+        raise DomainError(f"{name} must be nonnegative, got {low}")
     return arr
 
 
@@ -149,14 +151,16 @@ def hazard_from_config(cfg) -> Hazard:
     family = cfg["family"]
     if family == "power_law":
         try:
-            beta, eta = float(cfg["beta"]), float(cfg["eta"])
+            beta, eta = cfg["beta"], cfg["eta"]
         except KeyError as missing:
             raise ConfigError(f"power_law hazard needs key {missing}") from None
-        return PowerLawHazard(beta, eta,
+        return PowerLawHazard(config_number("hazard.beta", beta),
+                              config_number("hazard.eta", eta),
                               allow_decreasing=bool(cfg.get("allow_decreasing", False)))
     if family == "constant":
         try:
-            return ConstantHazard(float(cfg["rate"]))
+            rate = cfg["rate"]
         except KeyError as missing:
             raise ConfigError(f"constant hazard needs key {missing}") from None
+        return ConstantHazard(config_number("hazard.rate", rate))
     raise ConfigError(f"unknown hazard family {family!r}")

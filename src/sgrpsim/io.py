@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["write_events_csv", "read_events_csv", "write_rates_csv",
            "read_rates_csv", "write_bounds_csv", "write_residuals_csv",
            "write_manifest", "read_manifest"]
@@ -39,12 +41,16 @@ def read_events_csv(path):
     times, labels = [], []
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:2] != ["index", "time"]:
-            raise ValueError(f"{path}: not an event log (header {header!r})")
+            raise ConfigError(f"{path}: not an event log (header {header!r})")
         for row in reader:
-            times.append(float(row[1]))
-            labels.append(int(row[2]) if len(row) > 2 and row[2] != "" else None)
+            try:
+                times.append(float(row[1]))
+                labels.append(int(row[2]) if len(row) > 2 and row[2] != "" else None)
+            except (IndexError, ValueError):
+                raise ConfigError(f"{path}: line {reader.line_num}: "
+                                  f"malformed event row {row!r}") from None
     times = np.asarray(times, dtype=float)
     if any(lab is None for lab in labels):
         return times, None

@@ -11,6 +11,15 @@ the age untouched. ``Kijima1(a)`` accumulates virtual age
 ``V_k = V_{k-1} + a * X_k`` over the inter-failure increments ``X_k``, which
 is the same one-parameter family expressed through increments
 (``Kijima1(a)`` matches ``ARA(1, 1 - a)``).
+
+Each model computes its offset incrementally. ``offset_state()`` is the state
+of a component with no failures (offset 0) and ``offset_step(state, t)``
+advances it by a failure at ``t``, returning the new state and the offset
+after that failure. ``ARA`` keeps its last ``m`` failure times and
+``Kijima1`` its virtual age and last failure time, so a step costs O(m) and
+O(1). ``effective_age_offset(times)`` is the fold of the step over a
+history; samplers and trajectory evaluations carry one state per component
+instead of re-reading a growing history.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, config_number
 
 __all__ = ["RepairModel", "ARA", "Kijima1", "Perfect", "Minimal",
            "check_history", "next_failure_time", "repair_from_config"]
@@ -38,15 +47,14 @@ def check_history(times) -> np.ndarray:
     return arr
 
 
-def next_failure_time(model, hazard, times, exponential):
-    """Inverse-transform kernel for the next failure after history ``times``.
+def next_failure_time(hazard, offset, last, exponential):
+    """Inverse-transform kernel for the next failure after ``last``.
 
-    Solves for the unique t past the last failure whose integrated
-    conditional intensity equals ``exponential``. Trusts the history; public
-    entry points validate.
+    ``offset`` is the component's effective-age offset after its failure at
+    ``last`` (0 and 0 for a fresh component). Solves for the unique t past
+    ``last`` whose integrated conditional intensity equals ``exponential``.
+    Trusts its arguments; public entry points validate.
     """
-    offset = model.effective_age_offset(times)
-    last = float(times[-1]) if len(times) else 0.0
     target = hazard.cumulative(last - offset) + exponential
     t = offset + hazard.inverse_cumulative(target)
     if t <= last:  # float underflow guard for tiny exponentials
@@ -55,15 +63,32 @@ def next_failure_time(model, hazard, times, exponential):
 
 
 class RepairModel:
-    """Shared intensity and sampling logic; subclasses supply the age offset."""
+    """Shared intensity and sampling logic; subclasses supply the offset step."""
+
+    #: How many trailing failures the offset depends on (None: all of them).
+    memory = None
+
+    def offset_state(self):
+        """Offset state of a component with no failures (its offset is 0)."""
+        raise NotImplementedError
+
+    def offset_step(self, state, t):
+        """Advance ``state`` by a failure at ``t``: (new state, offset after it)."""
+        raise NotImplementedError
 
     def effective_age_offset(self, times) -> float:
         """Offset o with post-repair intensity rate(t - o).
 
-        Assumes a valid (strictly increasing) history; returns 0 for an empty
-        one. Accepts a list or array.
+        The fold of :meth:`offset_step` over the history, skipping failures
+        beyond the model's memory. Assumes a valid (strictly increasing)
+        history; returns 0 for an empty one. Accepts a list or array.
         """
-        raise NotImplementedError
+        if self.memory is not None:
+            times = times[max(len(times) - self.memory, 0):]
+        state, offset = self.offset_state(), 0.0
+        for t in times:
+            state, offset = self.offset_step(state, float(t))
+        return offset
 
     @property
     def is_improving(self) -> bool:
@@ -97,7 +122,9 @@ class RepairModel:
             exponential = float(rng.exponential())
         if not exponential > 0.0:
             raise DomainError(f"exponential variate must be positive, got {exponential}")
-        return next_failure_time(self, hazard, times, float(exponential))
+        last = float(times[-1]) if times.size else 0.0
+        return next_failure_time(hazard, self.effective_age_offset(times), last,
+                                 float(exponential))
 
 
 @dataclass(frozen=True)
@@ -127,16 +154,23 @@ class ARA(RepairModel):
     def to_ara(self):
         return self
 
-    def effective_age_offset(self, times):
-        n_fail = len(times)
-        if n_fail == 0 or self.rho == 0.0:
-            return 0.0
+    @property
+    def memory(self):
+        return self.m
+
+    def offset_state(self):
+        return ()  # the last m failure times, oldest first
+
+    def offset_step(self, state, t):
+        state = (state + (t,))[-self.m:]
+        if self.rho == 0.0:
+            return state, 0.0
         acc = 0.0
         w = self.rho
-        for j in range(min(self.m, n_fail)):
-            acc += w * float(times[n_fail - 1 - j])
+        for s in reversed(state):
+            acc += w * s
             w *= 1.0 - self.rho
-        return acc
+        return state, acc
 
     def to_config(self):
         return {"model": "ara", "m": self.m, "rho": self.rho}
@@ -153,8 +187,13 @@ class Perfect(RepairModel):
     def to_ara(self):
         return ARA(1, 1.0)
 
-    def effective_age_offset(self, times):
-        return float(times[-1]) if len(times) else 0.0
+    memory = 1
+
+    def offset_state(self):
+        return None
+
+    def offset_step(self, state, t):
+        return None, t
 
     def to_config(self):
         return {"model": "perfect"}
@@ -171,8 +210,13 @@ class Minimal(RepairModel):
     def to_ara(self):
         return ARA(1, 0.0)
 
-    def effective_age_offset(self, times):
-        return 0.0
+    memory = 0
+
+    def offset_state(self):
+        return None
+
+    def offset_step(self, state, t):
+        return None, 0.0
 
     def to_config(self):
         return {"model": "minimal"}
@@ -195,17 +239,14 @@ class Kijima1(RepairModel):
     def to_ara(self):
         return ARA(1, 1.0 - self.a)
 
-    def effective_age_offset(self, times):
+    def offset_state(self):
+        return 0.0, 0.0  # virtual age V and last failure time
+
+    def offset_step(self, state, t):
         # virtual age by the increment recursion; offset = T_N - V_N
-        if len(times) == 0:
-            return 0.0
-        v = 0.0
-        prev = 0.0
-        for t in times:
-            t = float(t)
-            v += self.a * (t - prev)
-            prev = t
-        return prev - v
+        v, prev = state
+        v += self.a * (t - prev)
+        return (v, t), t - v
 
     def to_config(self):
         return {"model": "kijima1", "a": self.a}
@@ -218,14 +259,16 @@ def repair_from_config(cfg) -> RepairModel:
     kind = cfg["model"]
     if kind == "ara":
         try:
-            return ARA(int(cfg["m"]), float(cfg["rho"]))
+            m, rho = cfg["m"], cfg["rho"]
         except KeyError as missing:
             raise ConfigError(f"ara repair needs key {missing}") from None
+        return ARA(config_number("repair.m", m, int), config_number("repair.rho", rho))
     if kind == "kijima1":
         try:
-            return Kijima1(float(cfg["a"]))
+            a = cfg["a"]
         except KeyError as missing:
             raise ConfigError(f"kijima1 repair needs key {missing}") from None
+        return Kijima1(config_number("repair.a", a))
     if kind == "perfect":
         return Perfect()
     if kind == "minimal":

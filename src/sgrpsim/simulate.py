@@ -58,10 +58,10 @@ def nhpp_sample(hazard, count, rng=None, *, uniforms=None) -> np.ndarray:
 
 
 def _grp_stream(model, hazard, rng):
-    times = []
+    state, offset, t = model.offset_state(), 0.0, 0.0
     while True:
-        t = next_failure_time(model, hazard, times, float(rng.exponential()))
-        times.append(t)
+        t = next_failure_time(hazard, offset, t, float(rng.exponential()))
+        state, offset = model.offset_step(state, t)
         yield t
 
 

@@ -5,8 +5,9 @@ repaired in negligible time and operation resumes. Simulation is event-driven
 competing risks: each component holds one candidate next-failure time, the
 smallest candidate is committed, and only that component is resampled. This
 is exact because components fail independently, and costs O(log n) per event
-through a heap. Simultaneous float candidates (probability zero) resolve to
-the lowest component index.
+through a heap plus one incremental offset step of the failing component.
+Simultaneous float candidates (probability zero) resolve to the lowest
+component index.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from .rng import stream_rng
 
 __all__ = ["FullHistory", "MaskedHistory", "simulate_sgrp", "mask",
            "true_system_intensity", "true_intensity_at_events"]
+
+#: Events per block of the batched trajectory evaluations; a block holds
+#: a few arrays of ``BLOCK_ROWS`` x n floats.
+BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,8 @@ def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None,
         rng = stream_rng(seed)
 
     comp_times = [[] for _ in range(n)]
-    heap = [(next_failure_time(model, hazard, comp_times[c], float(rng.exponential())), c)
+    states = [model.offset_state()] * n
+    heap = [(next_failure_time(hazard, 0.0, 0.0, float(rng.exponential())), c)
             for c in range(n)]
     heapq.heapify(heap)
 
@@ -115,7 +121,8 @@ def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None,
         sys_labels.append(c + 1)
         if n_events is not None and len(sys_times) >= n_events:
             break
-        nxt = next_failure_time(model, hazard, comp_times[c], float(rng.exponential()))
+        states[c], offset = model.offset_step(states[c], t)
+        nxt = next_failure_time(hazard, offset, t, float(rng.exponential()))
         heapq.heappush(heap, (nxt, c))
 
     end = horizon if horizon is not None else (sys_times[-1] if sys_times else 0.0)
@@ -144,27 +151,38 @@ def true_system_intensity(full, model, hazard, t) -> float:
         raise DomainError("t must be nonnegative")
     if t > full.horizon:
         raise DomainError(f"t={t} is beyond the simulated horizon {full.horizon}")
-    total = 0.0
-    for comp in full.per_component:
-        k = int(np.searchsorted(comp, t, side="left"))
-        offset = model.effective_age_offset(comp[:k])
-        total += hazard.rate(t - offset)
-    return float(total)
+    offsets = np.array([
+        model.effective_age_offset(comp[:int(np.searchsorted(comp, t, side="left"))])
+        for comp in full.per_component])
+    return float(np.sum(hazard.rate(t - offsets)))
 
 
 def true_intensity_at_events(full, model, hazard) -> np.ndarray:
     """Left-limit system intensity at every system event time, in order.
 
-    Equivalent to calling :func:`true_system_intensity` at each event, but it
-    walks the trajectory once, updating only the failing component's offset.
+    Equal, bit for bit, to calling :func:`true_system_intensity` at each
+    event. It walks the trajectory once, advancing only the failing
+    component's offset, and evaluates the rates in blocks of at most
+    ``BLOCK_ROWS`` events, so the work per event does not grow with the
+    history and the extra memory does not grow with the event count.
     """
-    offsets = np.zeros(full.n)
-    comp_hist = [[] for _ in range(full.n)]
+    n = full.n
     out = np.empty(full.times.size)
-    for k, (t, label) in enumerate(zip(full.times, full.labels)):
-        t = float(t)
-        out[k] = float(np.sum(hazard.rate(t - offsets)))
-        c = int(label) - 1
-        comp_hist[c].append(t)
-        offsets[c] = model.effective_age_offset(comp_hist[c])
+    states = [model.offset_state()] * n
+    offsets = np.zeros(n)  # each component's offset before the block
+    for k0 in range(0, out.size, BLOCK_ROWS):
+        times = full.times[k0:k0 + BLOCK_ROWS]
+        comps = full.labels[k0:k0 + BLOCK_ROWS] - 1
+        b = times.size
+        post = np.empty(b)  # offset of the failing component after each event
+        for r, (t, c) in enumerate(zip(times.tolist(), comps.tolist())):
+            states[c], post[r] = model.offset_step(states[c], t)
+        # row r holds, per component, the index of its last event before
+        # event r of the block (-1: none in the block)
+        last = np.full((b + 1, n), -1)
+        last[np.arange(1, b + 1), comps] = np.arange(b)
+        np.maximum.accumulate(last, axis=0, out=last)
+        rows = np.where(last >= 0, post[np.maximum(last, 0)], offsets)
+        out[k0:k0 + b] = hazard.rate(times[:, None] - rows[:b]).sum(axis=1)
+        offsets = rows[b]
     return out

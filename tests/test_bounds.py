@@ -1,13 +1,28 @@
 import numpy as np
 import pytest
 
+import sgrpsim.bounds as bounds
 from sgrpsim import (ARA, ConstantHazard, DomainError, Kijima1, MaskedHistory,
-                     Perfect, PowerLawHazard, ara_lag_offsets,
+                     Minimal, Perfect, PowerLawHazard, ara_lag_offsets,
                      ara_last_component_offset, heterogeneous_upper, mask,
                      sgrp_bounds, sgrp_bounds_at_events, simulate_sgrp,
                      srp_bounds, true_intensity_at_events)
 
 PL = PowerLawHazard(1.3, 40.0)
+
+#: (repair, hazard) pairs; ARA(3, .5) lets the lag memory q rise to m-1,
+#: Minimal is rho=0 and Perfect rho=1
+CASES = {
+    "kijima1": (Kijima1(0.7), PL),
+    "ara1": (ARA(1, 0.3), PL),
+    "ara3": (ARA(3, 0.5), PL),
+    "perfect": (Perfect(), PL),
+    "minimal": (Minimal(), PL),
+    "constant": (ARA(2, 0.4), ConstantHazard(0.2)),
+}
+#: events per component count; n=100 crosses a BLOCK_ROWS boundary and
+#: spends its first 100 rows with N <= n
+EVENTS = {1: 1200, 5: 2000, 100: 5000}
 
 
 def mh(times, n, t_obs=None):
@@ -176,6 +191,44 @@ class TestTrajectoryEvaluation:
             true = true_intensity_at_events(full, model, PL)
             assert np.all(true >= lower - 1e-9)
             assert np.all(true <= upper + 1e-9)
+
+
+class TestBatchedRows:
+    @pytest.mark.parametrize("n", sorted(EVENTS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_equal_prefix_envelopes_bitwise(self, case, n):
+        model, hazard = CASES[case]
+        times = simulate_sgrp(n, model, hazard, n_events=EVENTS[n], seed=500 + n).times
+        lower, upper = sgrp_bounds_at_events(times, n, model, hazard)
+        for k, t in enumerate(times.tolist()):
+            pair = sgrp_bounds(mh(times[:k], n, t_obs=t), model, hazard, t)
+            assert (lower[k], upper[k]) == (pair.lower, pair.upper), k
+
+    @pytest.mark.parametrize("n,m,rho", [(1, 1, 0.3), (1, 12, 0.6), (3, 3, 0.5),
+                                         (4, 9, 0.8), (7, 2, 0.0), (5, 2, 1.0)])
+    def test_offsets_over_prefix_lengths_bitwise(self, n, m, rho):
+        # every prefix length, in and out of order, matches the one-prefix call
+        times = np.cumsum(np.random.default_rng(45).exponential(3.0, size=12 * n + 30))
+        lengths = np.concatenate([np.arange(times.size + 1), [times.size, 0, 7]])
+        lags = ara_lag_offsets(times, n, m, rho, lengths)
+        lasts = ara_last_component_offset(times, m, rho, lengths)
+        assert lags.shape == (lengths.size, n)
+        for r, k in enumerate(lengths.tolist()):
+            assert np.array_equal(lags[r], ara_lag_offsets(times[:k], n, m, rho))
+            assert lasts[r] == ara_last_component_offset(times[:k], m, rho)
+
+    @pytest.mark.parametrize("block_rows", [1, 5, 64])
+    def test_rows_do_not_depend_on_block_size(self, block_rows, monkeypatch):
+        times = simulate_sgrp(4, ARA(3, 0.5), PL, n_events=600, seed=46).times
+        whole = sgrp_bounds_at_events(times, 4, ARA(3, 0.5), PL)
+        monkeypatch.setattr(bounds, "BLOCK_ROWS", block_rows)
+        blocked = sgrp_bounds_at_events(times, 4, ARA(3, 0.5), PL)
+        assert np.array_equal(blocked[0], whole[0])
+        assert np.array_equal(blocked[1], whole[1])
+
+    def test_empty_trajectory(self):
+        lower, upper = sgrp_bounds_at_events(np.array([]), 3, ARA(1, 0.3), PL)
+        assert lower.size == upper.size == 0
 
 
 class TestHeterogeneousUpper:

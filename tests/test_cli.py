@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,18 @@ def write_config(tmp_path, cfg, name="config.json"):
 
 def tree_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(Path(root).iterdir())}
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(args, cwd):
+    """Run the CLI in a fresh interpreter; returns the completed process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "sgrpsim.cli", *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 class TestSimulateSgrp:
@@ -170,3 +185,50 @@ class TestErrorPaths:
         code = main(["simulate-sgrp", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "o")])
         assert code == 2
+
+
+def with_value(section, key, value):
+    cfg = base_config()
+    cfg[section] = dict(cfg[section], **{key: value})
+    return cfg
+
+
+class TestConfigContract:
+    """A bad input gives one ``error: config:`` line and exit 2, never a traceback."""
+
+    def assert_config_error(self, proc, mentions):
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: config: ")
+        assert mentions in lines[0]
+
+    @pytest.mark.parametrize("section,key,value,mentions", [
+        ("hazard", "beta", "abc", "hazard.beta"),
+        ("repair", "rho", "x", "repair.rho"),
+        ("run", "n_events", "many", "run.n_events"),
+        ("system", "n", None, "system.n"),
+    ])
+    def test_non_numeric_config_value(self, tmp_path, section, key, value, mentions):
+        cfg = write_config(tmp_path, with_value(section, key, value))
+        proc = run_cli(["simulate-sgrp", "--config", cfg, "--out", "out"], tmp_path)
+        self.assert_config_error(proc, mentions)
+
+    def test_negative_seed_override(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        proc = run_cli(["simulate-sgrp", "--config", cfg, "--out", "out",
+                        "--seed", "-5"], tmp_path)
+        self.assert_config_error(proc, "--seed")
+
+    @pytest.mark.parametrize("log,mentions", [
+        ("index,time,component\n1,0.5,\n2,soon,\n", "line 3"),
+        ("", "not an event log"),
+    ])
+    def test_malformed_event_log(self, tmp_path, log, mentions):
+        cfg = write_config(tmp_path, base_config())
+        events = tmp_path / "events.csv"
+        events.write_text(log)
+        proc = run_cli(["rate-curve", str(events), "--config", cfg, "--out", "rc"],
+                       tmp_path)
+        self.assert_config_error(proc, mentions)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from history_oracle import offset_from_history
 from sgrpsim import (ARA, ConstantHazard, DomainError, Kijima1, Minimal, Perfect,
                      PowerLawHazard, check_history, intensity_integral, ks_exp1,
                      repair_from_config, stream_rng)
@@ -27,6 +28,23 @@ class TestEffectiveAgeOffset:
     def test_empty_history(self):
         for model in (ARA(2, 0.5), Perfect(), Minimal(), Kijima1(0.3)):
             assert model.effective_age_offset([]) == 0.0
+
+    @pytest.mark.parametrize("model", [Kijima1(0.7), Kijima1(1.4), ARA(1, 0.3),
+                                       ARA(3, 0.5), ARA(2, 0.0), ARA(4, 1.0),
+                                       Perfect(), Minimal()],
+                             ids=repr)
+    def test_steps_match_history_recomputation_bitwise(self, model):
+        # after every failure, the carried offset equals the offset rebuilt
+        # from the whole history, and so does the fold over the history
+        rng = np.random.default_rng(71)
+        times = np.cumsum(rng.exponential(7.0, size=400))
+        state = model.offset_state()
+        for k, t in enumerate(times.tolist()):
+            state, offset = model.offset_step(state, t)
+            expect = offset_from_history(model, times[:k + 1])
+            assert offset == expect
+            assert model.effective_age_offset(times[:k + 1]) == expect
+            assert model.effective_age_offset(times[:k + 1].tolist()) == expect
 
 
 class TestConditionalIntensity:

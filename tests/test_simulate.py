@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, Minimal,
-                     MaskedHistory, Normalization, PowerLawHazard,
+import sgrpsim.simulate as simulate
+from history_oracle import grp_stream_from_history
+from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, Kijima1,
+                     Minimal, MaskedHistory, Normalization, Perfect, PowerLawHazard,
                      approx_intensity, intensity_integral, ks_exp1, nhpp_sample,
                      rescaled_residuals, simulate_algorithm1, simulate_thinning,
                      stream_rng)
@@ -90,6 +92,20 @@ class TestAlgorithm1:
         out = simulate_algorithm1(self.am(), 20_000, seed=11)
         assert len(out) == 20_000
         assert np.all(np.diff(out.times) > 0.0)
+
+    @pytest.mark.parametrize("n,delta,repair", [
+        (5, 0.5, Kijima1(0.7)), (5, 0.0, Kijima1(0.7)), (5, 1.0, Kijima1(0.7)),
+        (100, 0.5, Kijima1(0.7)), (1, 0.4, Kijima1(0.7)), (5, 0.5, ARA(3, 0.5)),
+        (5, 0.5, Perfect()), (5, 0.5, Minimal())])
+    def test_streams_match_history_recomputation_bitwise(self, n, delta, repair,
+                                                         monkeypatch):
+        # the streams carry their offsets incrementally; a stream that
+        # rebuilds each offset from its whole history gives the same run
+        am = ApproxModel(n, delta, PL, repair)
+        got = simulate_algorithm1(am, 3000, seed=12)
+        monkeypatch.setattr(simulate, "_grp_stream", grp_stream_from_history)
+        expect = simulate_algorithm1(am, 3000, seed=12)
+        assert np.array_equal(got.times, expect.times)
 
 
 class TestThinning:

@@ -2,11 +2,26 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from sgrpsim import (ARA, ConstantHazard, DomainError, FullHistory, MaskedHistory,
-                     Minimal, Perfect, PowerLawHazard, mask, simulate_sgrp,
-                     stream_rng, true_intensity_at_events, true_system_intensity)
+import sgrpsim.superpose as superpose
+from history_oracle import simulate_sgrp_from_history
+from sgrpsim import (ARA, ConstantHazard, DomainError, FullHistory, Kijima1,
+                     MaskedHistory, Minimal, Perfect, PowerLawHazard, mask,
+                     simulate_sgrp, stream_rng, true_intensity_at_events,
+                     true_system_intensity)
 
 PL = PowerLawHazard(1.3, 40.0)
+
+#: (repair, hazard) pairs the incremental paths are checked against
+CASES = {
+    "kijima1": (Kijima1(0.7), PL),
+    "ara1": (ARA(1, 0.3), PL),
+    "ara3": (ARA(3, 0.5), PL),
+    "perfect": (Perfect(), PL),
+    "minimal": (Minimal(), PL),
+    "constant": (ARA(2, 0.4), ConstantHazard(0.2)),
+}
+#: events per component count; n=100 crosses a BLOCK_ROWS boundary
+EVENTS = {1: 1200, 5: 2000, 100: 5000}
 
 
 def build_full(per_component, horizon=None):
@@ -140,3 +155,50 @@ def test_tie_break_is_lowest_component_index():
     a = simulate_sgrp(4, Minimal(), ConstantHazard(0.5), n_events=200, seed=8)
     b = simulate_sgrp(4, Minimal(), ConstantHazard(0.5), n_events=200, seed=8)
     assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("n", sorted(EVENTS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_simulate_matches_history_sampler_bitwise(case, n):
+    # incremental offsets give the trajectory of the sampler that rebuilds
+    # each offset from the component's whole history, in both stop modes
+    model, hazard = CASES[case]
+    seed = 300 + n
+    full = simulate_sgrp(n, model, hazard, n_events=EVENTS[n], seed=seed)
+    times, labels = simulate_sgrp_from_history(n, model, hazard,
+                                               n_events=EVENTS[n], seed=seed)
+    assert np.array_equal(full.times, times)
+    assert np.array_equal(full.labels, labels)
+    horizon = 0.6 * float(times[-1])
+    full = simulate_sgrp(n, model, hazard, horizon=horizon, seed=seed)
+    times, labels = simulate_sgrp_from_history(n, model, hazard,
+                                               horizon=horizon, seed=seed)
+    assert np.array_equal(full.times, times)
+    assert np.array_equal(full.labels, labels)
+    assert full.check_consistent()
+
+
+@pytest.mark.parametrize("n", sorted(EVENTS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trajectory_equals_pointwise_at_every_event_bitwise(case, n):
+    model, hazard = CASES[case]
+    full = simulate_sgrp(n, model, hazard, n_events=EVENTS[n], seed=400 + n)
+    walked = true_intensity_at_events(full, model, hazard)
+    direct = np.array([true_system_intensity(full, model, hazard, t)
+                       for t in full.times.tolist()])
+    assert np.array_equal(walked, direct)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+def test_trajectory_does_not_depend_on_block_size(block_rows, monkeypatch):
+    model = Kijima1(0.7)
+    full = simulate_sgrp(5, model, PL, n_events=700, seed=17)
+    whole = true_intensity_at_events(full, model, PL)
+    monkeypatch.setattr(superpose, "BLOCK_ROWS", block_rows)
+    assert np.array_equal(true_intensity_at_events(full, model, PL), whole)
+
+
+def test_trajectory_of_an_empty_history():
+    full = simulate_sgrp(3, Kijima1(0.7), PL, horizon=1e-9, seed=1)
+    assert len(full) == 0
+    assert true_intensity_at_events(full, Kijima1(0.7), PL).size == 0
