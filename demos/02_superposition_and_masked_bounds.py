@@ -10,8 +10,8 @@ labeled truth, masks it, and shows the envelope holding at every event.
 
 import numpy as np
 
-from sgrpsim import (ARA, PowerLawHazard, mask, sgrp_bounds_at_events,
-                     simulate_sgrp, srp_bounds, true_intensity_at_events)
+from sgrpsim import (ARA, Perfect, PowerLawHazard, mask, sgrp_bounds,
+                     sgrp_bounds_at_events, simulate_sgrp, true_intensity_at_events)
 from sgrpsim.io import write_bounds_csv, write_events_csv
 
 hazard = PowerLawHazard(1.3, 40.0)
@@ -38,7 +38,7 @@ print(f"Example at event {k + 1} (t = {full.times[k]:.2f}):")
 print(f"  lower {lower[k]:.5f} <= true {true[k]:.5f} <= upper {upper[k]:.5f}\n")
 
 print("Replacement (as-good-as-new) repair admits the same construction:")
-pair = srp_bounds(masked, hazard, float(masked.times[-1]))
+pair = sgrp_bounds(masked, Perfect(), hazard, float(masked.times[-1]))
 print(f"  at the last event: lower {pair.lower:.5f}, upper {pair.upper:.5f}\n")
 
 write_events_csv("demo_events.csv", full.times, full.labels)

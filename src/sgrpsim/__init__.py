@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .approx import ApproxModel, Normalization, approx_intensity, approx_intensity_ara
 from .bounds import (BoundPair, ara_lag_offsets, ara_last_component_offset,
-                     heterogeneous_upper, sgrp_bounds, sgrp_bounds_at_events,
-                     srp_bounds)
+                     heterogeneous_upper, sgrp_bounds, sgrp_bounds_at_events)
 from .errors import ConfigError, DomainError
 from .hazards import ConstantHazard, Hazard, PowerLawHazard, hazard_from_config
 from .repair import (ARA, Kijima1, Minimal, Perfect, RepairModel, check_history,
@@ -28,7 +27,7 @@ __all__ = [
     "__version__",
     "ApproxModel", "Normalization", "approx_intensity", "approx_intensity_ara",
     "BoundPair", "ara_lag_offsets", "ara_last_component_offset",
-    "heterogeneous_upper", "sgrp_bounds", "sgrp_bounds_at_events", "srp_bounds",
+    "heterogeneous_upper", "sgrp_bounds", "sgrp_bounds_at_events",
     "ConfigError", "DomainError",
     "ConstantHazard", "Hazard", "PowerLawHazard", "hazard_from_config",
     "ARA", "Kijima1", "Minimal", "Perfect", "RepairModel", "check_history",

@@ -23,8 +23,9 @@ from .errors import DomainError
 from .repair import check_history
 from .superpose import BLOCK_ROWS, MaskedHistory
 
-__all__ = ["BoundPair", "srp_bounds", "sgrp_bounds", "sgrp_bounds_at_events",
-           "heterogeneous_upper", "ara_lag_offsets", "ara_last_component_offset"]
+__all__ = ["BoundPair", "sgrp_bounds", "sgrp_bounds_at_events", "heterogeneous_upper",
+           "ara_lag_offsets", "ara_last_component_offset", "envelope_offsets",
+           "envelope_rates"]
 
 
 @dataclass(frozen=True)
@@ -121,38 +122,44 @@ def ara_last_component_offset(times, m, rho, lengths=None):
     return out
 
 
-def srp_bounds(mh: MaskedHistory, hazard, t) -> BoundPair:
-    """Envelope under replacement (as-good-as-new) repair.
+def envelope_offsets(times, n, ara, lengths=None):
+    """(lag offsets, single-component offset) of the two envelopes under ``ara``.
 
-    lower: the last n masked times assigned one-per-component, missing ones
-    treated as time 0. upper: (n-1) fresh components plus one replaced at the
-    newest masked time.
+    With ``lengths`` both have one row per prefix length (see
+    :func:`ara_lag_offsets`).
     """
-    _require_nondecreasing(hazard)
-    t = _eval_time(mh, t)
-    times, n = mh.times, mh.n
-    big_n = int(times.size)
-    if big_n == 0:
-        shifted = np.zeros(n)
-    else:
-        k = big_n - np.arange(n)
-        shifted = np.where(k >= 1, times[np.maximum(k, 1) - 1], 0.0)
-    lower = float(np.sum(hazard.rate(t - shifted)))
-    last = float(times[-1]) if big_n else 0.0
-    upper = float((n - 1) * hazard.rate(t) + hazard.rate(t - last))
-    return BoundPair(lower=lower, upper=upper, at=t)
+    return (ara_lag_offsets(times, n, ara.m, ara.rho, lengths),
+            ara_last_component_offset(times, ara.m, ara.rho, lengths))
+
+
+def envelope_rates(hazard, t, lower_off, upper_off):
+    """(lower, upper) envelope values at ``t`` from one ``hazard.rate`` call.
+
+    lower: the sum of the n lag rates ``rate(t - lower_off)``; upper: n-1
+    fresh components plus ``rate(t - upper_off)``. A vector ``t`` takes one
+    row of ``lower_off`` and one entry of ``upper_off`` per element.
+    """
+    t = np.asarray(t, dtype=float)
+    n = np.shape(lower_off)[-1]
+    # columns: the n lag ages, the fresh age, the single-component age
+    ages = np.empty(t.shape + (n + 2,))
+    ages[..., :n] = t[..., None] - lower_off
+    ages[..., n] = t
+    ages[..., n + 1] = t - upper_off
+    rates = hazard.rate(ages)
+    return rates[..., :n].sum(axis=-1), (n - 1) * rates[..., n] + rates[..., n + 1]
 
 
 def sgrp_bounds(mh: MaskedHistory, model, hazard, t) -> BoundPair:
-    """Envelope under an improving age-reduction repair family."""
+    """Envelope under an improving age-reduction repair family.
+
+    Replacement repair is ``Perfect()``, i.e. ``ARA(1, 1.0)``.
+    """
     _require_nondecreasing(hazard)
     ara = _require_improving(model)
     t = _eval_time(mh, t)
-    lower_off = ara_lag_offsets(mh.times, mh.n, ara.m, ara.rho)
-    upper_off = ara_last_component_offset(mh.times, ara.m, ara.rho)
-    lower = float(np.sum(hazard.rate(t - lower_off)))
-    upper = float((mh.n - 1) * hazard.rate(t) + hazard.rate(t - upper_off))
-    return BoundPair(lower=lower, upper=upper, at=t)
+    lower, upper = envelope_rates(hazard, t, *envelope_offsets(mh.times, mh.n, ara))
+    return BoundPair(lower=float(lower), upper=float(upper), at=t)
 
 
 def sgrp_bounds_at_events(times, n, model, hazard):
@@ -170,16 +177,8 @@ def sgrp_bounds_at_events(times, n, model, hazard):
     upper = np.empty(times.size)
     for k0 in range(0, times.size, BLOCK_ROWS):
         k1 = min(k0 + BLOCK_ROWS, times.size)
-        prefix = np.arange(k0, k1)
-        t = times[k0:k1]
-        # columns: the n lag ages, the fresh age, the single-component age
-        ages = np.empty((k1 - k0, n + 2))
-        ages[:, :n] = t[:, None] - ara_lag_offsets(times, n, ara.m, ara.rho, prefix)
-        ages[:, n] = t
-        ages[:, n + 1] = t - ara_last_component_offset(times, ara.m, ara.rho, prefix)
-        rates = hazard.rate(ages)
-        lower[k0:k1] = rates[:, :n].sum(axis=1)
-        upper[k0:k1] = (n - 1) * rates[:, n] + rates[:, n + 1]
+        offsets = envelope_offsets(times, n, ara, np.arange(k0, k1))
+        lower[k0:k1], upper[k0:k1] = envelope_rates(hazard, times[k0:k1], *offsets)
     return lower, upper
 
 

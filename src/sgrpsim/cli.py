@@ -118,15 +118,15 @@ def parse_config(doc: dict) -> RunConfig:
         horizon = config_number("run.horizon", horizon)
         if not horizon > 0.0:
             raise ConfigError("run.horizon must be positive")
-    seed = run.get("seed", 0)
-    if config_number("run.seed", seed, int) != seed or int(seed) < 0:
+    seed = config_number("run.seed", run.get("seed", 0), int)
+    if seed < 0:
         raise ConfigError(f"run.seed must be a nonnegative integer, got {seed}")
     bin_width = config_number("run.bin_width", run.get("bin_width", DEFAULT_BIN_WIDTH))
     if not bin_width > 0.0:
         raise ConfigError("run.bin_width must be positive")
     return RunConfig(hazard=hazard, repair=repair, n=n, delta=delta,
                      normalization=normalization, n_events=n_events,
-                     horizon=horizon, seed=int(seed), bin_width=bin_width, raw=doc)
+                     horizon=horizon, seed=seed, bin_width=bin_width, raw=doc)
 
 
 def _resolve_seed(cfg: RunConfig, args) -> int:

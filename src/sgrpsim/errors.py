@@ -10,9 +10,15 @@ class ConfigError(ValueError):
 
 
 def config_number(where, value, kind=float):
-    """``kind(value)``; a ConfigError naming ``where`` if the value is not one."""
+    """``kind(value)``; a ConfigError naming ``where`` if the value is not one.
+
+    An integer field accepts an integral number (``10.0``) but not ``2.5``.
+    """
+    what = "an integer" if kind is int else "a number"
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
+        out = kind(value)
+        if kind is int and isinstance(value, float) and out != value:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be {what}, got {value!r}") from None
+    return out

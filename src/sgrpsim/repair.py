@@ -7,10 +7,11 @@ an exact shift-and-invert of the cumulative hazard, with no root finding.
 
 ``ARA(m, rho)`` subtracts a geometrically weighted sum of the last ``m``
 failure times from the age; ``rho = 1`` is replacement, ``rho = 0`` leaves
-the age untouched. ``Kijima1(a)`` accumulates virtual age
-``V_k = V_{k-1} + a * X_k`` over the inter-failure increments ``X_k``, which
-is the same one-parameter family expressed through increments
-(``Kijima1(a)`` matches ``ARA(1, 1 - a)``).
+the age untouched. ``Perfect()`` and ``Minimal()`` construct these two
+endpoints, ``ARA(1, 1.0)`` and ``ARA(1, 0.0)``. ``Kijima1(a)`` accumulates
+virtual age ``V_k = V_{k-1} + a * X_k`` over the inter-failure increments
+``X_k``, which is the same one-parameter family expressed through increments
+(``Kijima1(a)`` matches ``ARA(1, 1 - a)`` up to float rounding).
 
 Each model computes its offset incrementally. ``offset_state()`` is the state
 of a component with no failures (offset 0) and ``offset_step(state, t)``
@@ -176,50 +177,14 @@ class ARA(RepairModel):
         return {"model": "ara", "m": self.m, "rho": self.rho}
 
 
-@dataclass(frozen=True)
-class Perfect(RepairModel):
-    """Replacement: the clock restarts at the latest failure."""
-
-    @property
-    def is_improving(self):
-        return True
-
-    def to_ara(self):
-        return ARA(1, 1.0)
-
-    memory = 1
-
-    def offset_state(self):
-        return None
-
-    def offset_step(self, state, t):
-        return None, t
-
-    def to_config(self):
-        return {"model": "perfect"}
+def Perfect() -> ARA:
+    """Replacement (as good as new): the clock restarts at the latest failure."""
+    return ARA(1, 1.0)
 
 
-@dataclass(frozen=True)
-class Minimal(RepairModel):
-    """As-bad-as-old: the initial rate continues through failures."""
-
-    @property
-    def is_improving(self):
-        return True
-
-    def to_ara(self):
-        return ARA(1, 0.0)
-
-    memory = 0
-
-    def offset_state(self):
-        return None
-
-    def offset_step(self, state, t):
-        return None, 0.0
-
-    def to_config(self):
-        return {"model": "minimal"}
+def Minimal() -> ARA:
+    """As bad as old: the initial rate continues through failures."""
+    return ARA(1, 0.0)
 
 
 @dataclass(frozen=True)

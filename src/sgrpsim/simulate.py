@@ -26,7 +26,7 @@ import heapq
 import numpy as np
 
 from .approx import ApproxModel
-from .bounds import ara_lag_offsets, ara_last_component_offset
+from .bounds import envelope_offsets, envelope_rates
 from .errors import DomainError
 from .repair import next_failure_time
 from .rng import stream_rng
@@ -120,25 +120,6 @@ def simulate_algorithm1(am: ApproxModel, count, seed) -> MaskedHistory:
     return MaskedHistory(times=out, n=n, t_obs=float(out[-1]))
 
 
-class _EventBuffer:
-    """Append-only float buffer with an O(1) array view."""
-
-    def __init__(self):
-        self._data = np.empty(1024)
-        self.size = 0
-
-    def append(self, x):
-        if self.size == self._data.size:
-            grown = np.empty(self._data.size * 2)
-            grown[: self.size] = self._data
-            self._data = grown
-        self._data[self.size] = x
-        self.size += 1
-
-    def view(self):
-        return self._data[: self.size]
-
-
 def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
                       seed=None, rng=None) -> MaskedHistory:
     """Window thinning driven by the exact model intensity.
@@ -168,22 +149,22 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     if not 0.0 <= ara.rho <= 1.0:
         raise DomainError("thinning requires repair effectiveness in [0, 1]")
     n, d = am.n, am.delta
-    m, rho = ara.m, ara.rho
+    # the lag offsets read at most the last n*m times, the single-component
+    # offset the last m, so the offsets of that tail are those of the history
+    tail = n * ara.m
 
-    buf = _EventBuffer()
+    times = []
     # offsets are fixed between events, so cache them per accepted event
-    lower_off = ara_lag_offsets(buf.view(), n, m, rho)
-    upper_off = ara_last_component_offset(buf.view(), m, rho)
+    offsets = envelope_offsets(times, n, ara)
 
     def lam(t):
-        lower = float(np.sum(hc.rate(t - lower_off)))
-        upper = float((n - 1) * hc.rate(t) + hc.rate(t - upper_off))
+        lower, upper = envelope_rates(hc, t, *offsets)
         return float(d * lower + (1.0 - d) * upper)
 
     t = 0.0
     window = float(am.hazard.inverse_cumulative(1.0)) / n
     while True:
-        if n_events is not None and buf.size >= n_events:
+        if n_events is not None and len(times) >= n_events:
             break
         if horizon is not None and t >= horizon:
             break
@@ -203,13 +184,11 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
             continue
         t = t + gap
         if rng.random() * majorant <= lam(t):
-            buf.append(t)
-            hist = buf.view()
-            lower_off = ara_lag_offsets(hist, n, m, rho)
-            upper_off = ara_last_component_offset(hist, m, rho)
-            if buf.size >= 2:
-                window = float(np.median(np.diff(hist[-65:])))
+            times.append(t)
+            offsets = envelope_offsets(times[-tail:], n, ara)
+            if len(times) >= 2:
+                window = float(np.median(np.diff(times[-65:])))
 
-    times = buf.view().copy()
+    times = np.asarray(times, dtype=float)
     t_obs = float(horizon) if horizon is not None else (float(times[-1]) if times.size else 0.0)
     return MaskedHistory(times=times, n=n, t_obs=t_obs)

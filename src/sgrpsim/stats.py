@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError
 
@@ -135,8 +134,11 @@ def intensity_integral(intensity, rtol=1e-8):
     """Wrap a pointwise intensity as an adaptive-quadrature interval integral.
 
     Returns a callable (a, b) -> integral, suitable for
-    :func:`rescaled_residuals`.
+    :func:`rescaled_residuals`. scipy's quadrature is imported on first
+    use, which keeps it off the package's import path.
     """
+    from scipy import integrate
+
     def integral(a, b):
         if b <= a:
             return 0.0

@@ -2,15 +2,18 @@
 
 These are the O(history) loops the package used before its offsets became
 incremental: every offset is rebuilt from a component's full failure history
-at every event. The tests compare the package's incremental paths to them bit
-for bit.
+at every event. The thinning loop likewise rebuilds its envelope offsets from
+the whole masked history after every accepted event and evaluates each
+envelope term with its own rate call. The tests compare the package's
+incremental paths to them bit for bit.
 """
 
 import heapq
 
 import numpy as np
 
-from sgrpsim import ARA, Kijima1, Minimal, Perfect, stream_rng
+from sgrpsim import (ARA, Kijima1, MaskedHistory, ara_lag_offsets,
+                     ara_last_component_offset, stream_rng)
 
 
 def offset_from_history(model, times):
@@ -36,10 +39,6 @@ def offset_from_history(model, times):
             acc += w * float(times[n_fail - 1 - j])
             w *= 1.0 - model.rho
         return acc
-    if isinstance(model, Perfect):
-        return float(times[-1]) if n_fail else 0.0
-    if isinstance(model, Minimal):
-        return 0.0
     raise TypeError(f"no reference offset for {model!r}")
 
 
@@ -89,3 +88,50 @@ def grp_stream_from_history(model, hazard, rng):
         t = next_failure_from_history(model, hazard, times, float(rng.exponential()))
         times.append(t)
         yield t
+
+
+def simulate_thinning_from_history(am, *, n_events=None, horizon=None, seed):
+    """Window thinning that re-reads the whole masked history per accepted event."""
+    rng = stream_rng(seed)
+    hc = am.component_hazard()
+    ara = am.repair.to_ara()
+    n, d = am.n, am.delta
+    m, rho = ara.m, ara.rho
+    hist = np.empty(0)
+    lower_off = ara_lag_offsets(hist, n, m, rho)
+    upper_off = ara_last_component_offset(hist, m, rho)
+
+    def lam(t):
+        lower = float(np.sum(hc.rate(t - lower_off)))
+        upper = float((n - 1) * hc.rate(t) + hc.rate(t - upper_off))
+        return float(d * lower + (1.0 - d) * upper)
+
+    t = 0.0
+    window = float(am.hazard.inverse_cumulative(1.0)) / n
+    while True:
+        if n_events is not None and hist.size >= n_events:
+            break
+        if horizon is not None and t >= horizon:
+            break
+        w_end = t + window
+        if horizon is not None:
+            w_end = min(w_end, float(horizon))
+        majorant = lam(w_end)
+        if majorant <= 0.0:
+            t = w_end
+            window *= 2.0
+            continue
+        gap = float(rng.exponential()) / majorant
+        if t + gap >= w_end:
+            t = w_end
+            window *= 2.0
+            continue
+        t = t + gap
+        if rng.random() * majorant <= lam(t):
+            hist = np.append(hist, t)
+            lower_off = ara_lag_offsets(hist, n, m, rho)
+            upper_off = ara_last_component_offset(hist, m, rho)
+            if hist.size >= 2:
+                window = float(np.median(np.diff(hist[-65:])))
+    t_obs = float(horizon) if horizon is not None else (float(hist[-1]) if hist.size else 0.0)
+    return MaskedHistory(times=hist, n=n, t_obs=t_obs)

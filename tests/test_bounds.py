@@ -6,7 +6,7 @@ from sgrpsim import (ARA, ConstantHazard, DomainError, Kijima1, MaskedHistory,
                      Minimal, Perfect, PowerLawHazard, ara_lag_offsets,
                      ara_last_component_offset, heterogeneous_upper, mask,
                      sgrp_bounds, sgrp_bounds_at_events, simulate_sgrp,
-                     srp_bounds, true_intensity_at_events)
+                     true_intensity_at_events)
 
 PL = PowerLawHazard(1.3, 40.0)
 
@@ -67,29 +67,50 @@ class TestLagOffsets:
         assert ara_last_component_offset(times, 9, 0.5) == pytest.approx(expect)
 
 
+def srp_reference(masked, hazard, t):
+    """Replacement-repair envelopes written out directly: (lower, upper).
+
+    lower: the last n masked times one per component, missing ones at time 0;
+    upper: n-1 fresh components plus one replaced at the newest masked time.
+    """
+    times, n = masked.times, masked.n
+    big_n = int(times.size)
+    if big_n == 0:
+        shifted = np.zeros(n)
+    else:
+        k = big_n - np.arange(n)
+        shifted = np.where(k >= 1, times[np.maximum(k, 1) - 1], 0.0)
+    lower = float(np.sum(hazard.rate(t - shifted)))
+    last = float(times[-1]) if big_n else 0.0
+    upper = float((n - 1) * hazard.rate(t) + hazard.rate(t - last))
+    return lower, upper
+
+
 class TestSrpBounds:
+    """Replacement repair: ``sgrp_bounds`` under ``Perfect()``."""
+
     def test_two_component_example(self):
-        pair = srp_bounds(mh([3.0, 7.0], 2), PL, 10.0)
+        pair = sgrp_bounds(mh([3.0, 7.0], 2), Perfect(), PL, 10.0)
         assert pair.lower == pytest.approx(PL.rate(3.0) + PL.rate(7.0), rel=1e-15)
         assert pair.upper == pytest.approx(PL.rate(10.0) + PL.rate(3.0), rel=1e-15)
 
     def test_no_failures_collapses(self):
-        pair = srp_bounds(mh([], 5), PL, 2.0)
+        pair = sgrp_bounds(mh([], 5), Perfect(), PL, 2.0)
         assert pair.lower == pair.upper == pytest.approx(5 * PL.rate(2.0), rel=1e-15)
 
     def test_constant_hazard_collapses(self):
         h = ConstantHazard(0.3)
-        pair = srp_bounds(mh([1.0, 4.0, 9.0], 4), h, 11.0)
+        pair = sgrp_bounds(mh([1.0, 4.0, 9.0], 4), Perfect(), h, 11.0)
         assert pair.lower == pair.upper == pytest.approx(1.2, rel=1e-12)
 
     def test_decreasing_hazard_rejected(self):
         h = PowerLawHazard(0.8, 10.0, allow_decreasing=True)
         with pytest.raises(DomainError):
-            srp_bounds(mh([1.0], 2), h, 2.0)
+            sgrp_bounds(mh([1.0], 2), Perfect(), h, 2.0)
 
     def test_time_before_last_rejected(self):
         with pytest.raises(DomainError):
-            srp_bounds(mh([3.0, 7.0], 2), PL, 6.0)
+            sgrp_bounds(mh([3.0, 7.0], 2), Perfect(), PL, 6.0)
 
 
 class TestSgrpBounds:
@@ -99,10 +120,10 @@ class TestSgrpBounds:
             masked = random_masked(rng)
             t = (masked.times[-1] if len(masked) else 0.0) + float(rng.uniform(0.0, 30.0))
             a = sgrp_bounds(masked, ARA(1, 1.0), PL, t)
-            b = srp_bounds(masked, PL, t)
-            assert (a.lower, a.upper) == (b.lower, b.upper)
+            b = srp_reference(masked, PL, t)
+            assert (a.lower, a.upper) == b
             c = sgrp_bounds(masked, Perfect(), PL, t)
-            assert (c.lower, c.upper) == (b.lower, b.upper)
+            assert (c.lower, c.upper) == b
 
     def test_half_effectiveness_example(self):
         pair = sgrp_bounds(mh([4.0, 10.0], 2), ARA(1, 0.5), PL, 12.0)
@@ -168,7 +189,8 @@ def test_monotone_information():
         newer = float(masked.times[-1] + rng.uniform(1e-6, 10.0))
         extended = mh(np.append(masked.times, newer), masked.n)
         t = newer + float(rng.uniform(0.0, 20.0))
-        assert srp_bounds(extended, PL, t).lower <= srp_bounds(masked, PL, t).lower + 1e-12
+        assert (sgrp_bounds(extended, Perfect(), PL, t).lower
+                <= sgrp_bounds(masked, Perfect(), PL, t).lower + 1e-12)
 
 
 class TestTrajectoryEvaluation:

@@ -209,6 +209,9 @@ class TestConfigContract:
         ("repair", "rho", "x", "repair.rho"),
         ("run", "n_events", "many", "run.n_events"),
         ("system", "n", None, "system.n"),
+        ("system", "n", 2.5, "system.n"),
+        ("run", "n_events", 10.9, "run.n_events"),
+        ("repair", "m", 1.5, "repair.m"),
     ])
     def test_non_numeric_config_value(self, tmp_path, section, key, value, mentions):
         cfg = write_config(tmp_path, with_value(section, key, value))
@@ -232,3 +235,15 @@ class TestConfigContract:
         proc = run_cli(["rate-curve", str(events), "--config", cfg, "--out", "rc"],
                        tmp_path)
         self.assert_config_error(proc, mentions)
+
+
+def test_cli_import_leaves_quadrature_unloaded():
+    # scipy.integrate is imported on first use by stats.intensity_integral
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = "import sys, sgrpsim.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as sps
 
 import sgrpsim.simulate as simulate
-from history_oracle import grp_stream_from_history
+from history_oracle import grp_stream_from_history, simulate_thinning_from_history
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, Kijima1,
                      Minimal, MaskedHistory, Normalization, Perfect, PowerLawHazard,
                      approx_intensity, intensity_integral, ks_exp1, nhpp_sample,
@@ -163,6 +163,27 @@ class TestThinning:
             residuals[k] = integral(prev, float(times[k]))
             prev = float(times[k])
         assert not ks_exp1(residuals).rejects[0.01]
+
+    #: (n, m, rho, delta): every (n, m) pair once, with rho and delta on two
+    #: orthogonal Latin squares so that every (rho, delta) pair occurs
+    BITWISE_CASES = [(n, m, (0.0, 0.3, 1.0)[(i + j) % 3], (0.0, 0.5, 1.0)[(i + 2 * j) % 3])
+                     for i, n in enumerate((1, 5, 100)) for j, m in enumerate((1, 3, 9))]
+
+    @pytest.mark.parametrize("n,m,rho,delta", BITWISE_CASES)
+    def test_matches_whole_history_thinning_bitwise(self, n, m, rho, delta):
+        # the sampler reads only the last n*m masked times; the reference
+        # rebuilds its offsets from the whole history, so the run crosses
+        # from histories shorter than n*m to longer ones
+        am = ApproxModel(n, delta, PL, ARA(m, rho))
+        count = n * m + 300
+        got = simulate_thinning(am, n_events=count, seed=20 + n + m)
+        expect = simulate_thinning_from_history(am, n_events=count, seed=20 + n + m)
+        assert np.array_equal(got.times, expect.times)
+        horizon = float(got.times[count // 2])
+        got = simulate_thinning(am, horizon=horizon, seed=21)
+        expect = simulate_thinning_from_history(am, horizon=horizon, seed=21)
+        assert np.array_equal(got.times, expect.times)
+        assert got.t_obs == expect.t_obs == horizon
 
 
 def test_rescaled_residuals_recover_nhpp_uniforms():
