@@ -31,7 +31,8 @@ class TestEffectiveAgeOffset:
 
     @pytest.mark.parametrize("model", [Kijima1(0.7), Kijima1(1.4), ARA(1, 0.3),
                                        ARA(3, 0.5), ARA(2, 0.0), ARA(4, 1.0),
-                                       Perfect(), Minimal()],
+                                       pytest.param(Perfect(), id="Perfect()"),
+                                       pytest.param(Minimal(), id="Minimal()")],
                              ids=repr)
     def test_steps_match_history_recomputation_bitwise(self, model):
         # after every failure, the carried offset equals the offset rebuilt
