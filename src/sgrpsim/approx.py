@@ -9,7 +9,9 @@ that each component carries rate/n (``SYSTEM_SPLIT``, the convention the
 stream samplers use). Under ``SYSTEM_SPLIT`` a constant hazard makes the
 model intensity exactly the constant, for every history and delta.
 
-``approx_intensity`` assembles the value from the envelope machinery;
+``approx_intensity`` assembles the value from the envelope machinery: the
+model's repair form and component hazard are checked once per model, and
+the envelope offsets once per masked history;
 ``approx_intensity_ara`` evaluates the equivalent closed-form expression in
 its three history regimes (no failures yet, at most one failure per lag,
 beyond one full cycle) and exists as an independent arithmetic path for
@@ -20,10 +22,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .bounds import sgrp_bounds
+from .bounds import _eval_time, envelope_rates
 from .errors import ConfigError, DomainError, config_number
 from .hazards import Hazard, hazard_from_config
 from .repair import RepairModel, repair_from_config
@@ -60,6 +63,21 @@ class ApproxModel:
         if self.normalization is Normalization.SYSTEM_SPLIT:
             return self.hazard.scaled(1.0 / self.n)
         return self.hazard
+
+    @cached_property
+    def _envelope(self):
+        """(ARA form of the repair, component hazard), checked for envelope use.
+
+        Resolved on first use and kept on the instance; a model that fails
+        the checks raises at every evaluation instead.
+        """
+        ara = self.repair.to_ara()
+        if not 0.0 <= ara.rho <= 1.0:
+            raise DomainError("approximation requires repair effectiveness in [0, 1]")
+        hc = self.component_hazard()
+        if not hc.is_nondecreasing:
+            raise DomainError("approximation requires a nondecreasing hazard rate")
+        return ara, hc
 
     def to_config(self) -> dict:
         return {
@@ -99,8 +117,9 @@ def _check_history_n(am, mh):
 def approx_intensity(am: ApproxModel, mh: MaskedHistory, t) -> float:
     """delta * lower + (1 - delta) * upper at the left limit ``t``."""
     _check_history_n(am, mh)
-    pair = sgrp_bounds(mh, am.repair, am.component_hazard(), t)
-    return float(am.delta * pair.lower + (1.0 - am.delta) * pair.upper)
+    ara, hc = am._envelope
+    lower, upper = envelope_rates(hc, _eval_time(mh, t), *mh.envelope_offsets(ara))
+    return float(am.delta * lower + (1.0 - am.delta) * upper)
 
 
 def approx_intensity_ara(am: ApproxModel, mh: MaskedHistory, t) -> float:
@@ -113,17 +132,10 @@ def approx_intensity_ara(am: ApproxModel, mh: MaskedHistory, t) -> float:
     round-off.
     """
     _check_history_n(am, mh)
-    ara = am.repair.to_ara()
-    if not 0.0 <= ara.rho <= 1.0:
-        raise DomainError("approximation requires repair effectiveness in [0, 1]")
-    hc = am.component_hazard()
-    if not hc.is_nondecreasing:
-        raise DomainError("approximation requires a nondecreasing hazard rate")
-    t = float(t)
+    ara, hc = am._envelope
+    t = _eval_time(mh, t)
     times = mh.times
     big_n = int(times.size)
-    if big_n and t < float(times[-1]):
-        raise DomainError(f"t={t} precedes the last masked failure")
     n, d = am.n, am.delta
     m, rho = ara.m, ara.rho
     lam = hc.rate

@@ -25,7 +25,7 @@ from .superpose import BLOCK_ROWS, MaskedHistory
 
 __all__ = ["BoundPair", "sgrp_bounds", "sgrp_bounds_at_events", "heterogeneous_upper",
            "ara_lag_offsets", "ara_last_component_offset", "envelope_offsets",
-           "envelope_rates"]
+           "envelope_rates", "envelope_cumulative"]
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,13 @@ def _require_improving(model):
     return ara
 
 
-def _eval_time(mh, t):
+def _eval_time(mh, t) -> float:
+    """``t`` as a float, refused when NaN or before the last masked failure."""
     t = float(t)
     last = float(mh.times[-1]) if mh.times.size else 0.0
-    if t < last:
+    if not t >= last:
+        if t != t:
+            raise DomainError("evaluation time t is NaN")
         raise DomainError(f"t={t} precedes the last masked failure at {last}")
     return t
 
@@ -132,33 +135,60 @@ def envelope_offsets(times, n, ara, lengths=None):
             ara_last_component_offset(times, ara.m, ara.rho, lengths))
 
 
-def envelope_rates(hazard, t, lower_off, upper_off):
-    """(lower, upper) envelope values at ``t`` from one ``hazard.rate`` call.
-
-    lower: the sum of the n lag rates ``rate(t - lower_off)``; upper: n-1
-    fresh components plus ``rate(t - upper_off)``. A vector ``t`` takes one
-    row of ``lower_off`` and one entry of ``upper_off`` per element.
-    """
+def _envelope_ages(t, lower_off, upper_off):
+    """Columns: the n lag ages, the fresh age, the single-component age."""
     t = np.asarray(t, dtype=float)
     n = np.shape(lower_off)[-1]
-    # columns: the n lag ages, the fresh age, the single-component age
     ages = np.empty(t.shape + (n + 2,))
     ages[..., :n] = t[..., None] - lower_off
     ages[..., n] = t
     ages[..., n + 1] = t - upper_off
-    rates = hazard.rate(ages)
-    return rates[..., :n].sum(axis=-1), (n - 1) * rates[..., n] + rates[..., n + 1]
+    return ages
+
+
+def _envelope_sums(values):
+    """(lower, upper) from per-age values laid out as in :func:`_envelope_ages`."""
+    n = values.shape[-1] - 2
+    return values[..., :n].sum(axis=-1), (n - 1) * values[..., n] + values[..., n + 1]
+
+
+def envelope_rates(hazard, t, lower_off, upper_off):
+    """(lower, upper) envelope values at ``t`` from one rate-kernel call.
+
+    lower: the sum of the n lag rates ``rate(t - lower_off)``; upper: n-1
+    fresh components plus ``rate(t - upper_off)``. A vector ``t`` takes one
+    row of ``lower_off`` and one entry of ``upper_off`` per element.
+
+    Uses the trusted ``hazard.rate_unchecked``: the caller has checked that
+    the hazard is nondecreasing and that ``t`` does not precede the history
+    the offsets come from, so every age is >= 0.
+    """
+    return _envelope_sums(hazard.rate_unchecked(_envelope_ages(t, lower_off, upper_off)))
+
+
+def envelope_cumulative(hazard, a, b, lower_off, upper_off):
+    """(lower, upper) envelope integrals over ``(a, b]``: the closed-form compensator.
+
+    Each age term contributes ``H(b - o) - H(a - o)`` with ``H`` the
+    cumulative hazard, summed as in :func:`envelope_rates`. The offsets must
+    hold on the whole interval, i.e. no event lies in ``(a, b)`` and ``a``
+    does not precede the history they come from.
+    """
+    terms = (hazard.cumulative(_envelope_ages(b, lower_off, upper_off))
+             - hazard.cumulative(_envelope_ages(a, lower_off, upper_off)))
+    return _envelope_sums(terms)
 
 
 def sgrp_bounds(mh: MaskedHistory, model, hazard, t) -> BoundPair:
     """Envelope under an improving age-reduction repair family.
 
-    Replacement repair is ``Perfect()``, i.e. ``ARA(1, 1.0)``.
+    Replacement repair is ``Perfect()``, i.e. ``ARA(1, 1.0)``. The offsets
+    of ``mh`` are computed once per repair model and kept on it.
     """
     _require_nondecreasing(hazard)
     ara = _require_improving(model)
     t = _eval_time(mh, t)
-    lower, upper = envelope_rates(hazard, t, *envelope_offsets(mh.times, mh.n, ara))
+    lower, upper = envelope_rates(hazard, t, *mh.envelope_offsets(ara))
     return BoundPair(lower=float(lower), upper=float(upper), at=t)
 
 

@@ -6,6 +6,14 @@ integral and the inverse of the integral, so every sampler built on top uses
 exact inversion instead of root finding. ``scaled`` returns the same family
 with the rate multiplied by a positive constant, which keeps thinned or split
 subprocess intensities inside the closed-form world.
+
+The public methods validate their arguments: a negative or NaN time raises
+``DomainError``. ``rate_unchecked`` is the trusted array kernel behind
+``rate`` for hot loops. It takes a float array of ages, skips the
+nonnegativity check and the floating-point error state, and returns the same
+floats as ``rate``. Its caller guarantees ages >= 0 and a nondecreasing rate
+(so ``0 ** negative`` cannot occur), as the envelope evaluations do after
+checking the hazard and the evaluation time once.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ def _nonnegative(values, name):
     arr = np.asarray(values, dtype=float)
     # a scalar skips the array reduction: the samplers call with one value per event
     low = float(arr) if arr.ndim == 0 else (float(arr.min()) if arr.size else 0.0)
-    if low < 0.0:
+    if not low >= 0.0:  # NaN fails the comparison too
         raise DomainError(f"{name} must be nonnegative, got {low}")
     return arr
 
@@ -37,6 +45,10 @@ class Hazard:
         raise NotImplementedError
 
     def rate(self, t):
+        raise NotImplementedError
+
+    def rate_unchecked(self, ages):
+        """``rate`` over a float array of ages >= 0, without validation."""
         raise NotImplementedError
 
     def cumulative(self, t):
@@ -85,6 +97,9 @@ class PowerLawHazard(Hazard):
             out = (self.beta / self.eta) * np.power(arr / self.eta, self.beta - 1.0)
         return out if arr.ndim else float(out)
 
+    def rate_unchecked(self, ages):
+        return (self.beta / self.eta) * np.power(ages / self.eta, self.beta - 1.0)
+
     def cumulative(self, t):
         arr = _nonnegative(t, "t")
         out = np.power(arr / self.eta, self.beta)
@@ -124,6 +139,9 @@ class ConstantHazard(Hazard):
         if arr.ndim:
             return np.full(arr.shape, self.rate0)
         return float(self.rate0)
+
+    def rate_unchecked(self, ages):
+        return np.full(ages.shape, self.rate0)
 
     def cumulative(self, t):
         arr = _nonnegative(t, "t")

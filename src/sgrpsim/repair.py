@@ -41,9 +41,10 @@ def check_history(times) -> np.ndarray:
     if arr.ndim != 1:
         raise DomainError("failure history must be one-dimensional")
     if arr.size:
-        if arr[0] < 0.0:
+        # written so that a NaN, which fails every comparison, is refused
+        if not arr[0] >= 0.0:
             raise DomainError(f"failure times must be nonnegative, got {arr[0]}")
-        if arr.size > 1 and float(np.min(np.diff(arr))) <= 0.0:
+        if arr.size > 1 and not float(np.min(np.diff(arr))) > 0.0:
             raise DomainError("failure times must be strictly increasing")
     return arr
 

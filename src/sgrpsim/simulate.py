@@ -22,6 +22,7 @@ reading is used here.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 
 import numpy as np
 
@@ -120,6 +121,16 @@ def simulate_algorithm1(am: ApproxModel, count, seed) -> MaskedHistory:
     return MaskedHistory(times=out, n=n, t_obs=float(out[-1]))
 
 
+def _median(values):
+    """Median of floats: the middle value, or the mean of the two middle ones.
+
+    The same float as ``np.median``, without its array overhead.
+    """
+    s = sorted(values)
+    k = len(s) // 2
+    return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
+
+
 def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
                       seed=None, rng=None) -> MaskedHistory:
     """Window thinning driven by the exact model intensity.
@@ -128,9 +139,9 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     rate), so its value at the end of a lookahead window dominates the window
     and candidates from that homogeneous rate can be accepted with probability
     intensity/majorant. The window starts at ``inverse_cumulative(1)/n``,
-    doubles whenever a window stays empty, and tracks the median of the recent
-    inter-event spacings once events accrue; correctness is independent of the
-    window choice.
+    doubles whenever a window stays empty, and tracks the median of the last
+    64 inter-event spacings once events accrue; correctness is independent of
+    the window choice.
     """
     if (n_events is None) == (horizon is None):
         raise ValueError("provide exactly one of n_events or horizon")
@@ -154,6 +165,7 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     tail = n * ara.m
 
     times = []
+    gaps = deque(maxlen=64)  # the latest inter-event gaps set the window
     # offsets are fixed between events, so cache them per accepted event
     offsets = envelope_offsets(times, n, ara)
 
@@ -184,10 +196,12 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
             continue
         t = t + gap
         if rng.random() * majorant <= lam(t):
+            if times:
+                gaps.append(t - times[-1])
             times.append(t)
             offsets = envelope_offsets(times[-tail:], n, ara)
-            if len(times) >= 2:
-                window = float(np.median(np.diff(times[-65:])))
+            if gaps:
+                window = _median(gaps)
 
     times = np.asarray(times, dtype=float)
     t_obs = float(horizon) if horizon is not None else (float(times[-1]) if times.size else 0.0)

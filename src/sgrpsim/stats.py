@@ -71,8 +71,8 @@ def rescaled_residuals(times, integrated_intensity) -> np.ndarray:
 
     ``integrated_intensity(a, b)`` must return the intensity integral over
     (a, b]. Under the true generating model the residuals are i.i.d. Exp(1).
-    A negative residual signals a non-monotone integral, i.e. an intensity
-    bug, and raises RuntimeError.
+    A negative residual signals a non-monotone integral and a NaN one an
+    undefined integral, i.e. an intensity bug; either raises RuntimeError.
     """
     times = np.asarray(times, dtype=float)
     res = np.empty(times.size)
@@ -80,9 +80,9 @@ def rescaled_residuals(times, integrated_intensity) -> np.ndarray:
     for k in range(times.size):
         t = float(times[k])
         r = float(integrated_intensity(prev, t))
-        if r < 0.0:
+        if not r >= 0.0:  # NaN fails the comparison too
             raise RuntimeError(
-                f"negative residual {r} on ({prev}, {t}): intensity integral not monotone")
+                f"residual {r} on ({prev}, {t}): intensity integral not monotone or NaN")
         res[k] = r
         prev = t
     return res

@@ -13,7 +13,7 @@ component index.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,23 +31,43 @@ BLOCK_ROWS = 4096
 
 @dataclass(frozen=True)
 class MaskedHistory:
-    """System failure times with the failing component's identity removed."""
+    """System failure times with the failing component's identity removed.
+
+    ``times`` is a read-only copy of the times handed in, so the envelope
+    offsets of the history can be computed once per repair model and reused
+    by every evaluation on it (:meth:`envelope_offsets`).
+    """
 
     times: np.ndarray
     n: int
     t_obs: float
+    _offsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "times", check_history(self.times))
+        times = check_history(np.array(self.times, dtype=float))
+        times.flags.writeable = False
+        object.__setattr__(self, "times", times)
         if self.n < 1:
             raise DomainError("component count n must be >= 1")
         last = float(self.times[-1]) if self.times.size else 0.0
-        if self.t_obs < last:
+        if not self.t_obs >= last:
             raise DomainError("observation horizon precedes the last failure")
         object.__setattr__(self, "t_obs", float(self.t_obs))
 
     def __len__(self):
         return int(self.times.size)
+
+    def envelope_offsets(self, ara):
+        """``bounds.envelope_offsets(times, n, ara)``, computed once per ``ara``."""
+        try:
+            return self._offsets[ara]
+        except KeyError:
+            from .bounds import envelope_offsets  # bounds imports this module
+
+            lower, upper = envelope_offsets(self.times, self.n, ara)
+            lower.flags.writeable = False
+            self._offsets[ara] = lower, upper
+            return lower, upper
 
 
 @dataclass(frozen=True)
@@ -137,7 +157,7 @@ def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None,
 
 def mask(full: FullHistory) -> MaskedHistory:
     """Drop the component labels, keeping the merged times and ``n``."""
-    return MaskedHistory(times=full.times.copy(), n=full.n, t_obs=full.horizon)
+    return MaskedHistory(times=full.times, n=full.n, t_obs=full.horizon)
 
 
 def true_system_intensity(full, model, hazard, t) -> float:

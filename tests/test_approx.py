@@ -3,7 +3,8 @@ import pytest
 
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, MaskedHistory,
                      Normalization, PowerLawHazard, approx_intensity,
-                     approx_intensity_ara, sgrp_bounds)
+                     approx_intensity_ara, ara_last_component_offset, ara_lag_offsets,
+                     sgrp_bounds)
 
 PL = PowerLawHazard(1.3, 40.0)
 
@@ -69,6 +70,58 @@ class TestConstruction:
         am = ApproxModel(3, 0.5, PL, ARA(1, 0.3))
         with pytest.raises(DomainError):
             approx_intensity(am, mh([1.0], 5), 2.0)
+
+    def test_nan_time_rejected(self):
+        am = ApproxModel(3, 0.5, PL, ARA(1, 0.3))
+        for masked in (mh([1.0, 4.0], 3), mh([], 3)):
+            for fn in (approx_intensity, approx_intensity_ara):
+                with pytest.raises(DomainError, match="NaN"):
+                    fn(am, masked, np.nan)
+
+    def test_domain_checks_hold_at_every_evaluation(self):
+        # the checked (repair, hazard) pair is resolved lazily; a model that
+        # fails the checks keeps failing instead of caching a bad result
+        h = PowerLawHazard(0.8, 10.0, allow_decreasing=True)
+        for am in (ApproxModel(3, 0.5, h, ARA(1, 0.3)), ApproxModel(3, 0.5, PL, ARA(1, -0.2))):
+            for _ in range(2):
+                for fn in (approx_intensity, approx_intensity_ara):
+                    with pytest.raises(DomainError):
+                        fn(am, mh([1.0, 4.0], 3), 5.0)
+
+
+class TestHistoryMemo:
+    """One history evaluated under several models equals fresh evaluations."""
+
+    #: pairs share m or rho, so a memo keyed on either alone mixes them up
+    REPAIRS = (ARA(1, 0.3), ARA(3, 0.3), ARA(3, 0.6))
+
+    def test_repeated_evaluations_match_fresh_histories_bitwise(self):
+        rng = np.random.default_rng(57)
+        n = 6
+        times = np.cumsum(rng.exponential(1.5, size=40))
+        masked = mh(times, n)
+        models = [ApproxModel(n, delta, PL, repair)
+                  for repair in self.REPAIRS for delta in (0.2, 0.9)]
+        ts = times[-1] + np.array([0.0, 0.4, 3.0, 11.0])
+        for t in np.concatenate([ts, ts[::-1]]).tolist():
+            for am in models + models[::-1]:
+                fresh = mh(times.copy(), n)
+                assert approx_intensity(am, masked, t) == approx_intensity(am, fresh, t)
+                got = sgrp_bounds(masked, am.repair, am.component_hazard(), t)
+                expect = sgrp_bounds(mh(times.copy(), n), am.repair, am.component_hazard(), t)
+                assert (got.lower, got.upper) == (expect.lower, expect.upper)
+        for repair in self.REPAIRS:
+            lower, upper = masked.envelope_offsets(repair)
+            assert np.array_equal(lower, ara_lag_offsets(times, n, repair.m, repair.rho))
+            assert upper == ara_last_component_offset(times, repair.m, repair.rho)
+
+    def test_times_are_read_only(self):
+        masked = mh([1.0, 2.0, 4.0], 2)
+        approx_intensity(ApproxModel(2, 0.5, PL, ARA(1, 0.3)), masked, 5.0)
+        with pytest.raises(ValueError):
+            masked.times[-1] = 4.5
+        with pytest.raises(ValueError):
+            masked.envelope_offsets(ARA(1, 0.3))[0][0] = 0.0
 
 
 class TestEmptyHistory:

@@ -4,7 +4,7 @@ import pytest
 import sgrpsim.bounds as bounds
 from sgrpsim import (ARA, ConstantHazard, DomainError, Kijima1, MaskedHistory,
                      Minimal, Perfect, PowerLawHazard, ara_lag_offsets,
-                     ara_last_component_offset, heterogeneous_upper, mask,
+                     ara_last_component_offset, heterogeneous_upper, intensity_integral, mask,
                      sgrp_bounds, sgrp_bounds_at_events, simulate_sgrp,
                      true_intensity_at_events)
 
@@ -111,6 +111,13 @@ class TestSrpBounds:
     def test_time_before_last_rejected(self):
         with pytest.raises(DomainError):
             sgrp_bounds(mh([3.0, 7.0], 2), Perfect(), PL, 6.0)
+
+    def test_nan_time_rejected(self):
+        for masked in (mh([3.0, 7.0], 2), mh([], 2)):
+            with pytest.raises(DomainError, match="NaN"):
+                sgrp_bounds(masked, ARA(1, 0.3), PL, np.nan)
+            with pytest.raises(DomainError, match="NaN"):
+                heterogeneous_upper(masked, [PL, PL], ARA(1, 0.3), np.nan)
 
 
 class TestSgrpBounds:
@@ -251,6 +258,37 @@ class TestBatchedRows:
     def test_empty_trajectory(self):
         lower, upper = sgrp_bounds_at_events(np.array([]), 3, ARA(1, 0.3), PL)
         assert lower.size == upper.size == 0
+
+
+class TestEnvelopeCumulative:
+    """The closed-form compensator against quadrature of the envelope rates."""
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("n", [1, 5, 100])
+    @pytest.mark.parametrize("hazard", [PL, ConstantHazard(0.2)], ids=["power_law", "constant"])
+    def test_matches_quadrature(self, hazard, n, m):
+        rng = np.random.default_rng(47 + n + m)
+        times = np.cumsum(rng.exponential(2.0, size=3 * n * m + 2))
+        ara = ARA(m, 0.4)
+        for k in (0, n // 2 + 1, times.size):
+            lower_off, upper_off = bounds.envelope_offsets(times[:k], n, ara)
+            a = float(times[k - 1]) if k else 0.0
+            for b in (a + 0.3, a + 25.0):
+                lower, upper = bounds.envelope_cumulative(hazard, a, b, lower_off, upper_off)
+                for got, side in ((lower, 0), (upper, 1)):
+                    quad = intensity_integral(lambda t: bounds.envelope_rates(
+                        hazard, t, lower_off, upper_off)[side])(a, b)
+                    assert got == pytest.approx(quad, rel=1e-8)
+
+    def test_rows_equal_single_intervals(self):
+        times = np.cumsum(np.random.default_rng(48).exponential(3.0, size=40))
+        lengths = np.arange(1, times.size)
+        lower_off, upper_off = bounds.envelope_offsets(times, 4, ARA(2, 0.5), lengths)
+        a, b = times[:-1], times[1:]
+        lower, upper = bounds.envelope_cumulative(PL, a, b, lower_off, upper_off)
+        for r in range(lengths.size):
+            one = bounds.envelope_cumulative(PL, a[r], b[r], lower_off[r], upper_off[r])
+            assert (lower[r], upper[r]) == one
 
 
 class TestHeterogeneousUpper:

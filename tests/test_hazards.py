@@ -29,6 +29,27 @@ class TestRate:
         with pytest.raises(DomainError):
             PL.rate(np.array([1.0, -2.0]))
 
+    def test_nan_time_rejected(self):
+        for h in (PL, ConstantHazard(0.1)):
+            with pytest.raises(DomainError):
+                h.rate(np.nan)
+            with pytest.raises(DomainError):
+                h.rate(np.array([1.0, np.nan]))
+            with pytest.raises(DomainError):
+                h.cumulative(np.nan)
+            with pytest.raises(DomainError):
+                h.inverse_cumulative(np.nan)
+
+    @pytest.mark.parametrize("h", [PL, PowerLawHazard(1.0, 7.0), ConstantHazard(0.1)])
+    def test_unchecked_kernel_equals_rate_bitwise(self, h):
+        ages = np.concatenate([[0.0], np.random.default_rng(3).uniform(0.0, 500.0, 200)])
+        for shape in ((201,), (3, 67)):
+            a = ages.reshape(shape)
+            assert np.array_equal(h.rate_unchecked(a), h.rate(a))
+        # the public rate still validates
+        with pytest.raises(DomainError):
+            h.rate(-1.0)
+
 
 class TestCumulative:
     def test_power_law_at_scale(self):

@@ -56,6 +56,10 @@ class TestRescaledResiduals:
         with pytest.raises(RuntimeError):
             rescaled_residuals([1.0, 2.0], lambda a, b: a - b)
 
+    def test_nan_integral_signals_bug(self):
+        with pytest.raises(RuntimeError):
+            rescaled_residuals([1.0, 2.0], lambda a, b: np.nan if a else b - a)
+
     def test_full_history_diagnostics(self):
         # residuals of the exact superposition against its own intensity
         model = ARA(1, 0.3)

@@ -64,6 +64,24 @@ class TestHistories:
         with pytest.raises(DomainError):
             MaskedHistory(np.array([1.0]), 0, 2.0)
 
+    def test_nan_history_rejected(self):
+        for times in ([1.0, np.nan, 3.0], [np.nan], [1.0, np.nan]):
+            with pytest.raises(DomainError):
+                MaskedHistory(times, 2, 5.0)
+        with pytest.raises(DomainError):
+            MaskedHistory([1.0, 2.0], 2, np.nan)
+
+    def test_times_are_a_read_only_copy(self):
+        source = np.array([1.0, 2.0, 4.0])
+        masked = MaskedHistory(source, 2, 5.0)
+        source[0] = 3.0  # the caller's array stays the caller's
+        assert np.array_equal(masked.times, [1.0, 2.0, 4.0])
+        with pytest.raises(ValueError):
+            masked.times[0] = 0.5
+        full = simulate_sgrp(3, ARA(1, 0.3), ConstantHazard(0.2), n_events=20, seed=4)
+        assert not mask(full).times.flags.writeable
+        assert full.times.flags.writeable
+
 
 class TestSimulate:
     def test_determinism(self):
