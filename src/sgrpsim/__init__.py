@@ -10,12 +10,11 @@ and time-rescaling diagnostics to verify every claim at desk scale.
 __version__ = "0.1.0"
 
 from .approx import ApproxModel, Normalization, approx_intensity, approx_intensity_ara
-from .bounds import (BoundPair, ara_lag_offsets, ara_last_component_offset,
-                     heterogeneous_upper, sgrp_bounds, sgrp_bounds_at_events)
+from .bounds import (BoundPair, ara_lag_offsets, heterogeneous_upper, sgrp_bounds,
+                     sgrp_bounds_at_events)
 from .errors import ConfigError, DomainError
 from .hazards import ConstantHazard, Hazard, PowerLawHazard, hazard_from_config
-from .repair import (ARA, Kijima1, Minimal, Perfect, RepairModel, check_history,
-                     repair_from_config)
+from .repair import ARA, Kijima1, Minimal, Perfect, check_history, repair_from_config
 from .rng import derive_seed, stream_rng
 from .simulate import nhpp_sample, simulate_algorithm1, simulate_thinning
 from .stats import (KsExp1Result, MeanRate, RateCurve, intensity_integral,
@@ -26,12 +25,11 @@ from .superpose import (FullHistory, MaskedHistory, mask, simulate_sgrp,
 __all__ = [
     "__version__",
     "ApproxModel", "Normalization", "approx_intensity", "approx_intensity_ara",
-    "BoundPair", "ara_lag_offsets", "ara_last_component_offset",
-    "heterogeneous_upper", "sgrp_bounds", "sgrp_bounds_at_events",
+    "BoundPair", "ara_lag_offsets", "heterogeneous_upper", "sgrp_bounds",
+    "sgrp_bounds_at_events",
     "ConfigError", "DomainError",
     "ConstantHazard", "Hazard", "PowerLawHazard", "hazard_from_config",
-    "ARA", "Kijima1", "Minimal", "Perfect", "RepairModel", "check_history",
-    "repair_from_config",
+    "ARA", "Kijima1", "Minimal", "Perfect", "check_history", "repair_from_config",
     "derive_seed", "stream_rng",
     "nhpp_sample", "simulate_algorithm1", "simulate_thinning",
     "KsExp1Result", "MeanRate", "RateCurve", "intensity_integral", "ks_exp1",

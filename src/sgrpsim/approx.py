@@ -29,7 +29,7 @@ import numpy as np
 from .bounds import _eval_time, envelope_rates
 from .errors import ConfigError, DomainError, config_number
 from .hazards import Hazard, hazard_from_config
-from .repair import RepairModel, repair_from_config
+from .repair import ARA, repair_from_config
 from .superpose import MaskedHistory
 
 __all__ = ["Normalization", "ApproxModel", "approx_intensity", "approx_intensity_ara"]
@@ -49,7 +49,7 @@ class ApproxModel:
     n: int
     delta: float
     hazard: Hazard
-    repair: RepairModel
+    repair: ARA
     normalization: Normalization = Normalization.SYSTEM_SPLIT
 
     def __post_init__(self):
@@ -65,19 +65,18 @@ class ApproxModel:
         return self.hazard
 
     @cached_property
-    def _envelope(self):
-        """(ARA form of the repair, component hazard), checked for envelope use.
+    def _envelope_hazard(self):
+        """The component hazard, with it and the repair checked for envelope use.
 
         Resolved on first use and kept on the instance; a model that fails
         the checks raises at every evaluation instead.
         """
-        ara = self.repair.to_ara()
-        if not 0.0 <= ara.rho <= 1.0:
+        if not self.repair.is_improving:
             raise DomainError("approximation requires repair effectiveness in [0, 1]")
         hc = self.component_hazard()
         if not hc.is_nondecreasing:
             raise DomainError("approximation requires a nondecreasing hazard rate")
-        return ara, hc
+        return hc
 
     def to_config(self) -> dict:
         return {
@@ -117,8 +116,8 @@ def _check_history_n(am, mh):
 def approx_intensity(am: ApproxModel, mh: MaskedHistory, t) -> float:
     """delta * lower + (1 - delta) * upper at the left limit ``t``."""
     _check_history_n(am, mh)
-    ara, hc = am._envelope
-    lower, upper = envelope_rates(hc, _eval_time(mh, t), *mh.envelope_offsets(ara))
+    hc = am._envelope_hazard
+    lower, upper = envelope_rates(hc, _eval_time(mh, t), *mh.envelope_offsets(am.repair))
     return float(am.delta * lower + (1.0 - am.delta) * upper)
 
 
@@ -132,12 +131,12 @@ def approx_intensity_ara(am: ApproxModel, mh: MaskedHistory, t) -> float:
     round-off.
     """
     _check_history_n(am, mh)
-    ara, hc = am._envelope
+    hc = am._envelope_hazard
     t = _eval_time(mh, t)
     times = mh.times
     big_n = int(times.size)
     n, d = am.n, am.delta
-    m, rho = ara.m, ara.rho
+    m, rho = am.repair.m, am.repair.rho
     lam = hc.rate
 
     if big_n == 0:

@@ -24,8 +24,7 @@ from .repair import check_history
 from .superpose import BLOCK_ROWS, MaskedHistory
 
 __all__ = ["BoundPair", "sgrp_bounds", "sgrp_bounds_at_events", "heterogeneous_upper",
-           "ara_lag_offsets", "ara_last_component_offset", "envelope_offsets",
-           "envelope_rates", "envelope_cumulative"]
+           "ara_lag_offsets", "envelope_offsets", "envelope_rates", "envelope_cumulative"]
 
 
 @dataclass(frozen=True)
@@ -43,10 +42,8 @@ def _require_nondecreasing(hazard):
 
 
 def _require_improving(model):
-    ara = model.to_ara()
-    if not 0.0 <= ara.rho <= 1.0:
+    if not model.is_improving:
         raise DomainError("bound evaluation requires repair effectiveness in [0, 1]")
-    return ara
 
 
 def _eval_time(mh, t) -> float:
@@ -95,44 +92,15 @@ def ara_lag_offsets(times, n, m, rho, lengths=None) -> np.ndarray:
     return out
 
 
-def _geometric_tail(times, ends, terms, rho):
-    """Sum over j < terms of rho (1-rho)^j times[ends - 1 - j], along the last axis."""
-    j = np.arange(terms)
-    return np.sum(rho * np.power(1.0 - rho, j) * times[ends - 1 - j], axis=-1)
-
-
-def ara_last_component_offset(times, m, rho, lengths=None):
-    """Offset when the last min(N, m) masked times all hit one component.
-
-    With ``lengths``, an array of prefix lengths, it returns one value per
-    length, equal bit for bit to the offset of ``times[:lengths[r]]``.
-    """
-    times = np.asarray(times, dtype=float)
-    if lengths is None:
-        big_n = times.size
-        if big_n == 0 or rho == 0.0:
-            return 0.0
-        return float(_geometric_tail(times, big_n, min(m, big_n), rho))
-    lengths = np.asarray(lengths)
-    out = np.zeros(lengths.size)
-    if rho != 0.0:
-        terms = np.minimum(lengths, m)
-        # one row-wise sum per term count: zero padding would regroup the
-        # pairwise summation of rows longer than eight terms
-        for c in set(terms.tolist()) - {0}:
-            rows = terms == c
-            out[rows] = _geometric_tail(times, lengths[rows, None], c, rho)
-    return out
-
-
 def envelope_offsets(times, n, ara, lengths=None):
     """(lag offsets, single-component offset) of the two envelopes under ``ara``.
 
-    With ``lengths`` both have one row per prefix length (see
-    :func:`ara_lag_offsets`).
+    The single-component offset is lag 0 of a one-component round robin,
+    where every masked time lands on the same component. With ``lengths``
+    both have one row per prefix length (see :func:`ara_lag_offsets`).
     """
     return (ara_lag_offsets(times, n, ara.m, ara.rho, lengths),
-            ara_last_component_offset(times, ara.m, ara.rho, lengths))
+            ara_lag_offsets(times, 1, ara.m, ara.rho, lengths)[..., 0])
 
 
 def _envelope_ages(t, lower_off, upper_off):
@@ -186,9 +154,9 @@ def sgrp_bounds(mh: MaskedHistory, model, hazard, t) -> BoundPair:
     of ``mh`` are computed once per repair model and kept on it.
     """
     _require_nondecreasing(hazard)
-    ara = _require_improving(model)
+    _require_improving(model)
     t = _eval_time(mh, t)
-    lower, upper = envelope_rates(hazard, t, *mh.envelope_offsets(ara))
+    lower, upper = envelope_rates(hazard, t, *mh.envelope_offsets(model))
     return BoundPair(lower=float(lower), upper=float(upper), at=t)
 
 
@@ -201,13 +169,13 @@ def sgrp_bounds_at_events(times, n, model, hazard):
     block. Returns (lower, upper) arrays.
     """
     _require_nondecreasing(hazard)
-    ara = _require_improving(model)
+    _require_improving(model)
     times = check_history(times)
     lower = np.empty(times.size)
     upper = np.empty(times.size)
     for k0 in range(0, times.size, BLOCK_ROWS):
         k1 = min(k0 + BLOCK_ROWS, times.size)
-        offsets = envelope_offsets(times, n, ara, np.arange(k0, k1))
+        offsets = envelope_offsets(times, n, model, np.arange(k0, k1))
         lower[k0:k1], upper[k0:k1] = envelope_rates(hazard, times[k0:k1], *offsets)
     return lower, upper
 

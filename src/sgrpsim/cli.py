@@ -19,10 +19,10 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .approx import ApproxModel, Normalization
@@ -31,12 +31,13 @@ from .errors import ConfigError, DomainError, config_number
 from .hazards import Hazard, hazard_from_config
 from .io import (read_events_csv, write_bounds_csv, write_events_csv,
                  write_manifest, write_rates_csv)
-from .repair import ARA, RepairModel, repair_from_config
+from .repair import ARA, repair_from_config
 from .rng import derive_seed
 from .simulate import simulate_algorithm1, simulate_thinning
 from .stats import rate_curve
 from .superpose import mask, simulate_sgrp, true_intensity_at_events
 
+OUTPUT_SCHEME = 2  #: manifest field: version of the arithmetic behind the output bytes
 DEFAULT_BIN_WIDTH = 1000.0
 SANDWICH_SLACK = 1e-9
 
@@ -49,7 +50,7 @@ EXIT_DOMAIN = 4
 @dataclass
 class RunConfig:
     hazard: Hazard
-    repair: RepairModel
+    repair: ARA
     n: int
     delta: float
     normalization: Normalization
@@ -143,6 +144,15 @@ def _out_dir(args) -> Path:
     return out
 
 
+@cache
+def _scipy_version() -> str:
+    """scipy's version from its installed metadata, without importing scipy."""
+    # once per process: the import and each sys.path scan cost more than scipy's import
+    from importlib.metadata import version
+
+    return version("scipy")
+
+
 def _manifest_payload(cfg: RunConfig, subcommand, seed, outputs, **extra):
     payload = {
         "tool": "sgrpsim",
@@ -151,7 +161,8 @@ def _manifest_payload(cfg: RunConfig, subcommand, seed, outputs, **extra):
         "seed": seed,
         "config": cfg.raw,
         "outputs": sorted(Path(o).name for o in outputs),
-        "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "versions": {"numpy": np.__version__, "scipy": _scipy_version()},
+        "output_scheme": OUTPUT_SCHEME,
     }
     payload.update(extra)
     return payload

@@ -16,8 +16,7 @@ import numpy as np
 from .errors import ConfigError
 
 __all__ = ["write_events_csv", "read_events_csv", "write_rates_csv",
-           "read_rates_csv", "write_bounds_csv", "write_residuals_csv",
-           "write_manifest", "read_manifest"]
+           "read_rates_csv", "write_bounds_csv", "write_manifest", "read_manifest"]
 
 
 def _fmt(x: float) -> str:
@@ -102,16 +101,6 @@ def write_bounds_csv(path, t, lower, upper, true=None):
             row = [_fmt(t[k]), _fmt(lower[k]), _fmt(upper[k])]
             row.append(_fmt(true[k]) if true is not None else "")
             writer.writerow(row)
-    return path
-
-
-def write_residuals_csv(path, residuals):
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "value"])
-        for k, r in enumerate(residuals):
-            writer.writerow([k + 1, _fmt(r)])
     return path
 
 

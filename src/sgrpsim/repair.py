@@ -1,26 +1,25 @@
 """Repair-effectiveness models for a single repairable component.
 
-Every variant reduces a failure history to an effective-age offset ``o`` such
-that the conditional intensity is ``rate(t - o)`` until the next failure.
+The repair model reduces a failure history to an effective-age offset ``o``
+such that the conditional intensity is ``rate(t - o)`` until the next failure.
 Because the offset is constant between failures, sampling the next failure is
 an exact shift-and-invert of the cumulative hazard, with no root finding.
 
-``ARA(m, rho)`` subtracts a geometrically weighted sum of the last ``m``
-failure times from the age; ``rho = 1`` is replacement, ``rho = 0`` leaves
-the age untouched. ``Perfect()`` and ``Minimal()`` construct these two
-endpoints, ``ARA(1, 1.0)`` and ``ARA(1, 0.0)``. ``Kijima1(a)`` accumulates
-virtual age ``V_k = V_{k-1} + a * X_k`` over the inter-failure increments
-``X_k``, which is the same one-parameter family expressed through increments
-(``Kijima1(a)`` matches ``ARA(1, 1 - a)`` up to float rounding).
+``ARA(m, rho)`` is the only repair model: it subtracts a geometrically
+weighted sum of the last ``m`` failure times from the age; ``rho = 1`` is
+replacement, ``rho = 0`` leaves the age untouched. ``Perfect()``,
+``Minimal()`` and ``Kijima1(a)`` are constructors of ``ARA(1, 1.0)``,
+``ARA(1, 0.0)`` and ``ARA(1, 1 - a)``: Kijima type-I virtual age
+``V_k = V_{k-1} + a * X_k`` over the inter-failure increments ``X_k`` is
+one-step age reduction with ``rho = 1 - a``.
 
-Each model computes its offset incrementally. ``offset_state()`` is the state
-of a component with no failures (offset 0) and ``offset_step(state, t)``
-advances it by a failure at ``t``, returning the new state and the offset
-after that failure. ``ARA`` keeps its last ``m`` failure times and
-``Kijima1`` its virtual age and last failure time, so a step costs O(m) and
-O(1). ``effective_age_offset(times)`` is the fold of the step over a
-history; samplers and trajectory evaluations carry one state per component
-instead of re-reading a growing history.
+The offset is computed incrementally. ``offset_state()`` is the state of a
+component with no failures (offset 0), its last ``m`` failure times, and
+``offset_step(state, t)`` advances it by a failure at ``t`` in O(m),
+returning the new state and the offset after that failure.
+``effective_age_offset(times)`` is the fold of the step over a history;
+samplers carry one state per component instead of re-reading a growing
+history.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, config_number
 
-__all__ = ["RepairModel", "ARA", "Kijima1", "Perfect", "Minimal",
-           "check_history", "next_failure_time", "repair_from_config"]
+__all__ = ["ARA", "Kijima1", "Perfect", "Minimal", "check_history",
+           "next_failure_time", "repair_from_config"]
 
 
 def check_history(times) -> np.ndarray:
@@ -64,45 +63,61 @@ def next_failure_time(hazard, offset, last, exponential):
     return float(t)
 
 
-class RepairModel:
-    """Shared intensity and sampling logic; subclasses supply the offset step."""
+@dataclass(frozen=True)
+class ARA:
+    """Age reduction of memory order ``m`` and effectiveness ``rho``.
 
-    #: How many trailing failures the offset depends on (None: all of them).
-    memory = None
+    After the N-th failure the offset is
+    ``rho * sum_{j=0..min(m,N)-1} (1-rho)^j * T[N-j]``. ``rho < 0`` models a
+    harmful repair: it is constructible but flagged not improving, and the
+    bound/approximation operations refuse it.
+    """
 
-    def offset_state(self):
-        """Offset state of a component with no failures (its offset is 0)."""
-        raise NotImplementedError
+    m: int
+    rho: float
 
-    def offset_step(self, state, t):
-        """Advance ``state`` by a failure at ``t``: (new state, offset after it)."""
-        raise NotImplementedError
-
-    def effective_age_offset(self, times) -> float:
-        """Offset o with post-repair intensity rate(t - o).
-
-        The fold of :meth:`offset_step` over the history, skipping failures
-        beyond the model's memory. Assumes a valid (strictly increasing)
-        history; returns 0 for an empty one. Accepts a list or array.
-        """
-        if self.memory is not None:
-            times = times[max(len(times) - self.memory, 0):]
-        state, offset = self.offset_state(), 0.0
-        for t in times:
-            state, offset = self.offset_step(state, float(t))
-        return offset
+    def __post_init__(self):
+        if int(self.m) != self.m or self.m < 1:
+            raise DomainError(f"memory order m must be a positive integer, got {self.m}")
+        object.__setattr__(self, "m", int(self.m))
+        if not self.rho <= 1.0:
+            raise DomainError(f"effectiveness rho must be <= 1, got {self.rho}")
 
     @property
     def is_improving(self) -> bool:
         """True when every repair weakly rejuvenates the component."""
-        raise NotImplementedError
+        return 0.0 <= self.rho <= 1.0
 
-    def to_ara(self) -> "ARA":
-        """The equivalent (memory, effectiveness) parameterization."""
-        raise NotImplementedError
+    def offset_state(self):
+        """Offset state of a component with no failures: its last m failure times."""
+        return ()  # oldest first
+
+    def offset_step(self, state, t):
+        """Advance ``state`` by a failure at ``t``: (new state, offset after it)."""
+        state = (state + (t,))[-self.m:]
+        if self.rho == 0.0:
+            return state, 0.0
+        acc = 0.0
+        w = self.rho
+        for s in reversed(state):
+            acc += w * s
+            w *= 1.0 - self.rho
+        return state, acc
+
+    def effective_age_offset(self, times) -> float:
+        """Offset o with post-repair intensity rate(t - o).
+
+        The fold of :meth:`offset_step` over the last ``m`` failures. Assumes
+        a valid (strictly increasing) history; returns 0 for an empty one.
+        Accepts a list or array.
+        """
+        state, offset = self.offset_state(), 0.0
+        for t in times[max(len(times) - self.m, 0):]:
+            state, offset = self.offset_step(state, float(t))
+        return offset
 
     def to_config(self) -> dict:
-        raise NotImplementedError
+        return {"model": "ara", "m": self.m, "rho": self.rho}
 
     def conditional_intensity(self, hazard, times, t):
         """Failure intensity at ``t`` given the component's own history."""
@@ -129,55 +144,6 @@ class RepairModel:
                                  float(exponential))
 
 
-@dataclass(frozen=True)
-class ARA(RepairModel):
-    """Age reduction of memory order ``m`` and effectiveness ``rho``.
-
-    After the N-th failure the offset is
-    ``rho * sum_{j=0..min(m,N)-1} (1-rho)^j * T[N-j]``. ``rho < 0`` models a
-    harmful repair: it is constructible but flagged not improving, and the
-    bound/approximation operations refuse it.
-    """
-
-    m: int
-    rho: float
-
-    def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise DomainError(f"memory order m must be a positive integer, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
-        if not self.rho <= 1.0:
-            raise DomainError(f"effectiveness rho must be <= 1, got {self.rho}")
-
-    @property
-    def is_improving(self):
-        return 0.0 <= self.rho <= 1.0
-
-    def to_ara(self):
-        return self
-
-    @property
-    def memory(self):
-        return self.m
-
-    def offset_state(self):
-        return ()  # the last m failure times, oldest first
-
-    def offset_step(self, state, t):
-        state = (state + (t,))[-self.m:]
-        if self.rho == 0.0:
-            return state, 0.0
-        acc = 0.0
-        w = self.rho
-        for s in reversed(state):
-            acc += w * s
-            w *= 1.0 - self.rho
-        return state, acc
-
-    def to_config(self):
-        return {"model": "ara", "m": self.m, "rho": self.rho}
-
-
 def Perfect() -> ARA:
     """Replacement (as good as new): the clock restarts at the latest failure."""
     return ARA(1, 1.0)
@@ -188,37 +154,17 @@ def Minimal() -> ARA:
     return ARA(1, 0.0)
 
 
-@dataclass(frozen=True)
-class Kijima1(RepairModel):
-    """Virtual-age accumulation ``V_k = V_{k-1} + a * X_k`` (type-I rule)."""
+def Kijima1(a) -> ARA:
+    """Kijima type-I virtual age ``V_k = V_{k-1} + a * X_k``, i.e. ``ARA(1, 1 - a)``.
 
-    a: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.a) and self.a >= 0.0):
-            raise DomainError(f"age accumulation factor a must be >= 0, got {self.a}")
-
-    @property
-    def is_improving(self):
-        return 0.0 <= self.a <= 1.0
-
-    def to_ara(self):
-        return ARA(1, 1.0 - self.a)
-
-    def offset_state(self):
-        return 0.0, 0.0  # virtual age V and last failure time
-
-    def offset_step(self, state, t):
-        # virtual age by the increment recursion; offset = T_N - V_N
-        v, prev = state
-        v += self.a * (t - prev)
-        return (v, t), t - v
-
-    def to_config(self):
-        return {"model": "kijima1", "a": self.a}
+    ``a`` must be finite and >= 0; ``a > 1`` is a harmful repair.
+    """
+    if not (np.isfinite(a) and a >= 0.0):
+        raise DomainError(f"age accumulation factor a must be finite and >= 0, got {a}")
+    return ARA(1, 1.0 - a)
 
 
-def repair_from_config(cfg) -> RepairModel:
+def repair_from_config(cfg) -> ARA:
     """Build a repair model from ``{"model": ..., ...}``."""
     if not isinstance(cfg, dict) or "model" not in cfg:
         raise ConfigError("repair config must be an object with a 'model' key")

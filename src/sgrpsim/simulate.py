@@ -90,8 +90,7 @@ def simulate_algorithm1(am: ApproxModel, count, seed) -> MaskedHistory:
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    ara = am.repair.to_ara()
-    if not 0.0 <= ara.rho <= 1.0:
+    if not am.repair.is_improving:
         raise DomainError("stream sampler requires repair effectiveness in [0, 1]")
     n, d = am.n, am.delta
     if d == 1.0 and n == 1:
@@ -156,18 +155,17 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     hc = am.component_hazard()
     if not hc.is_nondecreasing:
         raise DomainError("thinning requires a nondecreasing hazard (window majorant)")
-    ara = am.repair.to_ara()
-    if not 0.0 <= ara.rho <= 1.0:
+    if not am.repair.is_improving:
         raise DomainError("thinning requires repair effectiveness in [0, 1]")
     n, d = am.n, am.delta
     # the lag offsets read at most the last n*m times, the single-component
     # offset the last m, so the offsets of that tail are those of the history
-    tail = n * ara.m
+    tail = n * am.repair.m
 
     times = []
     gaps = deque(maxlen=64)  # the latest inter-event gaps set the window
     # offsets are fixed between events, so cache them per accepted event
-    offsets = envelope_offsets(times, n, ara)
+    offsets = envelope_offsets(times, n, am.repair)
 
     def lam(t):
         lower, upper = envelope_rates(hc, t, *offsets)
@@ -199,7 +197,7 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
             if times:
                 gaps.append(t - times[-1])
             times.append(t)
-            offsets = envelope_offsets(times[-tail:], n, ara)
+            offsets = envelope_offsets(times[-tail:], n, am.repair)
             if gaps:
                 window = _median(gaps)
 

@@ -48,7 +48,8 @@ def rate_curve(times, bin_width, horizon=None) -> RateCurve:
     if not bin_width > 0.0:
         raise DomainError("bin_width must be positive")
     times = np.asarray(times, dtype=float)
-    if times.size and (times[0] < 0.0 or np.any(np.diff(times) < 0.0)):
+    # written so that a NaN, which fails every comparison, is refused
+    if times.size and not (times[0] >= 0.0 and np.all(np.diff(times) >= 0.0)):
         raise DomainError("times must be sorted and nonnegative")
     if horizon is None:
         if times.size == 0:

@@ -90,19 +90,6 @@ class FullHistory:
         """Events per component, in component order."""
         return np.array([arr.size for arr in self.per_component], dtype=int)
 
-    def check_consistent(self) -> bool:
-        """True when the merged view is exactly the labeled union (test hook)."""
-        rebuilt = sorted(
-            (float(t), c + 1)
-            for c, arr in enumerate(self.per_component)
-            for t in arr
-        )
-        times = np.array([t for t, _ in rebuilt])
-        labels = np.array([c for _, c in rebuilt], dtype=int)
-        return (np.array_equal(times, self.times)
-                and np.array_equal(labels, self.labels)
-                and len(self.per_component) == self.n)
-
 
 def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None,
                   seed=None, rng=None) -> FullHistory:
@@ -181,26 +168,32 @@ def true_intensity_at_events(full, model, hazard) -> np.ndarray:
     """Left-limit system intensity at every system event time, in order.
 
     Equal, bit for bit, to calling :func:`true_system_intensity` at each
-    event. It walks the trajectory once, advancing only the failing
-    component's offset, and evaluates the rates in blocks of at most
-    ``BLOCK_ROWS`` events, so the work per event does not grow with the
-    history and the extra memory does not grow with the event count.
+    event. Each component's offsets after its failures come from one numpy
+    pass over its failure times, adding the products of ``ARA.offset_step``
+    in the same order, in memory linear in the history ``full`` holds. The
+    rates are evaluated in blocks of at most ``BLOCK_ROWS`` events.
     """
     n = full.n
     out = np.empty(full.times.size)
-    states = [model.offset_state()] * n
+    after = []  # per component, its offset after each of its failures
+    for comp in full.per_component:
+        acc = np.zeros(comp.size)
+        w = model.rho
+        for j in range(min(model.m, comp.size)):
+            acc[j:] += w * comp[:comp.size - j]
+            w *= 1.0 - model.rho
+        after.append(acc)
+    post = np.empty(out.size)  # offset of the failing component after each event
+    post[np.argsort(full.labels, kind="stable")] = np.concatenate(after)
     offsets = np.zeros(n)  # each component's offset before the block
     for k0 in range(0, out.size, BLOCK_ROWS):
         times = full.times[k0:k0 + BLOCK_ROWS]
         comps = full.labels[k0:k0 + BLOCK_ROWS] - 1
         b = times.size
-        post = np.empty(b)  # offset of the failing component after each event
-        for r, (t, c) in enumerate(zip(times.tolist(), comps.tolist())):
-            states[c], post[r] = model.offset_step(states[c], t)
         # row r holds, per component, the index of its last event before
         # event r of the block (-1: none in the block)
         last = np.full((b + 1, n), -1)
-        last[np.arange(1, b + 1), comps] = np.arange(b)
+        last[np.arange(1, b + 1), comps] = np.arange(k0, k0 + b)
         np.maximum.accumulate(last, axis=0, out=last)
         rows = np.where(last >= 0, post[np.maximum(last, 0)], offsets)
         out[k0:k0 + b] = hazard.rate(times[:, None] - rows[:b]).sum(axis=1)

@@ -12,34 +12,20 @@ import heapq
 
 import numpy as np
 
-from sgrpsim import (ARA, Kijima1, MaskedHistory, ara_lag_offsets,
-                     ara_last_component_offset, stream_rng)
+from sgrpsim import MaskedHistory, ara_lag_offsets, stream_rng
 
 
 def offset_from_history(model, times):
-    """Effective-age offset after the failures ``times`` of one component."""
+    """ARA effective-age offset after the failures ``times`` of one component."""
     n_fail = len(times)
-    if isinstance(model, Kijima1):
-        # virtual age by the increment recursion; offset = T_N - V_N
-        if n_fail == 0:
-            return 0.0
-        v = 0.0
-        prev = 0.0
-        for t in times:
-            t = float(t)
-            v += model.a * (t - prev)
-            prev = t
-        return prev - v
-    if isinstance(model, ARA):
-        if n_fail == 0 or model.rho == 0.0:
-            return 0.0
-        acc = 0.0
-        w = model.rho
-        for j in range(min(model.m, n_fail)):
-            acc += w * float(times[n_fail - 1 - j])
-            w *= 1.0 - model.rho
-        return acc
-    raise TypeError(f"no reference offset for {model!r}")
+    if n_fail == 0 or model.rho == 0.0:
+        return 0.0
+    acc = 0.0
+    w = model.rho
+    for j in range(min(model.m, n_fail)):
+        acc += w * float(times[n_fail - 1 - j])
+        w *= 1.0 - model.rho
+    return acc
 
 
 def next_failure_from_history(model, hazard, times, exponential):
@@ -94,12 +80,12 @@ def simulate_thinning_from_history(am, *, n_events=None, horizon=None, seed):
     """Window thinning that re-reads the whole masked history per accepted event."""
     rng = stream_rng(seed)
     hc = am.component_hazard()
-    ara = am.repair.to_ara()
     n, d = am.n, am.delta
-    m, rho = ara.m, ara.rho
+    m, rho = am.repair.m, am.repair.rho
     hist = np.empty(0)
+    # the single-component offset is lag 0 of a one-component round robin
     lower_off = ara_lag_offsets(hist, n, m, rho)
-    upper_off = ara_last_component_offset(hist, m, rho)
+    upper_off = ara_lag_offsets(hist, 1, m, rho)[0]
 
     def lam(t):
         lower = float(np.sum(hc.rate(t - lower_off)))
@@ -130,7 +116,7 @@ def simulate_thinning_from_history(am, *, n_events=None, horizon=None, seed):
         if rng.random() * majorant <= lam(t):
             hist = np.append(hist, t)
             lower_off = ara_lag_offsets(hist, n, m, rho)
-            upper_off = ara_last_component_offset(hist, m, rho)
+            upper_off = ara_lag_offsets(hist, 1, m, rho)[0]
             if hist.size >= 2:
                 window = float(np.median(np.diff(hist[-65:])))
     t_obs = float(horizon) if horizon is not None else (float(hist[-1]) if hist.size else 0.0)

@@ -3,8 +3,8 @@ import pytest
 
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, MaskedHistory,
                      Normalization, PowerLawHazard, approx_intensity,
-                     approx_intensity_ara, ara_last_component_offset, ara_lag_offsets,
-                     sgrp_bounds)
+                     approx_intensity_ara, ara_lag_offsets, sgrp_bounds)
+from sgrpsim.bounds import envelope_offsets
 
 PL = PowerLawHazard(1.3, 40.0)
 
@@ -113,7 +113,7 @@ class TestHistoryMemo:
         for repair in self.REPAIRS:
             lower, upper = masked.envelope_offsets(repair)
             assert np.array_equal(lower, ara_lag_offsets(times, n, repair.m, repair.rho))
-            assert upper == ara_last_component_offset(times, repair.m, repair.rho)
+            assert upper == envelope_offsets(times, n, repair)[1]
 
     def test_times_are_read_only(self):
         masked = mh([1.0, 2.0, 4.0], 2)

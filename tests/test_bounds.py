@@ -4,7 +4,7 @@ import pytest
 import sgrpsim.bounds as bounds
 from sgrpsim import (ARA, ConstantHazard, DomainError, Kijima1, MaskedHistory,
                      Minimal, Perfect, PowerLawHazard, ara_lag_offsets,
-                     ara_last_component_offset, heterogeneous_upper, intensity_integral, mask,
+                     heterogeneous_upper, intensity_integral, mask,
                      sgrp_bounds, sgrp_bounds_at_events, simulate_sgrp,
                      true_intensity_at_events)
 
@@ -61,10 +61,10 @@ class TestLagOffsets:
     def test_last_component_offset_uses_full_memory(self):
         times = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         # 0.5*(5 + 0.5*4) for m=2
-        assert ara_last_component_offset(times, 2, 0.5) == pytest.approx(3.5)
+        assert bounds.envelope_offsets(times, 2, ARA(2, 0.5))[1] == pytest.approx(3.5)
         # all five times for m >= 5
         expect = 0.5 * sum(0.5 ** j * times[4 - j] for j in range(5))
-        assert ara_last_component_offset(times, 9, 0.5) == pytest.approx(expect)
+        assert bounds.envelope_offsets(times, 2, ARA(9, 0.5))[1] == pytest.approx(expect)
 
 
 def srp_reference(masked, hazard, t):
@@ -240,11 +240,12 @@ class TestBatchedRows:
         times = np.cumsum(np.random.default_rng(45).exponential(3.0, size=12 * n + 30))
         lengths = np.concatenate([np.arange(times.size + 1), [times.size, 0, 7]])
         lags = ara_lag_offsets(times, n, m, rho, lengths)
-        lasts = ara_last_component_offset(times, m, rho, lengths)
+        lasts = bounds.envelope_offsets(times, n, ARA(m, rho), lengths)[1]
         assert lags.shape == (lengths.size, n)
+        assert lasts.shape == (lengths.size,)
         for r, k in enumerate(lengths.tolist()):
             assert np.array_equal(lags[r], ara_lag_offsets(times[:k], n, m, rho))
-            assert lasts[r] == ara_last_component_offset(times[:k], m, rho)
+            assert lasts[r] == bounds.envelope_offsets(times[:k], n, ARA(m, rho))[1]
 
     @pytest.mark.parametrize("block_rows", [1, 5, 64])
     def test_rows_do_not_depend_on_block_size(self, block_rows, monkeypatch):

@@ -104,6 +104,32 @@ class TestBoundsCheck:
         header = (out / "bounds.csv").read_text().splitlines()[0]
         assert header == "t,lower,upper,true"
 
+    def test_kijima1_config_equals_its_ara_config_bytewise(self, tmp_path):
+        # Kijima1(a) is ARA(1, 1 - a): same trajectory, envelopes and true intensity
+        a = 0.7
+        outs = []
+        for name, repair in (("kijima1", {"model": "kijima1", "a": a}),
+                             ("ara", {"model": "ara", "m": 1, "rho": 1.0 - a})):
+            cfg = write_config(tmp_path, base_config(repair=repair), f"{name}.json")
+            outs.append(tmp_path / name)
+            assert main(["bounds-check", "--config", cfg, "--out", str(outs[-1])]) == 0
+        assert (outs[0] / "bounds.csv").read_bytes() == (outs[1] / "bounds.csv").read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate-sgrp"], ["simulate-approx", "--method", "algorithm1"],
+    ["simulate-approx", "--method", "thinning"], ["bounds-check"],
+    ["figures", "--which", "fig5"], ["rate-curve"]], ids=" ".join)
+def test_manifest_records_output_scheme(tmp_path, args):
+    cfg = write_config(tmp_path, base_config(run={"n_events": 200, "seed": 4,
+                                                  "bin_width": 200.0}))
+    if args == ["rate-curve"]:
+        main(["simulate-sgrp", "--config", cfg, "--out", str(tmp_path / "sim")])
+        args = ["rate-curve", str(tmp_path / "sim" / "events.csv")]
+    out = tmp_path / "out"
+    assert main([*args[:1], "--config", cfg, "--out", str(out), *args[1:]]) == 0
+    assert read_manifest(out / "manifest.json")["output_scheme"] == 2
+
 
 class TestRateCurveCommand:
     def test_from_event_log(self, tmp_path):
@@ -238,12 +264,14 @@ class TestConfigContract:
 
 
 def test_cli_import_leaves_quadrature_unloaded():
-    # scipy.integrate is imported on first use by stats.intensity_integral
+    # scipy.integrate is imported on first use by stats.intensity_integral,
+    # and the manifest reads scipy's version from its metadata
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = "import sys, sgrpsim.cli; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, sgrpsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

@@ -1,8 +1,7 @@
 import numpy as np
 
 from sgrpsim import rate_curve, stream_rng
-from sgrpsim.io import (read_events_csv, read_rates_csv, write_events_csv,
-                        write_rates_csv, write_residuals_csv)
+from sgrpsim.io import read_events_csv, read_rates_csv, write_events_csv, write_rates_csv
 
 
 def test_event_log_round_trip_is_bit_faithful(tmp_path):
@@ -24,15 +23,6 @@ def test_masked_log_has_empty_component_column(tmp_path):
     back, labels = read_events_csv(path)
     assert labels is None
     assert np.array_equal(back, times)
-
-
-def test_residuals_log(tmp_path):
-    residuals = np.array([0.5, 1.25, 0.0625])
-    path = write_residuals_csv(tmp_path / "residuals.csv", residuals)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,value"
-    values = np.array([float(line.split(",")[1]) for line in lines[1:]])
-    assert np.array_equal(values, residuals)
 
 
 def test_rates_round_trip(tmp_path):

@@ -29,7 +29,9 @@ class TestEffectiveAgeOffset:
         for model in (ARA(2, 0.5), Perfect(), Minimal(), Kijima1(0.3)):
             assert model.effective_age_offset([]) == 0.0
 
-    @pytest.mark.parametrize("model", [Kijima1(0.7), Kijima1(1.4), ARA(1, 0.3),
+    @pytest.mark.parametrize("model", [pytest.param(Kijima1(0.7), id="Kijima1(a=0.7)"),
+                                       pytest.param(Kijima1(1.4), id="Kijima1(a=1.4)"),
+                                       ARA(1, 0.3),
                                        ARA(3, 0.5), ARA(2, 0.0), ARA(4, 1.0),
                                        pytest.param(Perfect(), id="Perfect()"),
                                        pytest.param(Minimal(), id="Minimal()")],
@@ -95,6 +97,7 @@ class TestEquivalences:
                     minimal.conditional_intensity(PL, hist, t)
 
     def test_kijima_matches_one_step_reduction(self):
+        # V_k = V_{k-1} + a X_k gives the offset T_N - V_N = (1 - a) T_N
         rng = np.random.default_rng(23)
         for a in (0.0, 0.4, 1.0):
             kij, ara = Kijima1(a), ARA(1, 1.0 - a)
@@ -103,11 +106,20 @@ class TestEquivalences:
                 t = (hist[-1] if hist.size else 0.0) + rng.uniform(0.0, 30.0)
                 assert kij.conditional_intensity(PL, hist, t) == pytest.approx(
                     ara.conditional_intensity(PL, hist, t), rel=1e-12)
+                v = 0.0
+                prev = 0.0
+                for s in hist.tolist():
+                    v += a * (s - prev)
+                    prev = s
+                assert kij.effective_age_offset(hist) == pytest.approx(
+                    prev - v, rel=1e-12, abs=1e-12)
 
-    def test_to_ara(self):
-        assert Perfect().to_ara() == ARA(1, 1.0)
-        assert Minimal().to_ara() == ARA(1, 0.0)
-        assert Kijima1(0.3).to_ara() == ARA(1, 0.7)
+    def test_constructors_return_ara(self):
+        assert Perfect() == ARA(1, 1.0)
+        assert Minimal() == ARA(1, 0.0)
+        for a in (0.0, 0.3, 0.7, 1.0, 1.4):
+            assert Kijima1(a) == ARA(1, 1.0 - a)
+            assert type(Kijima1(a)) is ARA
 
 
 class TestRepairImproves:
@@ -204,6 +216,12 @@ class TestValidation:
         with pytest.raises(DomainError):
             Kijima1(-0.1)
         assert not Kijima1(1.5).is_improving
+
+    @pytest.mark.parametrize("a", [float("nan"), float("inf"), -float("inf"), -1e-300])
+    def test_kijima_refuses_nonfinite_and_negative(self, a):
+        # ARA(1, 1 - inf) = ARA(1, -inf) would be accepted, so Kijima1 checks a itself
+        with pytest.raises(DomainError, match="age accumulation factor"):
+            Kijima1(a)
 
     def test_memory_must_be_positive_integer(self):
         with pytest.raises(DomainError):

@@ -46,6 +46,12 @@ class TestRateCurve:
         with pytest.raises(DomainError):
             rate_curve([1.0], 0.0)
 
+    @pytest.mark.parametrize("times", [[1.0, np.nan, 3.0], [np.nan], [np.nan, 2.0],
+                                       [1.0, 2.0, np.nan]])
+    def test_nan_time_rejected(self, times):
+        with pytest.raises(DomainError, match="sorted and nonnegative"):
+            rate_curve(times, 1.0)
+
 
 class TestRescaledResiduals:
     def test_unit_rate(self):

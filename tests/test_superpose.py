@@ -34,12 +34,23 @@ def build_full(per_component, horizon=None):
                        times=times, labels=labels, horizon=float(end))
 
 
+def consistent(full):
+    """True when the merged view of ``full`` is exactly the labeled union."""
+    rebuilt = sorted((float(t), c + 1) for c, arr in enumerate(full.per_component)
+                     for t in arr)
+    times = np.array([t for t, _ in rebuilt])
+    labels = np.array([c for _, c in rebuilt], dtype=int)
+    return (np.array_equal(times, full.times)
+            and np.array_equal(labels, full.labels)
+            and len(full.per_component) == full.n)
+
+
 class TestHistories:
     def test_labeled_example_counts(self):
         # four components with 3, 2, 2 and 4 failures merge into 11 events
         full = build_full([[1.0, 5.0, 9.0], [2.0, 7.0], [3.0, 8.0], [0.5, 4.0, 6.0, 10.0]])
         assert len(full) == 11
-        assert full.check_consistent()
+        assert consistent(full)
         masked = mask(full)
         assert len(masked) == 11
         assert np.array_equal(masked.times, full.times)
@@ -54,7 +65,7 @@ class TestHistories:
             full = simulate_sgrp(int(rng.integers(1, 6)), ARA(1, 0.5), PL,
                                  n_events=int(rng.integers(1, 60)), rng=rng)
             assert len(mask(full)) == sum(arr.size for arr in full.per_component)
-            assert full.check_consistent()
+            assert consistent(full)
 
     def test_masked_invariants(self):
         with pytest.raises(DomainError):
@@ -193,7 +204,7 @@ def test_simulate_matches_history_sampler_bitwise(case, n):
                                                horizon=horizon, seed=seed)
     assert np.array_equal(full.times, times)
     assert np.array_equal(full.labels, labels)
-    assert full.check_consistent()
+    assert consistent(full)
 
 
 @pytest.mark.parametrize("n", sorted(EVENTS))
