@@ -7,8 +7,10 @@ the weighted envelope combination:
   rejuvenating component streams carrying the weighted round-robin mass, one
   inhomogeneous Poisson stream carrying the fresh-component mass, and one
   extra rejuvenating stream for the single-component term — then emits the
-  running minimum across streams. Streams are generated lazily with derived
-  seeds, so the merge is deterministic and needs O(1) memory per stream.
+  earliest times across streams. Every stream draws from its own derived
+  seed, so streams sharing a hazard advance together, block by block, one
+  vector step per failure of each; the result does not depend on the block
+  sizes and needs O(count + n) memory.
 * ``simulate_thinning`` samples directly from the exact model intensity by
   window thinning and serves as the oracle for the stream decomposition,
   whose faithfulness to the model is reported rather than assumed.
@@ -21,7 +23,7 @@ reading is used here.
 
 from __future__ import annotations
 
-import heapq
+import math
 from collections import deque
 
 import numpy as np
@@ -29,7 +31,6 @@ import numpy as np
 from .approx import ApproxModel
 from .bounds import envelope_offsets, envelope_rates
 from .errors import DomainError
-from .repair import next_failure_time
 from .rng import stream_rng
 from .superpose import MaskedHistory
 
@@ -58,23 +59,67 @@ def nhpp_sample(hazard, count, rng=None, *, uniforms=None) -> np.ndarray:
     return np.asarray(hazard.inverse_cumulative(taus), dtype=float)
 
 
-def _grp_stream(model, hazard, rng):
+def _rejuvenating_streams(model, hazard, rngs):
+    """Rejuvenating streams sharing ``hazard``, advanced in lock step.
+
+    A generator: each ``send(k)`` returns the next ``k`` failure times of
+    every stream as a ``(k, len(rngs))`` array, column i drawn from
+    ``rngs[i]``. A step is ``next_failure_time`` and ``ARA.offset_step``
+    applied elementwise, and a block draw from a generator equals that many
+    scalar draws, so each column is bit for bit the stream drawn one failure
+    at a time.
+    """
     state, offset, t = model.offset_state(), 0.0, 0.0
+    k = yield
     while True:
-        t = next_failure_time(hazard, offset, t, float(rng.exponential()))
-        state, offset = model.offset_step(state, t)
-        yield t
+        block = np.column_stack([rng.exponential(size=k) for rng in rngs])
+        # a lone stream steps on scalars, which cost less than 1-element arrays
+        rows = block[:, 0] if len(rngs) == 1 else block
+        for j in range(k):
+            target = hazard.cumulative(t - offset) + rows[j]
+            # next_failure_time's underflow guard: a time not past the last
+            # failure becomes the next float up
+            t = np.maximum(offset + hazard.inverse_cumulative(target),
+                           np.nextafter(t, np.inf))
+            state, offset = model.offset_step(state, t)
+            rows[j] = t
+        k = yield block
 
 
-def _nhpp_stream(hazard, rng):
-    tau = 0.0
+def _poisson_stream(hazard, rng):
+    """An inhomogeneous Poisson stream, extended a block at a time.
+
+    A generator like ``_rejuvenating_streams``, with one column. The unit
+    exponentials accumulate left to right from the last one, as a running sum
+    drawn one at a time does.
+    """
+    tau = np.zeros(1)
+    k = yield
     while True:
-        tau += float(rng.exponential())
-        yield float(hazard.inverse_cumulative(tau))
+        taus = np.cumsum(np.concatenate((tau, rng.exponential(size=k))))
+        tau = taus[-1:]
+        k = yield hazard.inverse_cumulative(taus[1:])[:, None]
+
+
+def _merge(times, count):
+    """The ``count`` smallest ``times`` in increasing order, ties nudged apart.
+
+    Equal times are interchangeable, so the order of a heap merge that breaks
+    ties by stream index is the sorted order. A time not above the one before
+    it (or not above 0 for the first) becomes the next float up, sequentially
+    from the first such tie.
+    """
+    out = np.sort(times)[:count]
+    ties = np.flatnonzero(out <= np.concatenate(([0.0], out[:-1])))
+    for k in range(ties[0] if ties.size else count, count):
+        prev = out[k - 1] if k else 0.0
+        if out[k] <= prev:  # float coincidence across streams
+            out[k] = np.nextafter(prev, np.inf)
+    return out
 
 
 def simulate_algorithm1(am: ApproxModel, count, seed) -> MaskedHistory:
-    """Stream-decomposition sampler: merge subprocess streams smallest-first.
+    """Stream-decomposition sampler: the ``count`` earliest times of all streams.
 
     Streams and their initial intensities (with ``base`` the per-component
     hazard under the model normalization):
@@ -86,37 +131,51 @@ def simulate_algorithm1(am: ApproxModel, count, seed) -> MaskedHistory:
     * one rejuvenating stream at ``(1-delta) * base`` (absent when delta = 1).
 
     Deterministic given ``seed``: every stream draws from its own derived
-    generator keyed by (seed, stream-index).
+    generator keyed by (seed, stream-index). Streams sharing a hazard advance
+    together in blocks until every stream has reached the ``count``-th
+    smallest time generated, so no later time can enter the merge; memory is
+    O(count + n).
     """
     if count < 1:
         raise DomainError("count must be >= 1")
     if not am.repair.is_improving:
         raise DomainError("stream sampler requires repair effectiveness in [0, 1]")
-    n, d = am.n, am.delta
+    n, d, count = am.n, am.delta, int(count)
     if d == 1.0 and n == 1:
         raise DomainError("delta=1 with n=1 is degenerate (a single bare stream)")
     base = am.component_hazard()
 
-    streams = []
+    # (lock-step streams, each stream's share of the initial system rate)
+    groups = []
     if d > 0.0:
-        for i in range(n):
-            streams.append(_grp_stream(am.repair, base.scaled(d), stream_rng(seed, i)))
+        rngs = [stream_rng(seed, i) for i in range(n)]
+        groups.append((_rejuvenating_streams(am.repair, base.scaled(d), rngs), d / n))
     if (1.0 - d) * (n - 1) > 0.0:
-        streams.append(_nhpp_stream(base.scaled((1.0 - d) * (n - 1)), stream_rng(seed, n)))
+        share = (1.0 - d) * (n - 1)
+        groups.append((_poisson_stream(base.scaled(share), stream_rng(seed, n)), share / n))
     if d < 1.0:
-        streams.append(_grp_stream(am.repair, base.scaled(1.0 - d), stream_rng(seed, n + 1)))
+        rngs = [stream_rng(seed, n + 1)]
+        groups.append((_rejuvenating_streams(am.repair, base.scaled(1.0 - d), rngs),
+                       (1.0 - d) / n))
 
-    heap = [(next(s), i, s) for i, s in enumerate(streams)]
-    heapq.heapify(heap)
-    out = np.empty(int(count))
-    prev = 0.0
-    for k in range(int(count)):
-        t, i, s = heapq.heappop(heap)
-        if t <= prev:  # float coincidence across streams
-            t = float(np.nextafter(prev, np.inf))
-        out[k] = t
-        prev = t
-        heapq.heappush(heap, (next(s), i, s))
+    # the first blocks hold at least count times, since the shares sum to 1
+    steps = [math.ceil(count * share) for _, share in groups]
+    blocks = [[] for _ in groups]
+    for streams, _ in groups:
+        next(streams)  # run each generator to its first send
+    pending = range(len(groups))
+    while pending:
+        for g in pending:
+            blocks[g].append(groups[g][0].send(steps[g]))
+        times = np.concatenate([b.ravel() for bs in blocks for b in bs])
+        t_star = np.partition(times, count - 1)[count - 1]
+        slowest = [bs[-1][-1].min() for bs in blocks]  # each group's earliest last time
+        pending = [g for g, t in enumerate(slowest) if t < t_star]
+        for g in pending:
+            # as many steps again as the slowest stream's pace extrapolates to t_star
+            done = sum(len(b) for b in blocks[g])
+            steps[g] = math.ceil(done * (t_star / slowest[g] - 1.0)) + 1
+    out = _merge(times, count)
     return MaskedHistory(times=out, n=n, t_obs=float(out[-1]))
 
 

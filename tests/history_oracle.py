@@ -4,15 +4,18 @@ These are the O(history) loops the package used before its offsets became
 incremental: every offset is rebuilt from a component's full failure history
 at every event. The thinning loop likewise rebuilds its envelope offsets from
 the whole masked history after every accepted event and evaluates each
-envelope term with its own rate call. The tests compare the package's
-incremental paths to them bit for bit.
+envelope term with its own rate call. The stream sampler's reference draws
+one failure at a time from per-stream generators and merges them through a
+heap. The tests compare the package's incremental and lock-step paths to
+them bit for bit.
 """
 
 import heapq
 
 import numpy as np
 
-from sgrpsim import MaskedHistory, ara_lag_offsets, stream_rng
+from sgrpsim import DomainError, MaskedHistory, ara_lag_offsets, stream_rng
+from sgrpsim.repair import next_failure_time
 
 
 def offset_from_history(model, times):
@@ -74,6 +77,69 @@ def grp_stream_from_history(model, hazard, rng):
         t = next_failure_from_history(model, hazard, times, float(rng.exponential()))
         times.append(t)
         yield t
+
+
+def grp_stream(model, hazard, rng):
+    """A rejuvenating stream drawn one failure at a time, its offset stepped."""
+    state, offset, t = model.offset_state(), 0.0, 0.0
+    while True:
+        t = next_failure_time(hazard, offset, t, float(rng.exponential()))
+        state, offset = model.offset_step(state, t)
+        yield t
+
+
+def nhpp_stream(hazard, rng):
+    """An inhomogeneous Poisson stream drawn one event at a time."""
+    tau = 0.0
+    while True:
+        tau += float(rng.exponential())
+        yield float(hazard.inverse_cumulative(tau))
+
+
+def heap_merge(streams, count):
+    """The first ``count`` times of the streams, merged smallest-first by a heap.
+
+    Ties go to the lower stream index; a time not above the one emitted
+    before it becomes the next float up.
+    """
+    heap = [(next(s), i, s) for i, s in enumerate(streams)]
+    heapq.heapify(heap)
+    out = np.empty(int(count))
+    prev = 0.0
+    for k in range(int(count)):
+        t, i, s = heapq.heappop(heap)
+        if t <= prev:  # float coincidence across streams
+            t = float(np.nextafter(prev, np.inf))
+        out[k] = t
+        prev = t
+        heapq.heappush(heap, (next(s), i, s))
+    return out
+
+
+def simulate_algorithm1_heap(am, count, seed, grp=grp_stream):
+    """The stream sampler with one generator per stream and a heap merge.
+
+    ``grp`` builds each rejuvenating stream from (model, hazard, rng).
+    """
+    if count < 1:
+        raise DomainError("count must be >= 1")
+    if not am.repair.is_improving:
+        raise DomainError("stream sampler requires repair effectiveness in [0, 1]")
+    n, d = am.n, am.delta
+    if d == 1.0 and n == 1:
+        raise DomainError("delta=1 with n=1 is degenerate (a single bare stream)")
+    base = am.component_hazard()
+
+    streams = []
+    if d > 0.0:
+        for i in range(n):
+            streams.append(grp(am.repair, base.scaled(d), stream_rng(seed, i)))
+    if (1.0 - d) * (n - 1) > 0.0:
+        streams.append(nhpp_stream(base.scaled((1.0 - d) * (n - 1)), stream_rng(seed, n)))
+    if d < 1.0:
+        streams.append(grp(am.repair, base.scaled(1.0 - d), stream_rng(seed, n + 1)))
+    out = heap_merge(streams, count)
+    return MaskedHistory(times=out, n=n, t_obs=float(out[-1]))
 
 
 def simulate_thinning_from_history(am, *, n_events=None, horizon=None, seed):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from sgrpsim import (ARA, ConstantHazard, DomainError, Kijima1, MaskedHistory,
                      heterogeneous_upper, intensity_integral, mask,
                      sgrp_bounds, sgrp_bounds_at_events, simulate_sgrp,
                      true_intensity_at_events)
+from sgrpsim.cli import SANDWICH_SLACK, main
 
 PL = PowerLawHazard(1.3, 40.0)
 
@@ -184,6 +187,24 @@ class TestSgrpBounds:
                 crossed = True
                 break
         assert crossed
+
+    def test_deep_memory_true_intensity_can_fall_below_lower(self, tmp_path, capsys):
+        # with m >= 2 the sandwich itself can fail: on this README-hazard run
+        # the true intensity falls below the lower envelope at 4 events, and
+        # bounds-check reports them and exits 1
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "hazard": {"family": "power_law", "beta": 1.3, "eta": 40.0},
+            "repair": {"model": "ara", "m": 3, "rho": 0.5},
+            "system": {"n": 5},
+            "run": {"n_events": 1500, "seed": 9}}))
+        out = tmp_path / "out"
+        assert main(["bounds-check", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().out.strip() == "events=1500 violations=4"
+        rows = np.loadtxt(out / "bounds.csv", delimiter=",", skiprows=1)
+        lower, upper, true = rows[:, 1], rows[:, 2], rows[:, 3]
+        assert np.sum(true < lower - SANDWICH_SLACK) == 4
+        assert not np.any(true > upper + SANDWICH_SLACK)
 
 
 def test_monotone_information():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -157,6 +158,63 @@ class TestFigures:
         names = sorted(p.name for p in out.iterdir())
         assert names == ["fig5_delta0_rates.csv", "fig5_delta1_rates.csv",
                          "fig5_sgrp_rates.csv", "manifest.json"]
+
+    #: sha256 of every file ``figures --which all --method algorithm1`` writes
+    #: for the README config at seed 3 with 1,500 events per curve; the
+    #: manifest's is taken with its ``versions`` set to GOLDEN_VERSIONS, the
+    #: numpy and scipy the digests were recorded with
+    GOLDEN = {
+        "fig3_rho0.3_rates.csv":
+            "f89003c930ff155df2417e153c93a9029e56f73eb8a818e0ae40609021cce82e",
+        "fig3_rho0.6_rates.csv":
+            "886ee510587304c17aed8f09634787cdab6b37bc220319902189448191a33a9f",
+        "fig3_rho0.9_rates.csv":
+            "6e92704787f4ebeb1ec4f380961b2d1b5ab1ae6f22443cbe659e329cffc6235f",
+        "fig4_delta0.2_rates.csv":
+            "88c2ded807d7832a39e61a9c1deb8734ffaa5c33f8e397667b7e4a92bb3bae40",
+        "fig4_delta0.4_rates.csv":
+            "ddd725698c570d63999dc8fffb9202784af5b22a767272349baf154e0d27e1be",
+        "fig4_delta0.6_rates.csv":
+            "d305fd36b29379d5e8a840f36770d5bc8dfc9805d2e2fdb1eb257427d6bf168c",
+        "fig4_delta0.8_rates.csv":
+            "99bb643bb64466523abde89d345ac269e95f3820fad539fef9a197436cbfad18",
+        "fig4_delta0_rates.csv":
+            "3bbf458afa03cfeb5245dbfa0fb82c5b3c5d79282204dba0a846be499fe0b13b",
+        "fig4_delta1_rates.csv":
+            "0d23a30206e3bb96f777f753260695b6ec8849c7f68cb5f8a9b063c345e0d6a9",
+        "fig5_delta0_rates.csv":
+            "95b125ca899a52dab4236ec6a3f622d0c600372e9b63ed336e8c221b227fa34d",
+        "fig5_delta1_rates.csv":
+            "4758450aa772eaed1894d7fef2bfd3826d2c1b571693fafcb0d3cf385b3bd3db",
+        "fig5_sgrp_rates.csv":
+            "c593b7ae083f3216113c6ece3f50a1ec1cbfe5af87f4a465628d8beb3f0b36b2",
+        "fig6_delta0_rates.csv":
+            "89c3ce36e53707440e5f18b813602af4ce32470000e2d63f7359458596f7729f",
+        "fig6_delta1_rates.csv":
+            "e374006fdd5d3aedf7ca2a81adccf3953021f020f17c8ea547f4e50c6d0f1067",
+        "fig6_sgrp_rates.csv":
+            "f19d2d5c19204c41b5091b7d5f84b9c4e4a56797db381769a090e3ea669ec9ed",
+        "manifest.json":
+            "eada8b3a1ab19da861958e7ddde134e41a7e042f4eae36563fe5a8596158a18f",
+    }
+    GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+    def test_all_curves_match_golden_digests(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(
+            system={"n": 100}, run={"n_events": 1500, "seed": 3, "bin_width": 1000.0}))
+        out = tmp_path / "figs"
+        assert main(["figures", "--config", cfg, "--out", str(out),
+                     "--which", "all", "--method", "algorithm1"]) == 0
+        manifest = out / "manifest.json"
+        payload = read_manifest(manifest)
+        assert payload["output_scheme"] == 2
+        # the manifest is written as this serialization, so pinning the
+        # versions in it changes those bytes only
+        assert manifest.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        payload["versions"] = self.GOLDEN_VERSIONS
+        manifest.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        assert digests == self.GOLDEN
 
     def test_jobs_do_not_change_outputs(self, tmp_path):
         cfg = write_config(tmp_path, base_config(run={"n_events": 800, "seed": 5,

@@ -1,17 +1,18 @@
-import heapq
+import itertools
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-import sgrpsim.simulate as simulate
-from history_oracle import grp_stream_from_history, simulate_thinning_from_history
+from history_oracle import (grp_stream, grp_stream_from_history, heap_merge,
+                            nhpp_stream, simulate_algorithm1_heap,
+                            simulate_thinning_from_history)
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, Kijima1,
                      Minimal, MaskedHistory, Normalization, Perfect, PowerLawHazard,
                      approx_intensity, intensity_integral, ks_exp1, nhpp_sample,
                      rescaled_residuals, simulate_algorithm1, simulate_thinning,
                      stream_rng)
-from sgrpsim.simulate import _grp_stream, _nhpp_stream
+from sgrpsim.simulate import _merge
 
 PL = PowerLawHazard(1.3, 40.0)
 
@@ -64,16 +65,10 @@ class TestAlgorithm1:
         am = ApproxModel(n, 0.0, PL, ARA(1, 0.3))
         got = simulate_algorithm1(am, count, seed=seed)
         base = am.component_hazard()
-        nhpp = _nhpp_stream(base.scaled(n - 1.0), stream_rng(seed, n))
-        extra = _grp_stream(am.repair, base.scaled(1.0), stream_rng(seed, n + 1))
-        expect = []
-        heap = [(next(s), i, s) for i, s in enumerate((nhpp, extra))]
-        heapq.heapify(heap)
-        for _ in range(count):
-            t, i, s = heapq.heappop(heap)
-            expect.append(t)
-            heapq.heappush(heap, (next(s), i, s))
-        assert np.allclose(got.times, np.array(expect), rtol=0, atol=0)
+        nhpp = nhpp_stream(base.scaled(n - 1.0), stream_rng(seed, n))
+        extra = grp_stream(am.repair, base.scaled(1.0), stream_rng(seed, n + 1))
+        expect = heap_merge((nhpp, extra), count)
+        assert np.allclose(got.times, expect, rtol=0, atol=0)
 
     def test_delta_one_uses_only_component_streams(self):
         am = ApproxModel(4, 1.0, PL, ARA(1, 0.3))
@@ -97,15 +92,49 @@ class TestAlgorithm1:
         (5, 0.5, Kijima1(0.7)), (5, 0.0, Kijima1(0.7)), (5, 1.0, Kijima1(0.7)),
         (100, 0.5, Kijima1(0.7)), (1, 0.4, Kijima1(0.7)), (5, 0.5, ARA(3, 0.5)),
         (5, 0.5, Perfect()), (5, 0.5, Minimal())])
-    def test_streams_match_history_recomputation_bitwise(self, n, delta, repair,
-                                                         monkeypatch):
-        # the streams carry their offsets incrementally; a stream that
-        # rebuilds each offset from its whole history gives the same run
-        am = ApproxModel(n, delta, PL, repair)
-        got = simulate_algorithm1(am, 3000, seed=12)
-        monkeypatch.setattr(simulate, "_grp_stream", grp_stream_from_history)
-        expect = simulate_algorithm1(am, 3000, seed=12)
+    def test_streams_match_history_recomputation_bitwise(self, n, delta, repair):
+        # the streams advance in lock step and carry their offsets
+        # incrementally; one generator per stream, each rebuilding its offset
+        # from its whole history, merged by a heap, gives the same run
+        self.assert_matches_heap_merge(ApproxModel(n, delta, PL, repair), 3000)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("repair,hazard,count", [
+        pytest.param(ARA(1, 0.3), PL, 3000, id="ara1"),
+        pytest.param(ARA(9, 0.3), PL, 3000, id="ara9"),
+        pytest.param(ARA(1, 0.3), ConstantHazard(0.2), 3000, id="constant"),
+        pytest.param(ARA(1, 0.3), PL, 1, id="count1"),
+        pytest.param(ARA(1, 0.3), PL, 7, id="count7")])
+    def test_many_streams_match_history_recomputation_bitwise(self, delta, repair,
+                                                              hazard, count):
+        # n=100 streams in one lock-step block; a count below n stops the
+        # run before most streams have emitted anything
+        self.assert_matches_heap_merge(ApproxModel(100, delta, hazard, repair), count)
+
+    @staticmethod
+    def assert_matches_heap_merge(am, count):
+        got = simulate_algorithm1(am, count, seed=12)
+        expect = simulate_algorithm1_heap(am, count, seed=12, grp=grp_stream_from_history)
         assert np.array_equal(got.times, expect.times)
+
+    NEXT = float(np.nextafter(1.0, np.inf))
+
+    @pytest.mark.parametrize("streams", [
+        pytest.param([[1.0, 2.0], [1.0, 2.0], [1.0, 3.0]], id="ties-across-streams"),
+        pytest.param([[1.0, 1.0, 1.0], [1.0, NEXT], [NEXT, 4.0]], id="run-of-five"),
+        pytest.param([[0.0, 0.5], [0.0, 5e-324]], id="ties-at-zero"),
+        pytest.param([[0.5, 1.0, 3.0], [2.0]], id="no-ties")])
+    def test_merge_nudges_ties_as_the_heap_does(self, streams):
+        # each stream is nondecreasing; the heap breaks ties by stream index
+        # and moves a time not above the previous one to the next float up
+        total = sum(len(s) for s in streams)
+        for count in range(1, total + 1):
+            heads = [itertools.chain(s, itertools.repeat(np.inf)) for s in streams]
+            expect = heap_merge(heads, count)
+            got = _merge(np.concatenate([np.asarray(s, dtype=float) for s in streams]),
+                         count)
+            assert np.array_equal(got, expect)
+            assert np.all(np.diff(got, prepend=0.0) > 0.0)
 
 
 class TestThinning:
