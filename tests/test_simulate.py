@@ -121,7 +121,7 @@ class TestAlgorithm1:
 
     @pytest.mark.parametrize("streams", [
         pytest.param([[1.0, 2.0], [1.0, 2.0], [1.0, 3.0]], id="ties-across-streams"),
-        pytest.param([[1.0, 1.0, 1.0], [1.0, NEXT], [NEXT, 4.0]], id="run-of-five"),
+        pytest.param([[1.0, 1.0, 1.0], [1.0, NEXT], [NEXT, 4.0]], id="cascading-run"),
         pytest.param([[0.0, 0.5], [0.0, 5e-324]], id="ties-at-zero"),
         pytest.param([[0.5, 1.0, 3.0], [2.0]], id="no-ties")])
     def test_merge_nudges_ties_as_the_heap_does(self, streams):
