@@ -140,10 +140,11 @@ def envelope_cumulative(hazard, a, b, lower_off, upper_off):
     Each age term contributes ``H(b - o) - H(a - o)`` with ``H`` the
     cumulative hazard, summed as in :func:`envelope_rates`. The offsets must
     hold on the whole interval, i.e. no event lies in ``(a, b)`` and ``a``
-    does not precede the history they come from.
+    does not precede the history they come from, so every age is >= 0 and
+    the trusted ``hazard.cumulative_unchecked`` applies.
     """
-    terms = (hazard.cumulative(_envelope_ages(b, lower_off, upper_off))
-             - hazard.cumulative(_envelope_ages(a, lower_off, upper_off)))
+    terms = (hazard.cumulative_unchecked(_envelope_ages(b, lower_off, upper_off))
+             - hazard.cumulative_unchecked(_envelope_ages(a, lower_off, upper_off)))
     return _envelope_sums(terms)
 
 

@@ -195,14 +195,18 @@ def cmd_simulate_sgrp(args):
     return 0
 
 
+def _require_n_events(cfg: RunConfig):
+    if cfg.n_events is None:
+        raise ConfigError("algorithm1 needs run.n_events (no horizon mode)")
+
+
 def cmd_simulate_approx(args):
     cfg = load_config(args.config)
     seed = _resolve_seed(cfg, args)
     out = _out_dir(args)
     am = _approx_model(cfg)
     if args.method == "algorithm1":
-        if cfg.n_events is None:
-            raise ConfigError("algorithm1 needs run.n_events (no horizon mode)")
+        _require_n_events(cfg)
         masked = simulate_algorithm1(am, cfg.n_events, seed)
     else:
         masked = simulate_thinning(am, n_events=cfg.n_events,
@@ -301,15 +305,17 @@ def _run_figure_task(task):
             masked = simulate_thinning(am, n_events=cfg.n_events,
                                        horizon=cfg.horizon, seed=task["seed"])
         times = masked.times
-    curve = rate_curve(times, cfg.bin_width)
+    curve = rate_curve(times, cfg.bin_width, horizon=cfg.horizon)
     return (task["name"], curve.starts, curve.counts, int(times.size))
 
 
 def cmd_figures(args):
     cfg = load_config(args.config)
     seed = _resolve_seed(cfg, args)
-    out = _out_dir(args)
     tasks = _figure_tasks(args.which, cfg, seed, args.method)
+    if args.method == "algorithm1" and any(t["kind"] == "approx" for t in tasks):
+        _require_n_events(cfg)
+    out = _out_dir(args)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_figure_task, tasks))

@@ -7,13 +7,13 @@ exact inversion instead of root finding. ``scaled`` returns the same family
 with the rate multiplied by a positive constant, which keeps thinned or split
 subprocess intensities inside the closed-form world.
 
-The public methods validate their arguments: a negative or NaN time raises
-``DomainError``. ``rate_unchecked`` is the trusted array kernel behind
-``rate`` for hot loops. It takes a float array of ages, skips the
-nonnegativity check and the floating-point error state, and returns the same
-floats as ``rate``. Its caller guarantees ages >= 0 and a nondecreasing rate
-(so ``0 ** negative`` cannot occur), as the envelope evaluations do after
-checking the hazard and the evaluation time once.
+A family defines three trusted kernels, ``rate_unchecked``,
+``cumulative_unchecked`` and ``inverse_cumulative_unchecked``. ``Hazard``
+wraps each once as ``rate``, ``cumulative`` and ``inverse_cumulative``, which
+refuse a negative or NaN argument with ``DomainError`` and return a ``float``
+for a scalar, and otherwise the kernel's floats bit for bit. A kernel trusts
+its caller for arguments >= 0 and, in ``rate_unchecked``, a nondecreasing
+rate; only loops over ages the package produced itself call one.
 """
 
 from __future__ import annotations
@@ -27,41 +27,33 @@ from .errors import ConfigError, DomainError, config_number
 __all__ = ["Hazard", "PowerLawHazard", "ConstantHazard", "hazard_from_config"]
 
 
-def _nonnegative(values, name):
+def _checked(kernel, values, name):
+    """``kernel`` over ``values`` as floats, refusing a negative or NaN one."""
     arr = np.asarray(values, dtype=float)
-    # a scalar skips the array reduction: the samplers call with one value per event
     low = float(arr) if arr.ndim == 0 else (float(arr.min()) if arr.size else 0.0)
     if not low >= 0.0:  # NaN fails the comparison too
         raise DomainError(f"{name} must be nonnegative, got {low}")
-    return arr
+    out = kernel(arr)
+    return out if arr.ndim else float(out)
 
 
 class Hazard:
-    """Interface: ``rate``, ``cumulative``, ``inverse_cumulative``, ``scaled``."""
+    """The validated public methods over a family's kernels.
 
-    @property
-    def is_nondecreasing(self) -> bool:
-        """True when rate(t) never decreases; bound evaluation requires it."""
-        raise NotImplementedError
+    A family defines the three kernels, ``is_nondecreasing`` (true when the
+    rate never decreases, which bound evaluation requires), ``scaled`` and
+    ``to_config``.
+    """
 
     def rate(self, t):
-        raise NotImplementedError
-
-    def rate_unchecked(self, ages):
-        """``rate`` over a float array of ages >= 0, without validation."""
-        raise NotImplementedError
+        with np.errstate(divide="ignore"):  # 0 ** negative is +inf for beta < 1
+            return _checked(self.rate_unchecked, t, "t")
 
     def cumulative(self, t):
-        raise NotImplementedError
+        return _checked(self.cumulative_unchecked, t, "t")
 
     def inverse_cumulative(self, u):
-        raise NotImplementedError
-
-    def scaled(self, factor: float) -> "Hazard":
-        raise NotImplementedError
-
-    def to_config(self) -> dict:
-        raise NotImplementedError
+        return _checked(self.inverse_cumulative_unchecked, u, "u")
 
 
 @dataclass(frozen=True)
@@ -91,24 +83,14 @@ class PowerLawHazard(Hazard):
     def is_nondecreasing(self) -> bool:
         return self.beta >= 1.0
 
-    def rate(self, t):
-        arr = _nonnegative(t, "t")
-        with np.errstate(divide="ignore"):
-            out = (self.beta / self.eta) * np.power(arr / self.eta, self.beta - 1.0)
-        return out if arr.ndim else float(out)
-
     def rate_unchecked(self, ages):
         return (self.beta / self.eta) * np.power(ages / self.eta, self.beta - 1.0)
 
-    def cumulative(self, t):
-        arr = _nonnegative(t, "t")
-        out = np.power(arr / self.eta, self.beta)
-        return out if arr.ndim else float(out)
+    def cumulative_unchecked(self, ages):
+        return np.power(ages / self.eta, self.beta)
 
-    def inverse_cumulative(self, u):
-        arr = _nonnegative(u, "u")
-        out = self.eta * np.power(arr, 1.0 / self.beta)
-        return out if arr.ndim else float(out)
+    def inverse_cumulative_unchecked(self, u):
+        return self.eta * np.power(u, 1.0 / self.beta)
 
     def scaled(self, factor):
         if not factor > 0.0:
@@ -117,7 +99,10 @@ class PowerLawHazard(Hazard):
                               allow_decreasing=self.allow_decreasing)
 
     def to_config(self):
-        return {"family": "power_law", "beta": self.beta, "eta": self.eta}
+        cfg = {"family": "power_law", "beta": self.beta, "eta": self.eta}
+        if self.allow_decreasing:
+            cfg["allow_decreasing"] = True
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -134,24 +119,14 @@ class ConstantHazard(Hazard):
     def is_nondecreasing(self) -> bool:
         return True
 
-    def rate(self, t):
-        arr = _nonnegative(t, "t")
-        if arr.ndim:
-            return np.full(arr.shape, self.rate0)
-        return float(self.rate0)
-
     def rate_unchecked(self, ages):
         return np.full(ages.shape, self.rate0)
 
-    def cumulative(self, t):
-        arr = _nonnegative(t, "t")
-        out = self.rate0 * arr
-        return out if arr.ndim else float(out)
+    def cumulative_unchecked(self, ages):
+        return self.rate0 * ages
 
-    def inverse_cumulative(self, u):
-        arr = _nonnegative(u, "u")
-        out = arr / self.rate0
-        return out if arr.ndim else float(out)
+    def inverse_cumulative_unchecked(self, u):
+        return u / self.rate0
 
     def scaled(self, factor):
         if not factor > 0.0:
@@ -172,9 +147,11 @@ def hazard_from_config(cfg) -> Hazard:
             beta, eta = cfg["beta"], cfg["eta"]
         except KeyError as missing:
             raise ConfigError(f"power_law hazard needs key {missing}") from None
+        allow = cfg.get("allow_decreasing", False)
+        if not isinstance(allow, bool):
+            raise ConfigError(f"hazard.allow_decreasing must be true or false, got {allow!r}")
         return PowerLawHazard(config_number("hazard.beta", beta),
-                              config_number("hazard.eta", eta),
-                              allow_decreasing=bool(cfg.get("allow_decreasing", False)))
+                              config_number("hazard.eta", eta), allow_decreasing=allow)
     if family == "constant":
         try:
             rate = cfg["rate"]

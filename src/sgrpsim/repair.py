@@ -54,10 +54,16 @@ def next_failure_time(hazard, offset, last, exponential):
     ``offset`` is the component's effective-age offset after its failure at
     ``last`` (0 and 0 for a fresh component). Solves for the unique t past
     ``last`` whose integrated conditional intensity equals ``exponential``.
-    Trusts its arguments; public entry points validate.
+    Trusts its arguments and calls the hazard's kernels; public entry points
+    validate.
+
+    The age ``last - offset`` is clamped at 0. Under ``ARA(m, rho)`` with
+    m >= 2 and rho near 1 the float sum behind ``offset`` can round past
+    ``last`` by an ulp (with m = 1, ``rho * last <= last`` holds exactly).
     """
-    target = hazard.cumulative(last - offset) + exponential
-    t = offset + hazard.inverse_cumulative(target)
+    age = last - offset
+    target = hazard.cumulative_unchecked(age if age > 0.0 else 0.0) + exponential
+    t = offset + hazard.inverse_cumulative_unchecked(target)
     if t <= last:  # float underflow guard for tiny exponentials
         t = float(np.nextafter(last, np.inf))
     return float(t)

@@ -10,7 +10,7 @@ the weighted envelope combination:
   earliest times across streams. Every stream draws from its own derived
   seed, so streams sharing a hazard advance together, block by block, one
   vector step per failure of each; the result does not depend on the block
-  sizes and needs O(count + n) memory.
+  sizes, and memory is O(count + n) at a steady pace.
 * ``simulate_thinning`` samples directly from the exact model intensity by
   window thinning and serves as the oracle for the stream decomposition,
   whose faithfulness to the model is reported rather than assumed.
@@ -76,10 +76,10 @@ def _rejuvenating_streams(model, hazard, rngs):
         # a lone stream steps on scalars, which cost less than 1-element arrays
         rows = block[:, 0] if len(rngs) == 1 else block
         for j in range(k):
-            target = hazard.cumulative(t - offset) + rows[j]
-            # next_failure_time's underflow guard: a time not past the last
-            # failure becomes the next float up
-            t = np.maximum(offset + hazard.inverse_cumulative(target),
+            # next_failure_time's guards: the age clamped at 0, and a time not
+            # past the last failure becomes the next float up
+            target = hazard.cumulative_unchecked(np.maximum(t - offset, 0.0)) + rows[j]
+            t = np.maximum(offset + hazard.inverse_cumulative_unchecked(target),
                            np.nextafter(t, np.inf))
             state, offset = model.offset_step(state, t)
             rows[j] = t
@@ -98,7 +98,7 @@ def _poisson_stream(hazard, rng):
     while True:
         taus = np.cumsum(np.concatenate((tau, rng.exponential(size=k))))
         tau = taus[-1:]
-        k = yield hazard.inverse_cumulative(taus[1:])[:, None]
+        k = yield hazard.inverse_cumulative_unchecked(taus[1:])[:, None]
 
 
 def _merge(times, count):
@@ -133,8 +133,10 @@ def simulate_algorithm1(am: ApproxModel, count, seed) -> MaskedHistory:
     Deterministic given ``seed``: every stream draws from its own derived
     generator keyed by (seed, stream-index). Streams sharing a hazard advance
     together in blocks until every stream has reached the ``count``-th
-    smallest time generated, so no later time can enter the merge; memory is
-    O(count + n).
+    smallest time generated, so no later time can enter the merge. A block is
+    at most ``count`` steps, and a stream holding ``count`` times has reached
+    that time, so a stream takes fewer than ``2 * count`` steps: memory is
+    O(count + n) at a steady pace and O(count * n) at worst.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -172,9 +174,10 @@ def simulate_algorithm1(am: ApproxModel, count, seed) -> MaskedHistory:
         slowest = [bs[-1][-1].min() for bs in blocks]  # each group's earliest last time
         pending = [g for g, t in enumerate(slowest) if t < t_star]
         for g in pending:
-            # as many steps again as the slowest stream's pace extrapolates to t_star
+            # as many steps again as the slowest stream's pace extrapolates to
+            # t_star, at most count: a stream holding count times has reached it
             done = sum(len(b) for b in blocks[g])
-            steps[g] = math.ceil(done * (t_star / slowest[g] - 1.0)) + 1
+            steps[g] = math.ceil(min(done * (t_star / slowest[g] - 1.0), count - 1)) + 1
     out = _merge(times, count)
     return MaskedHistory(times=out, n=n, t_obs=float(out[-1]))
 

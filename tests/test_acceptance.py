@@ -14,8 +14,7 @@ import pytest
 
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, MaskedHistory,
                      Normalization, PowerLawHazard, approx_intensity,
-                     approx_intensity_ara, derive_seed, intensity_integral,
-                     ks_exp1, mask, mean_rate, nhpp_sample, rate_curve,
+                     approx_intensity_ara, derive_seed, ks_exp1, mask, mean_rate, nhpp_sample, rate_curve,
                      sgrp_bounds, sgrp_bounds_at_events, simulate_algorithm1,
                      simulate_sgrp, simulate_thinning, stream_rng,
                      true_intensity_at_events)
@@ -204,13 +203,14 @@ def test_ac5_sampler_diagnostics():
         times = []
         for _ in range(400):
             times.append(model.sample_next_failure(PL, times, rng))
+        # the offset is constant between failures, so each interval's
+        # integrated intensity is a difference of the cumulative hazard
+        # (tests/test_repair.py checks this form against quadrature)
         residuals = np.empty(len(times))
         prev = 0.0
         for k, t in enumerate(times):
-            hist = times[:k]
-            integral = intensity_integral(
-                lambda u: model.conditional_intensity(PL, hist, u))
-            residuals[k] = integral(prev, t)
+            o = model.effective_age_offset(times[:k])
+            residuals[k] = PL.cumulative(t - o) - PL.cumulative(prev - o)
             prev = t
         fails_a += ks_exp1(residuals).rejects[0.01]
 

@@ -227,6 +227,40 @@ class TestFigures:
         assert tree_bytes(serial) == tree_bytes(parallel)
 
 
+class TestHorizonConfigs:
+    HORIZON = {"horizon": 2500.0, "seed": 3, "bin_width": 1000.0}
+
+    def test_figures_algorithm1_needs_n_events(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(run=self.HORIZON))
+        proc = run_cli(["figures", "--config", cfg, "--out", "figs", "--which", "fig4"],
+                       tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: config: algorithm1 needs run.n_events (no horizon mode)\n"
+        assert not (tmp_path / "figs").exists()  # refused before any curve runs
+
+    @pytest.mark.parametrize("which,method", [("fig3", "algorithm1"), ("fig5", "thinning")])
+    def test_figures_drop_the_partial_tail_bin(self, tmp_path, which, method):
+        cfg = write_config(tmp_path, base_config(run=self.HORIZON))
+        out = tmp_path / "figs"
+        assert main(["figures", "--config", cfg, "--out", str(out),
+                     "--which", which, "--method", method]) == 0
+        curves = sorted(out.glob("*_rates.csv"))
+        assert curves
+        for csv in curves:
+            starts, _, _ = read_rates_csv(csv)
+            assert list(starts) == [0.0, 1000.0]  # [2000, 3000) is partial
+
+    def test_deep_memory_overshoot_config_runs(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(
+            hazard={"family": "power_law", "beta": 0.3, "eta": 1.0, "allow_decreasing": True},
+            repair={"model": "ara", "m": 9, "rho": 0.999999}, system={"n": 1},
+            run={"n_events": 5000, "seed": 0}))
+        proc = run_cli(["simulate-sgrp", "--config", cfg, "--out", "out"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        times, _ = read_events_csv(tmp_path / "out" / "events.csv")
+        assert times.size == 5000 and np.all(np.diff(times) > 0.0)
+
+
 class TestErrorPaths:
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["simulate-sgrp", "--config", str(tmp_path / "nope.json"),
@@ -296,6 +330,7 @@ class TestConfigContract:
         ("system", "n", 2.5, "system.n"),
         ("run", "n_events", 10.9, "run.n_events"),
         ("repair", "m", 1.5, "repair.m"),
+        ("hazard", "allow_decreasing", "false", "hazard.allow_decreasing"),
     ])
     def test_non_numeric_config_value(self, tmp_path, section, key, value, mentions):
         cfg = write_config(tmp_path, with_value(section, key, value))

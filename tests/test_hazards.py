@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
-from sgrpsim import ConstantHazard, DomainError, PowerLawHazard, hazard_from_config
+from sgrpsim import (ConfigError, ConstantHazard, DomainError, PowerLawHazard,
+                     hazard_from_config)
 
 PL = PowerLawHazard(1.3, 40.0)
 
@@ -158,9 +162,83 @@ class TestConfig:
         for h in (PL, ConstantHazard(0.1)):
             assert hazard_from_config(h.to_config()) == h
 
+    def test_allow_decreasing_round_trip(self):
+        h = PowerLawHazard(0.8, 10.0, allow_decreasing=True)
+        assert h.to_config()["allow_decreasing"] is True
+        assert hazard_from_config(h.to_config()) == h
+        # the flag is emitted only when set, so default dicts are unchanged
+        assert PL.to_config() == {"family": "power_law", "beta": 1.3, "eta": 40.0}
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_allow_decreasing_must_be_a_boolean(self, flag):
+        with pytest.raises(ConfigError, match="allow_decreasing"):
+            hazard_from_config({"family": "power_law", "beta": 1.3, "eta": 40.0,
+                                "allow_decreasing": flag})
+
     def test_bad_family(self):
-        from sgrpsim import ConfigError
         with pytest.raises(ConfigError):
             hazard_from_config({"family": "weibull"})
         with pytest.raises(ConfigError):
             hazard_from_config({"beta": 1.0})
+
+
+HAZARDS = st.one_of(
+    st.builds(PowerLawHazard, st.floats(0.05, 8.0), st.floats(1e-3, 1e3),
+              allow_decreasing=st.just(True)),
+    st.builds(ConstantHazard, st.floats(1e-3, 1e3)))
+VALUES = st.one_of(st.just(0.0), st.floats(0.0, 1e6))
+KERNELS = (("rate", "rate_unchecked"), ("cumulative", "cumulative_unchecked"),
+           ("inverse_cumulative", "inverse_cumulative_unchecked"))
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestKernelContract:
+    """The public methods are their family's kernels plus validation, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=HAZARDS, x=VALUES)
+    def test_scalar_gives_the_kernel_float(self, h, x):
+        for public, kernel in KERNELS:
+            with np.errstate(divide="ignore"):
+                want = getattr(h, kernel)(np.asarray(x))
+            for arg in (x, np.float64(x), np.asarray(x)):  # scalar and 0-d
+                with np.errstate(divide="raise"):  # rate(0) of beta < 1 is a quiet inf
+                    got = getattr(h, public)(arg)
+                assert type(got) is float
+                assert bits(got) == bits(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=HAZARDS, x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3,
+                                                                 min_side=0, max_side=5),
+                                   elements=VALUES))
+    def test_array_gives_the_kernel_array(self, h, x):
+        for public, kernel in KERNELS:
+            with np.errstate(divide="ignore"):
+                want = getattr(h, kernel)(x)
+            with np.errstate(divide="raise"):
+                got = getattr(h, public)(x)
+            assert isinstance(got, np.ndarray) and got.shape == x.shape
+            assert bits(got) == bits(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=HAZARDS, bad=st.one_of(st.just(np.nan), st.floats(max_value=-1e-300)),
+           shape=st.sampled_from([(), (1,), (3,), (2, 2)]))
+    def test_negative_or_nan_refused(self, h, bad, shape):
+        x = np.full(shape, bad) if shape else bad
+        for public, _ in KERNELS:
+            with pytest.raises(DomainError):
+                getattr(h, public)(x)
+            if shape:  # one bad value among good ones
+                y = np.ones(shape)
+                y.flat[-1] = bad
+                with pytest.raises(DomainError):
+                    getattr(h, public)(y)
+
+    def test_families_define_only_the_kernels(self):
+        for family in (PowerLawHazard, ConstantHazard):
+            for public, kernel in KERNELS:
+                assert public not in vars(family)
+                assert kernel in vars(family)

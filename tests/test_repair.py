@@ -190,6 +190,10 @@ def test_sampler_time_rescaling():
         integral = intensity_integral(
             lambda u: model.conditional_intensity(PL, hist, u))
         residuals[k] = integral(prev, t)
+        # the closed form the acceptance gate uses agrees to quad's tolerance
+        o = model.effective_age_offset(hist)
+        closed = PL.cumulative(t - o) - PL.cumulative(prev - o)
+        assert closed == pytest.approx(residuals[k], rel=1e-7)
         prev = t
     assert not ks_exp1(residuals).rejects[0.01]
 

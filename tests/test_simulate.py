@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+import sgrpsim.simulate as simulate
 from history_oracle import (grp_stream, grp_stream_from_history, heap_merge,
                             nhpp_stream, simulate_algorithm1_heap,
                             simulate_thinning_from_history)
@@ -116,6 +117,41 @@ class TestAlgorithm1:
         got = simulate_algorithm1(am, count, seed=12)
         expect = simulate_algorithm1_heap(am, count, seed=12, grp=grp_stream_from_history)
         assert np.array_equal(got.times, expect.times)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_block_requests_are_capped_at_count(self, n, monkeypatch):
+        # with a decreasing hazard the first times are tiny, and extrapolating
+        # the slowest stream's pace to the count-th smallest time asked for
+        # billions of draws; every request is checked before it is forwarded,
+        # so an uncapped one fails here without allocating. ARA(9, rho near 1)
+        # offsets can round past the last failure: an unclamped age would make
+        # a NaN step (a RuntimeWarning) and silently end its stream
+        count, requests = 5000, []
+
+        def capped(make):
+            def wrapper(*args):
+                gen = make(*args)
+
+                def checked():
+                    k = yield next(gen)
+                    while True:
+                        requests.append(k)
+                        assert k <= count
+                        k = yield gen.send(k)
+                return checked()
+            return wrapper
+
+        monkeypatch.setattr(simulate, "_rejuvenating_streams",
+                            capped(simulate._rejuvenating_streams))
+        monkeypatch.setattr(simulate, "_poisson_stream", capped(simulate._poisson_stream))
+        am = ApproxModel(n, 0.5, PowerLawHazard(0.3, 1.0, allow_decreasing=True),
+                         ARA(9, 0.999999))
+        out = simulate_algorithm1(am, count, seed=0)
+        assert requests and max(requests) <= count
+        assert len(out) == count
+        assert np.all(np.isfinite(out.times))
+        assert np.all(np.diff(out.times) > 0.0)
 
     NEXT = float(np.nextafter(1.0, np.inf))
 

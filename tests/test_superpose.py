@@ -136,6 +136,18 @@ class TestSimulate:
             rejects += chi2 > crit
         assert rejects <= int(0.05 * runs)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_deep_memory_offset_past_the_last_failure(self):
+        # ARA(9, rho near 1): the float sum behind an offset can round an ulp
+        # past the last failure, and the age is clamped at 0 instead of
+        # reaching the cumulative hazard negative
+        full = simulate_sgrp(1, ARA(9, 0.999999),
+                             PowerLawHazard(0.3, 1.0, allow_decreasing=True),
+                             n_events=5000, seed=0)
+        assert len(full) == 5000
+        assert np.all(np.isfinite(full.times))
+        assert np.all(np.diff(full.times) > 0.0)
+
     def test_stop_rule_required(self):
         with pytest.raises(ValueError):
             simulate_sgrp(2, Perfect(), PL, seed=1)
