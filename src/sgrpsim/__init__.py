@@ -9,9 +9,8 @@ and time-rescaling diagnostics to verify every claim at desk scale.
 
 __version__ = "0.1.0"
 
-from .approx import ApproxModel, Normalization, approx_intensity, approx_intensity_ara
-from .bounds import (BoundPair, ara_lag_offsets, heterogeneous_upper, sgrp_bounds,
-                     sgrp_bounds_at_events)
+from .approx import ApproxModel, Normalization, approx_intensity
+from .bounds import BoundPair, heterogeneous_upper, sgrp_bounds, sgrp_bounds_at_events
 from .errors import ConfigError, DomainError
 from .hazards import ConstantHazard, Hazard, PowerLawHazard, hazard_from_config
 from .repair import ARA, Kijima1, Minimal, Perfect, check_history, repair_from_config
@@ -24,9 +23,8 @@ from .superpose import (FullHistory, MaskedHistory, mask, simulate_sgrp,
 
 __all__ = [
     "__version__",
-    "ApproxModel", "Normalization", "approx_intensity", "approx_intensity_ara",
-    "BoundPair", "ara_lag_offsets", "heterogeneous_upper", "sgrp_bounds",
-    "sgrp_bounds_at_events",
+    "ApproxModel", "Normalization", "approx_intensity",
+    "BoundPair", "heterogeneous_upper", "sgrp_bounds", "sgrp_bounds_at_events",
     "ConfigError", "DomainError",
     "ConstantHazard", "Hazard", "PowerLawHazard", "hazard_from_config",
     "ARA", "Kijima1", "Minimal", "Perfect", "check_history", "repair_from_config",

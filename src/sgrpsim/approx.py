@@ -1,9 +1,9 @@
 """Weighted combination of the masked-data intensity envelopes.
 
 The model interpolates between the lower and upper envelope with a weight
-``delta`` in [0, 1]: ``delta = 1`` follows the round-robin (most reliable)
-attribution, ``delta = 0`` the single-component (least reliable) one. A
-normalization switch decides whether the configured hazard is each
+``delta`` in [0, 1]: ``delta = 1`` follows the lower-envelope (most
+reliable) attribution, ``delta = 0`` the single-component (least reliable)
+one. A normalization switch decides whether the configured hazard is each
 component's own rate (``COMPONENT``) or the whole-system rate split evenly so
 that each component carries rate/n (``SYSTEM_SPLIT``, the convention the
 stream samplers use). Under ``SYSTEM_SPLIT`` a constant hazard makes the
@@ -11,11 +11,10 @@ model intensity exactly the constant, for every history and delta.
 
 ``approx_intensity`` assembles the value from the envelope machinery: the
 model's repair form and component hazard are checked once per model, and
-the envelope offsets once per masked history;
-``approx_intensity_ara`` evaluates the equivalent closed-form expression in
-its three history regimes (no failures yet, at most one failure per lag,
-beyond one full cycle) and exists as an independent arithmetic path for
-cross-checking.
+the envelope offsets once per masked history. Both envelopes read the
+single-component offsets ``W`` of the masked prefixes (see ``bounds``), so
+for m >= 2 the lower side is the provable ``W`` bound rather than the
+paper's round robin.
 """
 
 from __future__ import annotations
@@ -24,15 +23,13 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .bounds import _eval_time, envelope_rates
 from .errors import ConfigError, DomainError, config_number
 from .hazards import Hazard, hazard_from_config
 from .repair import ARA, repair_from_config
 from .superpose import MaskedHistory
 
-__all__ = ["Normalization", "ApproxModel", "approx_intensity", "approx_intensity_ara"]
+__all__ = ["Normalization", "ApproxModel", "approx_intensity"]
 
 
 class Normalization(enum.Enum):
@@ -119,41 +116,3 @@ def approx_intensity(am: ApproxModel, mh: MaskedHistory, t) -> float:
     hc = am._envelope_hazard
     lower, upper = envelope_rates(hc, _eval_time(mh, t), *mh.envelope_offsets(am.repair))
     return float(am.delta * lower + (1.0 - am.delta) * upper)
-
-
-def approx_intensity_ara(am: ApproxModel, mh: MaskedHistory, t) -> float:
-    """Closed-form regime evaluation of the same model.
-
-    Regimes by masked count N: N = 0 (fresh system), 1 <= N <= n (single-term
-    offsets), N > n (geometric offsets truncated at min(floor(N/n), m) terms
-    for the round-robin lags). The single-component term always carries its
-    full min(N, m)-term memory. Agrees with :func:`approx_intensity` to float
-    round-off.
-    """
-    _check_history_n(am, mh)
-    hc = am._envelope_hazard
-    t = _eval_time(mh, t)
-    times = mh.times
-    big_n = int(times.size)
-    n, d = am.n, am.delta
-    m, rho = am.repair.m, am.repair.rho
-    lam = hc.rate
-
-    if big_n == 0:
-        return float(n * lam(t))
-
-    j_up = np.arange(min(m, big_n))
-    off_up = float(np.sum(rho * np.power(1.0 - rho, j_up) * times[big_n - 1 - j_up]))
-
-    if big_n <= n:
-        head = ((n - big_n) * d + (n - 1) * (1.0 - d)) * lam(t)
-        tail = d * float(np.sum(lam(t - rho * times)))
-        return float(head + (1.0 - d) * lam(t - off_up) + tail)
-
-    q = min(big_n // n - 1, m - 1)
-    j = np.arange(q + 1)[:, None]
-    idx = big_n - n * j - np.arange(n)[None, :]
-    offs = np.sum(rho * np.power(1.0 - rho, j) * times[idx - 1], axis=0)
-    head = (n - 1) * (1.0 - d) * lam(t)
-    tail = d * float(np.sum(lam(t - offs)))
-    return float(head + (1.0 - d) * lam(t - off_up) + tail)

@@ -1,13 +1,23 @@
 """Intensity envelopes for masked failure data from a series system.
 
-With component labels removed, the system intensity is bracketed by the two
-extreme attributions of the masked times. For the lower envelope each of the
-last n system failures lands on a distinct component (round-robin further
-back), which keeps the fleet as young as possible; for the upper envelope
-every failure lands on one component, leaving the other n-1 components at the
-fresh rate. Both reduce to shifted evaluations of the initial rate under the
-age-reduction repair family, and both require a nondecreasing rate and
-effectiveness in [0, 1].
+With component labels removed, the system intensity is bracketed by two
+attributions of the masked times ``T_1 < ... < T_N``. Under the
+age-reduction repair ``ARA(m, rho)`` both read one array, ``W``: ``W(L)`` is
+the offset a single component carries after failing at all of
+``T_1..T_L``, and ``W(L) = 0`` for ``L <= 0``.
+
+* Lower: ``sum_{i<n} rate(t - W(N-i))``. A component whose latest failure is
+  at or before ``T_L`` has offset at most ``W(L)``, and the k components with
+  the largest offsets have distinct latest failures, so the k-th largest
+  offset is at most ``W(N-k+1)``; a nondecreasing rate makes the sum a lower
+  bound for every m. For m = 1 it is the paper's round robin (each of the
+  last n failures on its own component); for m >= 2 it departs from it.
+* Upper: every failure lands on one component, the other n-1 stay fresh:
+  ``(n-1) rate(t) + rate(t - W(N))``. It is a bound for m = 1.
+
+Lag 0 of the lower envelope is the upper's own term and every other lag is
+at most the fresh rate, so lower <= upper. Both require a nondecreasing rate
+and effectiveness in [0, 1].
 
 Evaluation at a failure time uses the left limit: the history handed in must
 exclude an event exactly at ``t``.
@@ -18,13 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
 from .repair import check_history
 from .superpose import BLOCK_ROWS, MaskedHistory
 
 __all__ = ["BoundPair", "sgrp_bounds", "sgrp_bounds_at_events", "heterogeneous_upper",
-           "ara_lag_offsets", "envelope_offsets", "envelope_rates", "envelope_cumulative"]
+           "envelope_offset_rows", "envelope_offsets", "envelope_rates",
+           "envelope_cumulative"]
 
 
 @dataclass(frozen=True)
@@ -57,50 +69,26 @@ def _eval_time(mh, t) -> float:
     return t
 
 
-def ara_lag_offsets(times, n, m, rho, lengths=None) -> np.ndarray:
-    """Age offsets of the n lag intensities forming the lower envelope.
+def envelope_offset_rows(times, n, ara):
+    """(lag offsets, single-component offset) of every prefix of ``times``.
 
-    Lag i (i = 0..n-1) stands for the component whose latest assumed failure
-    is the (N-i)-th masked time; earlier failures are attributed every n
-    events further back. Lags with no attributed failure keep offset 0 (a
-    fresh component). Once every lag has a failure (N > n) the geometric
-    memory is capped uniformly at min(floor(N/n), m) terms per lag.
-
-    With ``lengths``, an array of prefix lengths, it returns one row per
-    length: row r equals, bit for bit, the offsets of ``times[:lengths[r]]``.
+    Row k, for k = 0..N, holds the offsets after ``times[:k]``: the lags
+    ``W(k), W(k-1), .., W(k-n+1)`` newest first, and ``W(k)``. Both are
+    read-only views of one padded copy of ``W``.
     """
-    times = np.asarray(times, dtype=float)
-    if lengths is None:
-        big_n = n_max = times.size
-    else:
-        big_n = np.asarray(lengths)[:, None]
-        n_max = int(big_n.max(initial=0))
-    if times.size == 0 or rho == 0.0:
-        return np.zeros(np.shape(big_n)[:1] + (n,))
-    q_max = min(max(n_max // n - 1, 0), m - 1)
-    q = q_max if lengths is None else np.minimum(big_n // n - 1, m - 1)
-    weights = rho * np.power(1.0 - rho, np.arange(q_max + 1))
-    lag_n = big_n - np.arange(n)  # 1-based index of each lag's newest time
-    out = None
-    for j, w in enumerate(weights):
-        idx = lag_n - n * j
-        keep = idx >= 1
-        if j:  # rows whose memory holds fewer terms add +0.0
-            keep &= q >= j
-        term = w * np.where(keep, times[np.maximum(idx, 1) - 1], 0.0)
-        out = term if out is None else out + term
-    return out
+    padded = np.concatenate((np.zeros(n), ara.offsets_after(times)))
+    padded.flags.writeable = False
+    return sliding_window_view(padded, n)[:, ::-1], padded[n - 1:]
 
 
-def envelope_offsets(times, n, ara, lengths=None):
-    """(lag offsets, single-component offset) of the two envelopes under ``ara``.
+def envelope_offsets(times, n, ara):
+    """(lag offsets, single-component offset) of the two envelopes after ``times``.
 
-    The single-component offset is lag 0 of a one-component round robin,
-    where every masked time lands on the same component. With ``lengths``
-    both have one row per prefix length (see :func:`ara_lag_offsets`).
+    The n lags ``W(N-i)`` read the last n + m - 1 times only.
     """
-    return (ara_lag_offsets(times, n, ara.m, ara.rho, lengths),
-            ara_lag_offsets(times, 1, ara.m, ara.rho, lengths)[..., 0])
+    tail = np.asarray(times, dtype=float)[-(n + ara.m - 1):]
+    lower, upper = envelope_offset_rows(tail, n, ara)
+    return lower[-1], upper[-1]
 
 
 def _envelope_ages(t, lower_off, upper_off):
@@ -165,19 +153,20 @@ def sgrp_bounds_at_events(times, n, model, hazard):
     """Left-limit envelopes at each event of a masked trajectory.
 
     Row k is evaluated at ``times[k]`` with the history strictly before it, so
-    it equals ``sgrp_bounds`` on the k-event prefix, bit for bit. Rows are
-    evaluated in blocks of at most ``BLOCK_ROWS``, with one rate call per
-    block. Returns (lower, upper) arrays.
+    it equals ``sgrp_bounds`` on the k-event prefix, bit for bit. ``W`` is
+    computed once; rows are evaluated in blocks of at most ``BLOCK_ROWS``,
+    with one rate call per block. Returns (lower, upper) arrays.
     """
     _require_nondecreasing(hazard)
     _require_improving(model)
     times = check_history(times)
     lower = np.empty(times.size)
     upper = np.empty(times.size)
+    lower_off, upper_off = envelope_offset_rows(times, n, model)
     for k0 in range(0, times.size, BLOCK_ROWS):
         k1 = min(k0 + BLOCK_ROWS, times.size)
-        offsets = envelope_offsets(times, n, model, np.arange(k0, k1))
-        lower[k0:k1], upper[k0:k1] = envelope_rates(hazard, times[k0:k1], *offsets)
+        lower[k0:k1], upper[k0:k1] = envelope_rates(
+            hazard, times[k0:k1], lower_off[k0:k1], upper_off[k0:k1])
     return lower, upper
 
 

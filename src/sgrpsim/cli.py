@@ -37,7 +37,7 @@ from .simulate import simulate_algorithm1, simulate_thinning
 from .stats import rate_curve
 from .superpose import mask, simulate_sgrp, true_intensity_at_events
 
-OUTPUT_SCHEME = 2  #: manifest field: version of the arithmetic behind the output bytes
+OUTPUT_SCHEME = 3  #: manifest field: version of the arithmetic behind the output bytes
 DEFAULT_BIN_WIDTH = 1000.0
 SANDWICH_SLACK = 1e-9
 
@@ -246,7 +246,7 @@ def cmd_rate_curve(args):
     if not events_path.exists():
         raise FileNotFoundError(f"event log {events_path} does not exist")
     times, _ = read_events_csv(events_path)
-    curve = rate_curve(times, cfg.bin_width)
+    curve = rate_curve(times, cfg.bin_width, horizon=cfg.horizon)
     files = [write_rates_csv(out / "rates.csv", curve,
                              note=f"source={events_path.name}")]
     write_manifest(out / "manifest.json",

@@ -19,7 +19,8 @@ component with no failures (offset 0), its last ``m`` failure times, and
 returning the new state and the offset after that failure.
 ``effective_age_offset(times)`` is the fold of the step over a history;
 samplers carry one state per component instead of re-reading a growing
-history.
+history. ``offsets_after(times)`` is the same fold as one numpy pass,
+giving the offset after each failure of a history.
 """
 
 from __future__ import annotations
@@ -122,6 +123,20 @@ class ARA:
             state, offset = self.offset_step(state, float(t))
         return offset
 
+    def offsets_after(self, times) -> np.ndarray:
+        """The offset after each failure of ``times``, in one numpy pass.
+
+        Entry k equals ``effective_age_offset(times[:k + 1])`` bit for bit:
+        the products of :meth:`offset_step` are added in the same order.
+        """
+        times = np.asarray(times, dtype=float)
+        acc = np.zeros(times.size)
+        w = self.rho
+        for j in range(min(self.m, times.size)):
+            acc[j:] += w * times[:times.size - j]
+            w *= 1.0 - self.rho
+        return acc
+
     def to_config(self) -> dict:
         return {"model": "ara", "m": self.m, "rho": self.rho}
 
@@ -132,8 +147,8 @@ class ARA:
         t_arr = np.asarray(t, dtype=float)
         if t_arr.size and float(t_arr.min()) < last:
             raise DomainError(f"t must not precede the last failure at {last}")
-        offset = self.effective_age_offset(times)
-        out = hazard.rate(t_arr - offset)
+        # clamped at 0 as in next_failure_time: the offset can round past ``last``
+        out = hazard.rate(np.maximum(t_arr - self.effective_age_offset(times), 0.0))
         return out if t_arr.ndim else float(out)
 
     def sample_next_failure(self, hazard, times, rng=None, *, exponential=None):

@@ -4,8 +4,8 @@ Two independent routes generate masked trajectories whose target intensity is
 the weighted envelope combination:
 
 * ``simulate_algorithm1`` decomposes the model into subprocess streams — n
-  rejuvenating component streams carrying the weighted round-robin mass, one
-  inhomogeneous Poisson stream carrying the fresh-component mass, and one
+  rejuvenating component streams carrying the weighted lower-envelope mass,
+  one inhomogeneous Poisson stream carrying the fresh-component mass, and one
   extra rejuvenating stream for the single-component term — then emits the
   earliest times across streams. Every stream draws from its own derived
   seed, so streams sharing a hazard advance together, block by block, one
@@ -29,7 +29,7 @@ from collections import deque
 import numpy as np
 
 from .approx import ApproxModel
-from .bounds import envelope_offsets, envelope_rates
+from .bounds import envelope_rates
 from .errors import DomainError
 from .rng import stream_rng
 from .superpose import MaskedHistory
@@ -220,17 +220,15 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     if not am.repair.is_improving:
         raise DomainError("thinning requires repair effectiveness in [0, 1]")
     n, d = am.n, am.delta
-    # the lag offsets read at most the last n*m times, the single-component
-    # offset the last m, so the offsets of that tail are those of the history
-    tail = n * am.repair.m
 
     times = []
     gaps = deque(maxlen=64)  # the latest inter-event gaps set the window
-    # offsets are fixed between events, so cache them per accepted event
-    offsets = envelope_offsets(times, n, am.repair)
+    # offsets are fixed between events: each accepted event appends one
+    # single-component offset W(N), newest first, to the n lags
+    state, lower_off, upper_off = am.repair.offset_state(), np.zeros(n), 0.0
 
     def lam(t):
-        lower, upper = envelope_rates(hc, t, *offsets)
+        lower, upper = envelope_rates(hc, t, lower_off, upper_off)
         return float(d * lower + (1.0 - d) * upper)
 
     t = 0.0
@@ -259,7 +257,8 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
             if times:
                 gaps.append(t - times[-1])
             times.append(t)
-            offsets = envelope_offsets(times[-tail:], n, am.repair)
+            state, upper_off = am.repair.offset_step(state, t)
+            lower_off = np.concatenate(((upper_off,), lower_off[:-1]))
             if gaps:
                 window = _median(gaps)
 

@@ -35,7 +35,8 @@ class MaskedHistory:
 
     ``times`` is a read-only copy of the times handed in, so the envelope
     offsets of the history can be computed once per repair model and reused
-    by every evaluation on it (:meth:`envelope_offsets`).
+    by every evaluation on it (:meth:`envelope_offsets`). They come from the
+    last n + m - 1 times alone, so each model keeps O(n + m) floats.
     """
 
     times: np.ndarray
@@ -64,10 +65,8 @@ class MaskedHistory:
         except KeyError:
             from .bounds import envelope_offsets  # bounds imports this module
 
-            lower, upper = envelope_offsets(self.times, self.n, ara)
-            lower.flags.writeable = False
-            self._offsets[ara] = lower, upper
-            return lower, upper
+            offsets = self._offsets[ara] = envelope_offsets(self.times, self.n, ara)
+            return offsets
 
 
 @dataclass(frozen=True)
@@ -168,23 +167,16 @@ def true_intensity_at_events(full, model, hazard) -> np.ndarray:
     """Left-limit system intensity at every system event time, in order.
 
     Equal, bit for bit, to calling :func:`true_system_intensity` at each
-    event. Each component's offsets after its failures come from one numpy
-    pass over its failure times, adding the products of ``ARA.offset_step``
-    in the same order, in memory linear in the history ``full`` holds. The
-    rates are evaluated in blocks of at most ``BLOCK_ROWS`` events.
+    event. Each component's offsets after its failures come from one
+    ``ARA.offsets_after`` pass over its failure times, in memory linear in
+    the history ``full`` holds. The rates are evaluated in blocks of at most
+    ``BLOCK_ROWS`` events.
     """
     n = full.n
     out = np.empty(full.times.size)
-    after = []  # per component, its offset after each of its failures
-    for comp in full.per_component:
-        acc = np.zeros(comp.size)
-        w = model.rho
-        for j in range(min(model.m, comp.size)):
-            acc[j:] += w * comp[:comp.size - j]
-            w *= 1.0 - model.rho
-        after.append(acc)
     post = np.empty(out.size)  # offset of the failing component after each event
-    post[np.argsort(full.labels, kind="stable")] = np.concatenate(after)
+    post[np.argsort(full.labels, kind="stable")] = np.concatenate(
+        [model.offsets_after(comp) for comp in full.per_component])
     offsets = np.zeros(n)  # each component's offset before the block
     for k0 in range(0, out.size, BLOCK_ROWS):
         times = full.times[k0:k0 + BLOCK_ROWS]

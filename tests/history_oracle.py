@@ -3,18 +3,23 @@
 These are the O(history) loops the package used before its offsets became
 incremental: every offset is rebuilt from a component's full failure history
 at every event. The thinning loop likewise rebuilds its envelope offsets from
-the whole masked history after every accepted event and evaluates each
-envelope term with its own rate call. The stream sampler's reference draws
-one failure at a time from per-stream generators and merges them through a
-heap. The tests compare the package's incremental and lock-step paths to
-them bit for bit.
+the whole masked history after every accepted event, one prefix at a time,
+and evaluates each envelope term with its own rate call. The stream
+sampler's reference draws one failure at a time from per-stream generators
+and merges them through a heap. The tests compare the package's incremental
+and lock-step paths to them bit for bit.
+
+``approx_intensity_ara`` writes the model intensity out in closed form, as a
+second arithmetic path for the envelope assembly.
 """
 
 import heapq
 
 import numpy as np
 
-from sgrpsim import DomainError, MaskedHistory, ara_lag_offsets, stream_rng
+from sgrpsim import DomainError, MaskedHistory, stream_rng
+from sgrpsim.approx import _check_history_n
+from sgrpsim.bounds import _eval_time
 from sgrpsim.repair import next_failure_time
 
 
@@ -142,16 +147,25 @@ def simulate_algorithm1_heap(am, count, seed, grp=grp_stream):
     return MaskedHistory(times=out, n=n, t_obs=float(out[-1]))
 
 
+def envelope_offsets_from_history(model, hist, n):
+    """(lag offsets, single-component offset) after ``hist``, prefix by prefix.
+
+    Lag i is the offset of one component that failed at every time of the
+    prefix ``hist[:N - i]`` (0 once that prefix is empty), newest first; the
+    single-component offset is lag 0.
+    """
+    lags = np.array([model.effective_age_offset(hist[:max(len(hist) - i, 0)])
+                     for i in range(n)])
+    return lags, lags[0]
+
+
 def simulate_thinning_from_history(am, *, n_events=None, horizon=None, seed):
     """Window thinning that re-reads the whole masked history per accepted event."""
     rng = stream_rng(seed)
     hc = am.component_hazard()
     n, d = am.n, am.delta
-    m, rho = am.repair.m, am.repair.rho
     hist = np.empty(0)
-    # the single-component offset is lag 0 of a one-component round robin
-    lower_off = ara_lag_offsets(hist, n, m, rho)
-    upper_off = ara_lag_offsets(hist, 1, m, rho)[0]
+    lower_off, upper_off = envelope_offsets_from_history(am.repair, hist, n)
 
     def lam(t):
         lower = float(np.sum(hc.rate(t - lower_off)))
@@ -181,9 +195,40 @@ def simulate_thinning_from_history(am, *, n_events=None, horizon=None, seed):
         t = t + gap
         if rng.random() * majorant <= lam(t):
             hist = np.append(hist, t)
-            lower_off = ara_lag_offsets(hist, n, m, rho)
-            upper_off = ara_lag_offsets(hist, 1, m, rho)[0]
+            lower_off, upper_off = envelope_offsets_from_history(am.repair, hist, n)
             if hist.size >= 2:
                 window = float(np.median(np.diff(hist[-65:])))
     t_obs = float(horizon) if horizon is not None else (float(hist[-1]) if hist.size else 0.0)
     return MaskedHistory(times=hist, n=n, t_obs=t_obs)
+
+
+def approx_intensity_ara(am, mh, t):
+    """The model intensity in closed form, regime by regime.
+
+    With N masked times: N = 0 is a fresh system, n rates at t. For N >= 1
+    the lower envelope has min(N, n) lags, lag i at the offset
+    ``W(N - i) = rho * sum_{j < min(m, N - i)} (1 - rho)^j * T[N - i - j]``,
+    and n - min(N, n) fresh components; the upper envelope's one component
+    carries ``W(N)``. Checks its arguments as ``approx_intensity`` does.
+    """
+    _check_history_n(am, mh)
+    hc = am._envelope_hazard
+    t = _eval_time(mh, t)
+    times = mh.times
+    big_n = int(times.size)
+    n, d = am.n, am.delta
+    m, rho = am.repair.m, am.repair.rho
+    lam = hc.rate
+
+    if big_n == 0:
+        return float(n * lam(t))
+
+    def w(length):
+        j = np.arange(min(m, length))
+        return float(np.sum(rho * np.power(1.0 - rho, j) * times[length - 1 - j]))
+
+    lags = min(big_n, n)
+    offs = np.array([w(big_n - i) for i in range(lags)])
+    head = ((n - lags) * d + (n - 1) * (1.0 - d)) * lam(t)
+    tail = d * float(np.sum(lam(t - offs)))
+    return float(head + (1.0 - d) * lam(t - w(big_n)) + tail)

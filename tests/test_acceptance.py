@@ -14,10 +14,11 @@ import pytest
 
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, MaskedHistory,
                      Normalization, PowerLawHazard, approx_intensity,
-                     approx_intensity_ara, derive_seed, ks_exp1, mask, mean_rate, nhpp_sample, rate_curve,
+                     derive_seed, ks_exp1, mask, mean_rate, nhpp_sample, rate_curve,
                      sgrp_bounds, sgrp_bounds_at_events, simulate_algorithm1,
                      simulate_sgrp, simulate_thinning, stream_rng,
                      true_intensity_at_events)
+from history_oracle import approx_intensity_ara
 from sgrpsim.cli import main as cli_main
 from sgrpsim.io import read_rates_csv, write_rates_csv
 

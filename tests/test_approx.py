@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
+from history_oracle import approx_intensity_ara, envelope_offsets_from_history
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, MaskedHistory,
-                     Normalization, PowerLawHazard, approx_intensity,
-                     approx_intensity_ara, ara_lag_offsets, sgrp_bounds)
-from sgrpsim.bounds import envelope_offsets
+                     Normalization, PowerLawHazard, approx_intensity, sgrp_bounds)
 
 PL = PowerLawHazard(1.3, 40.0)
 
@@ -112,8 +111,9 @@ class TestHistoryMemo:
                 assert (got.lower, got.upper) == (expect.lower, expect.upper)
         for repair in self.REPAIRS:
             lower, upper = masked.envelope_offsets(repair)
-            assert np.array_equal(lower, ara_lag_offsets(times, n, repair.m, repair.rho))
-            assert upper == envelope_offsets(times, n, repair)[1]
+            expect_lower, expect_upper = envelope_offsets_from_history(repair, times, n)
+            assert np.array_equal(lower, expect_lower)
+            assert upper == expect_upper
 
     def test_times_are_read_only(self):
         masked = mh([1.0, 2.0, 4.0], 2)
@@ -191,9 +191,9 @@ class TestRegimeFormula:
             assert rel_gap(a, b) <= 1e-12
 
     def test_boundary_between_regimes(self):
-        # the partial-cycle formula applies exactly at N=n; one more event
-        # switches to the round-robin formula and the value stays consistent
-        # with the envelope route and continuous in t between events
+        # at N=n every lag first holds a failure; one more event shifts the
+        # lags and the value stays consistent with the envelope route and
+        # continuous in t between events
         n = 3
         times = np.array([2.0, 5.0, 9.0, 12.0])
         am = ApproxModel(n, 0.4, PL, ARA(2, 0.6))
@@ -217,9 +217,8 @@ class TestRegimeFormula:
 
 
 class TestShapeProperties:
-    # the envelope ordering (hence monotonicity in delta) is a guaranteed
-    # property of single-step memory; deeper memory can cross, see the bounds
-    # tests
+    # the envelope ordering (hence monotonicity in delta) holds for every m;
+    # these cases use single-step memory
     def test_convexity_sandwich(self):
         rng = np.random.default_rng(57)
         for _ in range(100):

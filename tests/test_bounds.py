@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgrpsim.bounds as bounds
+from history_oracle import envelope_offsets_from_history
 from sgrpsim import (ARA, ConstantHazard, DomainError, Kijima1, MaskedHistory,
-                     Minimal, Perfect, PowerLawHazard, ara_lag_offsets,
+                     Minimal, Perfect, PowerLawHazard,
                      heterogeneous_upper, intensity_integral, mask,
                      sgrp_bounds, sgrp_bounds_at_events, simulate_sgrp,
                      true_intensity_at_events)
@@ -13,8 +16,8 @@ from sgrpsim.cli import SANDWICH_SLACK, main
 
 PL = PowerLawHazard(1.3, 40.0)
 
-#: (repair, hazard) pairs; ARA(3, .5) lets the lag memory q rise to m-1,
-#: Minimal is rho=0 and Perfect rho=1
+#: (repair, hazard) pairs; ARA(3, .5) gives each offset W three terms of
+#: memory, Minimal is rho=0 and Perfect rho=1
 CASES = {
     "kijima1": (Kijima1(0.7), PL),
     "ara1": (ARA(1, 0.3), PL),
@@ -44,22 +47,22 @@ def random_masked(rng, n=None, max_len=25):
 
 class TestLagOffsets:
     def test_partial_first_cycle(self):
-        # N=2 <= n=3: lags take T2, T1, nothing
-        off = ara_lag_offsets(np.array([4.0, 10.0]), 3, 1, 0.5)
+        # N=2 <= n=3: lags take W(2) = rho*T2, W(1) = rho*T1, nothing
+        off = bounds.envelope_offsets(np.array([4.0, 10.0]), 3, ARA(1, 0.5))[0]
         assert np.allclose(off, [5.0, 2.0, 0.0])
 
     def test_round_robin_with_memory(self):
-        # N=5 > n=2, m=2: q = min(5//2-1, 1) = 1
+        # N=5 > n=2, m=2: lag i is W(5-i), one component failing at T1..T(5-i)
         times = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        off = ara_lag_offsets(times, 2, 2, 0.5)
-        # lag 0: 0.5*(T5 + 0.5*T3); lag 1: 0.5*(T4 + 0.5*T2)
-        assert np.allclose(off, [3.25, 2.5])
+        off = bounds.envelope_offsets(times, 2, ARA(2, 0.5))[0]
+        # lag 0: 0.5*(T5 + 0.5*T4); lag 1: 0.5*(T4 + 0.5*T3)
+        assert np.allclose(off, [3.5, 2.75])
 
     def test_memory_cap_uniform(self):
-        # q capped by floor(N/n)-1 even when m is larger
+        # W(L) holds min(m, L) terms, so memory beyond the history changes nothing
         times = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert np.allclose(ara_lag_offsets(times, 2, 9, 0.5),
-                           ara_lag_offsets(times, 2, 2, 0.5))
+        assert np.array_equal(bounds.envelope_offsets(times, 2, ARA(9, 0.5))[0],
+                              bounds.envelope_offsets(times, 2, ARA(5, 0.5))[0])
 
     def test_last_component_offset_uses_full_memory(self):
         times = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -164,34 +167,24 @@ class TestSgrpBounds:
             pair = sgrp_bounds(masked, model, PL, t)
             assert pair.lower <= pair.upper + 1e-12
 
-    def test_deep_memory_envelopes_can_cross(self):
-        # with m >= 2 the single-component term carries more (consecutive)
-        # memory than the round-robin lags, so for a concave rate and small n
-        # the two envelopes may cross; known formula property, m=1 covers
-        # every experiment in scope
-        times = np.unique(np.sort(np.random.default_rng(57).uniform(0.0, 90.0, 8)))
-        crossed = False
+    def test_deep_memory_envelopes_are_ordered(self):
+        # for every m: lag 0 of the lower envelope is the upper's own term and
+        # every other lag is at most the fresh rate
         rng = np.random.default_rng(99)
         for _ in range(2000):
             n = int(rng.integers(1, 4))
-            m = int(rng.integers(2, 4))
+            m = int(rng.integers(1, 5))
             rho = float(rng.uniform(0.3, 1.0))
             k = int(rng.integers(n + 1, 4 * n + 2))
             ts = np.unique(np.sort(rng.uniform(0.0, 90.0, size=k)))
-            if ts.size == 0:
-                continue
             masked = mh(ts, n)
             pair = sgrp_bounds(masked, ARA(m, rho), PL,
                                float(ts[-1] + rng.uniform(0, 5)))
-            if pair.lower > pair.upper + 1e-12:
-                crossed = True
-                break
-        assert crossed
+            assert pair.lower <= pair.upper + 1e-12
 
-    def test_deep_memory_true_intensity_can_fall_below_lower(self, tmp_path, capsys):
-        # with m >= 2 the sandwich itself can fail: on this README-hazard run
-        # the true intensity falls below the lower envelope at 4 events, and
-        # bounds-check reports them and exits 1
+    def test_deep_memory_sandwich_holds_on_readme_run(self, tmp_path, capsys):
+        # the round-robin lower envelope fell above the true intensity at 4
+        # events of this README-hazard run; the W lower bound holds for every m
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({
             "hazard": {"family": "power_law", "beta": 1.3, "eta": 40.0},
@@ -199,12 +192,24 @@ class TestSgrpBounds:
             "system": {"n": 5},
             "run": {"n_events": 1500, "seed": 9}}))
         out = tmp_path / "out"
-        assert main(["bounds-check", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().out.strip() == "events=1500 violations=4"
+        assert main(["bounds-check", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.strip() == "events=1500 violations=0"
         rows = np.loadtxt(out / "bounds.csv", delimiter=",", skiprows=1)
         lower, upper, true = rows[:, 1], rows[:, 2], rows[:, 3]
-        assert np.sum(true < lower - SANDWICH_SLACK) == 4
+        assert not np.any(true < lower - SANDWICH_SLACK)
         assert not np.any(true > upper + SANDWICH_SLACK)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), m=st.integers(2, 9), rho=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_deep_memory_lower_bound_property(self, n, m, rho, seed):
+        # the k-th largest component offset is at most W(N-k+1), so the lower
+        # envelope never exceeds the true intensity
+        model = ARA(m, rho)
+        full = simulate_sgrp(n, model, PL, n_events=300, seed=seed)
+        lower, _ = sgrp_bounds_at_events(full.times, n, model, PL)
+        true = true_intensity_at_events(full, model, PL)
+        assert np.all(lower <= true + 1e-9)
 
 
 def test_monotone_information():
@@ -257,16 +262,20 @@ class TestBatchedRows:
     @pytest.mark.parametrize("n,m,rho", [(1, 1, 0.3), (1, 12, 0.6), (3, 3, 0.5),
                                          (4, 9, 0.8), (7, 2, 0.0), (5, 2, 1.0)])
     def test_offsets_over_prefix_lengths_bitwise(self, n, m, rho):
-        # every prefix length, in and out of order, matches the one-prefix call
+        # row k of the W views matches the one-prefix call and the offsets
+        # rebuilt from each prefix of the history
         times = np.cumsum(np.random.default_rng(45).exponential(3.0, size=12 * n + 30))
-        lengths = np.concatenate([np.arange(times.size + 1), [times.size, 0, 7]])
-        lags = ara_lag_offsets(times, n, m, rho, lengths)
-        lasts = bounds.envelope_offsets(times, n, ARA(m, rho), lengths)[1]
-        assert lags.shape == (lengths.size, n)
-        assert lasts.shape == (lengths.size,)
-        for r, k in enumerate(lengths.tolist()):
-            assert np.array_equal(lags[r], ara_lag_offsets(times[:k], n, m, rho))
-            assert lasts[r] == bounds.envelope_offsets(times[:k], n, ARA(m, rho))[1]
+        model = ARA(m, rho)
+        lags, lasts = bounds.envelope_offset_rows(times, n, model)
+        assert lags.shape == (times.size + 1, n)
+        assert lasts.shape == (times.size + 1,)
+        for k in range(times.size + 1):
+            lower, upper = bounds.envelope_offsets(times[:k], n, model)
+            assert np.array_equal(lags[k], lower)
+            assert lasts[k] == upper
+            expect_lower, expect_upper = envelope_offsets_from_history(model, times[:k], n)
+            assert np.array_equal(lower, expect_lower)
+            assert upper == expect_upper
 
     @pytest.mark.parametrize("block_rows", [1, 5, 64])
     def test_rows_do_not_depend_on_block_size(self, block_rows, monkeypatch):
@@ -304,11 +313,11 @@ class TestEnvelopeCumulative:
 
     def test_rows_equal_single_intervals(self):
         times = np.cumsum(np.random.default_rng(48).exponential(3.0, size=40))
-        lengths = np.arange(1, times.size)
-        lower_off, upper_off = bounds.envelope_offsets(times, 4, ARA(2, 0.5), lengths)
+        lower_off, upper_off = bounds.envelope_offset_rows(times, 4, ARA(2, 0.5))
+        lower_off, upper_off = lower_off[1:-1], upper_off[1:-1]
         a, b = times[:-1], times[1:]
         lower, upper = bounds.envelope_cumulative(PL, a, b, lower_off, upper_off)
-        for r in range(lengths.size):
+        for r in range(a.size):
             one = bounds.envelope_cumulative(PL, a[r], b[r], lower_off[r], upper_off[r])
             assert (lower[r], upper[r]) == one
 

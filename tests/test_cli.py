@@ -129,7 +129,7 @@ def test_manifest_records_output_scheme(tmp_path, args):
         args = ["rate-curve", str(tmp_path / "sim" / "events.csv")]
     out = tmp_path / "out"
     assert main([*args[:1], "--config", cfg, "--out", str(out), *args[1:]]) == 0
-    assert read_manifest(out / "manifest.json")["output_scheme"] == 2
+    assert read_manifest(out / "manifest.json")["output_scheme"] == 3
 
 
 class TestRateCurveCommand:
@@ -145,6 +145,20 @@ class TestRateCurveCommand:
         assert counts.sum() == 400
         assert np.all(np.diff(starts) == 200.0)
         assert np.all(rates >= 0.0)
+
+    def test_horizon_drops_the_partial_tail_bin(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(
+            run={"horizon": 2500.0, "seed": 11, "bin_width": 1000.0}))
+        sim_out = tmp_path / "sim"
+        assert main(["simulate-sgrp", "--config", cfg, "--out", str(sim_out)]) == 0
+        rc_out = tmp_path / "rc"
+        assert main(["rate-curve", str(sim_out / "events.csv"),
+                     "--config", cfg, "--out", str(rc_out)]) == 0
+        times, _ = read_events_csv(sim_out / "events.csv")
+        starts, counts, _ = read_rates_csv(rc_out / "rates.csv")
+        assert list(starts) == [0.0, 1000.0]  # [2000, 3000) is partial
+        assert list(counts) == [np.sum(times < 1000.0),
+                                np.sum((times >= 1000.0) & (times < 2000.0))]
 
 
 class TestFigures:
@@ -195,7 +209,7 @@ class TestFigures:
         "fig6_sgrp_rates.csv":
             "f19d2d5c19204c41b5091b7d5f84b9c4e4a56797db381769a090e3ea669ec9ed",
         "manifest.json":
-            "eada8b3a1ab19da861958e7ddde134e41a7e042f4eae36563fe5a8596158a18f",
+            "51f5f79f48997b12ab840ee3c8ef0e10364de7697865ebf4b83b91367573b0b7",
     }
     GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
@@ -207,7 +221,7 @@ class TestFigures:
                      "--which", "all", "--method", "algorithm1"]) == 0
         manifest = out / "manifest.json"
         payload = read_manifest(manifest)
-        assert payload["output_scheme"] == 2
+        assert payload["output_scheme"] == 3
         # the manifest is written as this serialization, so pinning the
         # versions in it changes those bytes only
         assert manifest.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"

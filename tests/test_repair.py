@@ -4,7 +4,7 @@ import pytest
 from history_oracle import offset_from_history
 from sgrpsim import (ARA, ConstantHazard, DomainError, Kijima1, Minimal, Perfect,
                      PowerLawHazard, check_history, intensity_integral, ks_exp1,
-                     repair_from_config, stream_rng)
+                     repair_from_config, simulate_sgrp, stream_rng)
 
 PL = PowerLawHazard(1.3, 40.0)
 
@@ -72,6 +72,23 @@ class TestConditionalIntensity:
         t = np.array([10.0, 12.0, 20.0])
         out = Minimal().conditional_intensity(PL, [10.0], t)
         assert np.allclose(out, PL.rate(t))
+
+    def test_age_clamped_at_zero_on_deep_memory_history(self):
+        # under ARA(9, 0.999999) the offset of 6 prefixes of this trajectory
+        # rounds past their last failure; the age is clamped at 0 as in the
+        # sampler's next-failure step
+        hazard = PowerLawHazard(0.3, 1.0, allow_decreasing=True)
+        model = ARA(9, 0.999999)
+        times = simulate_sgrp(1, model, hazard, n_events=5000, seed=0).times
+        over = [k for k in range(1, times.size + 1)
+                if model.effective_age_offset(times[:k]) > times[k - 1]]
+        assert len(over) == 6
+        for k in over:
+            last = float(times[k - 1])
+            assert model.conditional_intensity(hazard, times[:k], last) == hazard.rate(0.0)
+            later = last + 0.5
+            expect = hazard.rate(later - model.effective_age_offset(times[:k]))
+            assert model.conditional_intensity(hazard, times[:k], later) == expect
 
 
 class TestEquivalences:

@@ -236,9 +236,9 @@ class TestThinning:
 
     @pytest.mark.parametrize("n,m,rho,delta", BITWISE_CASES)
     def test_matches_whole_history_thinning_bitwise(self, n, m, rho, delta):
-        # the sampler reads only the last n*m masked times; the reference
-        # rebuilds its offsets from the whole history, so the run crosses
-        # from histories shorter than n*m to longer ones
+        # the sampler rolls its offsets by one step per accepted event; the
+        # reference rebuilds them from the whole history, prefix by prefix,
+        # and the run crosses from histories shorter than n*m to longer ones
         am = ApproxModel(n, delta, PL, ARA(m, rho))
         count = n * m + 300
         got = simulate_thinning(am, n_events=count, seed=20 + n + m)
