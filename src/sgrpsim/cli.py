@@ -37,7 +37,7 @@ from .simulate import simulate_algorithm1, simulate_thinning
 from .stats import rate_curve
 from .superpose import mask, simulate_sgrp, true_intensity_at_events
 
-OUTPUT_SCHEME = 3  #: manifest field: version of the arithmetic behind the output bytes
+OUTPUT_SCHEME = 4  #: manifest field: version of the arithmetic behind the output bytes
 DEFAULT_BIN_WIDTH = 1000.0
 SANDWICH_SLACK = 1e-9
 
@@ -195,19 +195,13 @@ def cmd_simulate_sgrp(args):
     return 0
 
 
-def _require_n_events(cfg: RunConfig):
-    if cfg.n_events is None:
-        raise ConfigError("algorithm1 needs run.n_events (no horizon mode)")
-
-
 def cmd_simulate_approx(args):
     cfg = load_config(args.config)
     seed = _resolve_seed(cfg, args)
     out = _out_dir(args)
     am = _approx_model(cfg)
     if args.method == "algorithm1":
-        _require_n_events(cfg)
-        masked = simulate_algorithm1(am, cfg.n_events, seed)
+        masked = simulate_algorithm1(am, cfg.n_events, seed, horizon=cfg.horizon)
     else:
         masked = simulate_thinning(am, n_events=cfg.n_events,
                                    horizon=cfg.horizon, seed=seed)
@@ -300,7 +294,8 @@ def _run_figure_task(task):
     else:
         am = _approx_model(cfg, delta=task["delta"], repair=repair)
         if task["method"] == "algorithm1":
-            masked = simulate_algorithm1(am, cfg.n_events, task["seed"])
+            masked = simulate_algorithm1(am, cfg.n_events, task["seed"],
+                                         horizon=cfg.horizon)
         else:
             masked = simulate_thinning(am, n_events=cfg.n_events,
                                        horizon=cfg.horizon, seed=task["seed"])
@@ -313,8 +308,6 @@ def cmd_figures(args):
     cfg = load_config(args.config)
     seed = _resolve_seed(cfg, args)
     tasks = _figure_tasks(args.which, cfg, seed, args.method)
-    if args.method == "algorithm1" and any(t["kind"] == "approx" for t in tasks):
-        _require_n_events(cfg)
     out = _out_dir(args)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

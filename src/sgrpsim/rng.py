@@ -1,7 +1,7 @@
 """Deterministic stream derivation for reproducible parallel simulation.
 
-All samplers in the package accept either a ready ``numpy.random.Generator``
-or an integer seed. When several independent streams are needed (per
+Samplers take an integer seed; ``simulate_thinning`` also accepts a ready
+``numpy.random.Generator``. When several independent streams are needed (per
 component, per replication, per curve) they are derived here from
 ``(seed, stream-id...)`` through a counter-based bit generator, so draws are
 identical on every platform and independent of scheduling order.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream_rng", "derive_seed"]
+__all__ = ["stream_rng", "stream_rngs", "derive_seed"]
 
 
 def stream_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -23,6 +23,16 @@ def stream_rng(seed: int, *stream: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed),
                                 spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def stream_rngs(seed: int, k: int) -> list:
+    """The generators ``stream_rng(seed, i)`` for ``i < k``.
+
+    The keys come from one ``SeedSequence.spawn``, which sets up a generator
+    faster than :func:`stream_rng` does and gives the same draws.
+    """
+    return [np.random.Generator(np.random.Philox(child))
+            for child in np.random.SeedSequence(int(seed)).spawn(int(k))]
 
 
 def derive_seed(seed: int, *stream: int) -> int:

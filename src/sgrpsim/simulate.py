@@ -23,7 +23,6 @@ reading is used here.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
 import numpy as np
@@ -31,8 +30,8 @@ import numpy as np
 from .approx import ApproxModel
 from .bounds import envelope_rates
 from .errors import DomainError
-from .rng import stream_rng
-from .superpose import MaskedHistory
+from .rng import stream_rng, stream_rngs
+from .superpose import MaskedHistory, _advance_streams, _rejuvenating_streams
 
 __all__ = ["nhpp_sample", "simulate_algorithm1", "simulate_thinning"]
 
@@ -59,39 +58,12 @@ def nhpp_sample(hazard, count, rng=None, *, uniforms=None) -> np.ndarray:
     return np.asarray(hazard.inverse_cumulative(taus), dtype=float)
 
 
-def _rejuvenating_streams(model, hazard, rngs):
-    """Rejuvenating streams sharing ``hazard``, advanced in lock step.
-
-    A generator: each ``send(k)`` returns the next ``k`` failure times of
-    every stream as a ``(k, len(rngs))`` array, column i drawn from
-    ``rngs[i]``. A step is ``next_failure_time`` and ``ARA.offset_step``
-    applied elementwise, and a block draw from a generator equals that many
-    scalar draws, so each column is bit for bit the stream drawn one failure
-    at a time.
-    """
-    state, offset, t = model.offset_state(), 0.0, 0.0
-    k = yield
-    while True:
-        block = np.column_stack([rng.exponential(size=k) for rng in rngs])
-        # a lone stream steps on scalars, which cost less than 1-element arrays
-        rows = block[:, 0] if len(rngs) == 1 else block
-        for j in range(k):
-            # next_failure_time's guards: the age clamped at 0, and a time not
-            # past the last failure becomes the next float up
-            target = hazard.cumulative_unchecked(np.maximum(t - offset, 0.0)) + rows[j]
-            t = np.maximum(offset + hazard.inverse_cumulative_unchecked(target),
-                           np.nextafter(t, np.inf))
-            state, offset = model.offset_step(state, t)
-            rows[j] = t
-        k = yield block
-
-
 def _poisson_stream(hazard, rng):
     """An inhomogeneous Poisson stream, extended a block at a time.
 
-    A generator like ``_rejuvenating_streams``, with one column. The unit
-    exponentials accumulate left to right from the last one, as a running sum
-    drawn one at a time does.
+    A generator like ``superpose._rejuvenating_streams``, with one column.
+    The unit exponentials accumulate left to right from the last one, as a
+    running sum drawn one at a time does.
     """
     tau = np.zeros(1)
     k = yield
@@ -118,11 +90,13 @@ def _merge(times, count):
     return out
 
 
-def simulate_algorithm1(am: ApproxModel, count, seed) -> MaskedHistory:
-    """Stream-decomposition sampler: the ``count`` earliest times of all streams.
+def simulate_algorithm1(am: ApproxModel, count=None, seed=None, *,
+                        horizon=None) -> MaskedHistory:
+    """Stream-decomposition sampler: the earliest times of all streams.
 
-    Streams and their initial intensities (with ``base`` the per-component
-    hazard under the model normalization):
+    Exactly one stopping rule is required: the ``count`` earliest times, or
+    every time up to ``horizon``. Streams and their initial intensities
+    (with ``base`` the per-component hazard under the model normalization):
 
     * n rejuvenating streams at ``delta * base`` under the model's repair rule
       (absent when delta = 0),
@@ -132,17 +106,21 @@ def simulate_algorithm1(am: ApproxModel, count, seed) -> MaskedHistory:
 
     Deterministic given ``seed``: every stream draws from its own derived
     generator keyed by (seed, stream-index). Streams sharing a hazard advance
-    together in blocks until every stream has reached the ``count``-th
-    smallest time generated, so no later time can enter the merge. A block is
-    at most ``count`` steps, and a stream holding ``count`` times has reached
-    that time, so a stream takes fewer than ``2 * count`` steps: memory is
-    O(count + n) at a steady pace and O(count * n) at worst.
+    together in blocks until every stream has passed the last time needed
+    (``superpose._advance_streams``): memory is O(count + n) at a steady
+    pace and O(count * n) at worst.
     """
-    if count < 1:
+    if (count is None) == (horizon is None):
+        raise ValueError("provide exactly one of count or horizon")
+    if count is not None and count < 1:
         raise DomainError("count must be >= 1")
+    if horizon is not None and not horizon > 0.0:
+        raise DomainError("horizon must be positive")
+    if seed is None:
+        raise ValueError("provide seed")
     if not am.repair.is_improving:
         raise DomainError("stream sampler requires repair effectiveness in [0, 1]")
-    n, d, count = am.n, am.delta, int(count)
+    n, d = am.n, am.delta
     if d == 1.0 and n == 1:
         raise DomainError("delta=1 with n=1 is degenerate (a single bare stream)")
     base = am.component_hazard()
@@ -150,7 +128,7 @@ def simulate_algorithm1(am: ApproxModel, count, seed) -> MaskedHistory:
     # (lock-step streams, each stream's share of the initial system rate)
     groups = []
     if d > 0.0:
-        rngs = [stream_rng(seed, i) for i in range(n)]
+        rngs = stream_rngs(seed, n)
         groups.append((_rejuvenating_streams(am.repair, base.scaled(d), rngs), d / n))
     if (1.0 - d) * (n - 1) > 0.0:
         share = (1.0 - d) * (n - 1)
@@ -160,24 +138,15 @@ def simulate_algorithm1(am: ApproxModel, count, seed) -> MaskedHistory:
         groups.append((_rejuvenating_streams(am.repair, base.scaled(1.0 - d), rngs),
                        (1.0 - d) / n))
 
-    # the first blocks hold at least count times, since the shares sum to 1
-    steps = [math.ceil(count * share) for _, share in groups]
-    blocks = [[] for _ in groups]
-    for streams, _ in groups:
-        next(streams)  # run each generator to its first send
-    pending = range(len(groups))
-    while pending:
-        for g in pending:
-            blocks[g].append(groups[g][0].send(steps[g]))
-        times = np.concatenate([b.ravel() for bs in blocks for b in bs])
-        t_star = np.partition(times, count - 1)[count - 1]
-        slowest = [bs[-1][-1].min() for bs in blocks]  # each group's earliest last time
-        pending = [g for g, t in enumerate(slowest) if t < t_star]
-        for g in pending:
-            # as many steps again as the slowest stream's pace extrapolates to
-            # t_star, at most count: a stream holding count times has reached it
-            done = sum(len(b) for b in blocks[g])
-            steps[g] = math.ceil(min(done * (t_star / slowest[g] - 1.0), count - 1)) + 1
+    if count is not None:
+        count = int(count)
+    times = np.concatenate([b.ravel() for b in
+                            _advance_streams(groups, count=count, horizon=horizon)])
+    if count is None:
+        # nudged ties move times up, so the merge is cut at the horizon again
+        out = _merge(times, int(np.count_nonzero(times <= horizon)))
+        out = out[:np.searchsorted(out, horizon, side="right")]
+        return MaskedHistory(times=out, n=n, t_obs=float(horizon))
     out = _merge(times, count)
     return MaskedHistory(times=out, n=n, t_obs=float(out[-1]))
 

@@ -1,25 +1,27 @@
 """Exact simulation of a series system of identical repairable components.
 
 The system fails whenever any component fails; the failed component is
-repaired in negligible time and operation resumes. Simulation is event-driven
-competing risks: each component holds one candidate next-failure time, the
-smallest candidate is committed, and only that component is resampled. This
-is exact because components fail independently, and costs O(log n) per event
-through a heap plus one incremental offset step of the failing component.
-Simultaneous float candidates (probability zero) resolve to the lowest
-component index.
+repaired in negligible time and operation resumes. Components fail
+independently, so each one is drawn from its own random stream under its
+own repair rule, and the system's failures are the merged component times.
+The n streams advance together, one vector step per failure of each, in
+blocks that run until every stream has passed the last system time needed
+(the ``n_events``-th smallest, or the horizon); one stable sort then merges
+them. Simultaneous float times (probability zero) resolve to the lowest
+component index. The same engine drives the stream sampler of
+``simulate.simulate_algorithm1``.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
 from .repair import check_history, next_failure_time
-from .rng import stream_rng
+from .rng import stream_rngs
 
 __all__ = ["FullHistory", "MaskedHistory", "simulate_sgrp", "mask",
            "true_system_intensity", "true_intensity_at_events"]
@@ -90,12 +92,90 @@ class FullHistory:
         return np.array([arr.size for arr in self.per_component], dtype=int)
 
 
-def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None,
-                  seed=None, rng=None) -> FullHistory:
+def _rejuvenating_streams(model, hazard, rngs):
+    """Rejuvenating streams sharing ``hazard``, advanced in lock step.
+
+    A generator: each ``send(k)`` returns the next ``k`` failure times of
+    every stream as a ``(k, len(rngs))`` array, column i drawn from
+    ``rngs[i]``. A step is ``next_failure_time`` and ``ARA.offset_step``
+    applied elementwise, and a block draw from a generator equals that many
+    scalar draws, so each column is bit for bit the stream drawn one failure
+    at a time.
+    """
+    state, offset, t = model.offset_state(), 0.0, 0.0
+    k = yield
+    while True:
+        if len(rngs) == 1:
+            # a lone stream steps on Python floats, which cost less than
+            # 1-element arrays
+            column = []
+            for e in rngs[0].exponential(size=k).tolist():
+                t = next_failure_time(hazard, offset, t, e)
+                state, offset = model.offset_step(state, t)
+                column.append(t)
+            block = np.array(column)[:, None]
+        else:
+            block = np.column_stack([rng.exponential(size=k) for rng in rngs])
+            for j in range(k):
+                # next_failure_time's guards: the age clamped at 0, and a time
+                # not past the last failure becomes the next float up
+                target = hazard.cumulative_unchecked(np.maximum(t - offset, 0.0)) + block[j]
+                t = np.maximum(offset + hazard.inverse_cumulative_unchecked(target),
+                               np.nextafter(t, np.inf))
+                state, offset = model.offset_step(state, t)
+                block[j] = t
+        k = yield block
+
+
+def _advance_streams(groups, *, count=None, horizon=None):
+    """Advance groups of lock-step streams until every stream passes the cut.
+
+    ``groups`` holds ``(streams, share)`` pairs: a stream generator such as
+    ``_rejuvenating_streams``, not yet started, and each of its streams'
+    share of the initial event rate (the shares of all streams sum to 1).
+    The cut is the ``count``-th smallest time generated (count mode) or the
+    ``horizon``. Returns, per group, its stream times as one
+    ``(steps, streams)`` array; every time up to the cut is in them.
+
+    In count mode the first blocks hold at least ``count`` times; in horizon
+    mode they are one step. Later blocks take as many steps again as the
+    group's slowest stream's pace extrapolates to the cut, at most as many as
+    the group has taken, so a block at most doubles a stream. A stream
+    holding ``count`` times has reached the ``count``-th smallest, so in
+    count mode a stream takes fewer than ``2 * count`` steps. The result does
+    not depend on the block sizes.
+    """
+    if count is not None:
+        steps = [math.ceil(count * share) for _, share in groups]
+    else:
+        steps = [1] * len(groups)
+    blocks = [[] for _ in groups]
+    for streams, _ in groups:
+        next(streams)  # run each generator to its first send
+    cut = horizon
+    pending = range(len(groups))
+    while pending:
+        for g in pending:
+            blocks[g].append(groups[g][0].send(steps[g]))
+        if count is not None:
+            times = np.concatenate([b.ravel() for bs in blocks for b in bs])
+            # a generator may hand back fewer steps than asked for
+            cut = np.partition(times, count - 1)[count - 1] if times.size >= count else np.inf
+        slowest = [bs[-1][-1].min() for bs in blocks]  # each group's earliest last time
+        pending = [g for g, t in enumerate(slowest) if t < cut]
+        for g in pending:
+            done = sum(len(b) for b in blocks[g])
+            steps[g] = math.ceil(min(done * (cut / slowest[g] - 1.0), done - 1)) + 1
+    return [np.concatenate(bs) for bs in blocks]
+
+
+def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None, seed) -> FullHistory:
     """Simulate the superposed failure process of ``n`` identical components.
 
     Exactly one stopping rule is required: a total event count or a time
-    horizon. Output is reproducible given ``(seed, n, model, hazard, stop)``.
+    horizon. Component c draws from ``stream_rng(seed, c)``, and the n
+    components advance in lock step (:func:`_advance_streams`). Output is
+    reproducible given ``(seed, n, model, hazard, stop)``.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -105,39 +185,28 @@ def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None,
         raise DomainError("n_events must be >= 1")
     if horizon is not None and not horizon > 0.0:
         raise DomainError("horizon must be positive")
-    if rng is None:
-        if seed is None:
-            raise ValueError("provide seed or rng")
-        rng = stream_rng(seed)
 
-    comp_times = [[] for _ in range(n)]
-    states = [model.offset_state()] * n
-    heap = [(next_failure_time(hazard, 0.0, 0.0, float(rng.exponential())), c)
-            for c in range(n)]
-    heapq.heapify(heap)
+    streams = _rejuvenating_streams(model, hazard, stream_rngs(seed, n))
+    (block,) = _advance_streams([(streams, 1.0 / n)], count=n_events, horizon=horizon)
+    columns = np.ascontiguousarray(block.T)
+    flat = columns.ravel()
+    # component-major, so the stable sort puts the lowest component first
+    # among equal times
+    order = np.argsort(flat, kind="stable")
+    if n_events is None:
+        order = order[:np.searchsorted(flat[order], horizon, side="right")]
+    else:
+        order = order[:n_events]
+    times = flat[order]
+    comps = order // columns.shape[1]
+    counts = np.bincount(comps, minlength=n)
 
-    sys_times, sys_labels = [], []
-    while True:
-        t, c = heap[0]
-        if horizon is not None and t > horizon:
-            break
-        heapq.heappop(heap)
-        comp_times[c].append(t)
-        sys_times.append(t)
-        sys_labels.append(c + 1)
-        if n_events is not None and len(sys_times) >= n_events:
-            break
-        states[c], offset = model.offset_step(states[c], t)
-        nxt = next_failure_time(hazard, offset, t, float(rng.exponential()))
-        heapq.heappush(heap, (nxt, c))
-
-    end = horizon if horizon is not None else (sys_times[-1] if sys_times else 0.0)
     return FullHistory(
         n=n,
-        per_component=tuple(np.asarray(ts, dtype=float) for ts in comp_times),
-        times=np.asarray(sys_times, dtype=float),
-        labels=np.asarray(sys_labels, dtype=int),
-        horizon=float(end),
+        per_component=tuple(columns[c, :k].copy() for c, k in enumerate(counts)),
+        times=times,
+        labels=comps + 1,
+        horizon=float(times[-1] if horizon is None else horizon),
     )
 
 

@@ -4,10 +4,10 @@ These are the O(history) loops the package used before its offsets became
 incremental: every offset is rebuilt from a component's full failure history
 at every event. The thinning loop likewise rebuilds its envelope offsets from
 the whole masked history after every accepted event, one prefix at a time,
-and evaluates each envelope term with its own rate call. The stream
-sampler's reference draws one failure at a time from per-stream generators
-and merges them through a heap. The tests compare the package's incremental
-and lock-step paths to them bit for bit.
+and evaluates each envelope term with its own rate call. The references for
+the stream sampler and the exact superposition draw one failure at a time
+from per-stream generators and merge them through a heap. The tests compare
+the package's incremental and lock-step paths to them bit for bit.
 
 ``approx_intensity_ara`` writes the model intensity out in closed form, as a
 second arithmetic path for the envelope assembly.
@@ -40,7 +40,8 @@ def next_failure_from_history(model, hazard, times, exponential):
     """Inverse-transform draw of the next failure after the history ``times``."""
     offset = offset_from_history(model, times)
     last = float(times[-1]) if len(times) else 0.0
-    target = hazard.cumulative(last - offset) + exponential
+    # the offset can round an ulp past ``last``; the age is clamped at 0
+    target = hazard.cumulative(max(last - offset, 0.0)) + exponential
     t = offset + hazard.inverse_cumulative(target)
     if t <= last:
         t = float(np.nextafter(last, np.inf))
@@ -48,14 +49,17 @@ def next_failure_from_history(model, hazard, times, exponential):
 
 
 def simulate_sgrp_from_history(n, model, hazard, *, n_events=None, horizon=None, seed):
-    """The exact superposition, re-reading each component's history per event.
+    """The exact superposition, merged one event at a time through a heap.
 
-    Returns the merged (times, labels) with 1-based labels.
+    Component c draws from ``stream_rng(seed, c)`` and re-reads its whole
+    history per failure; equal times go to the lower component index.
+    Returns the merged times, their 1-based labels and the per-component
+    times.
     """
-    rng = stream_rng(seed)
+    rngs = [stream_rng(seed, c) for c in range(n)]
     comp_times = [[] for _ in range(n)]
     heap = [(next_failure_from_history(model, hazard, comp_times[c],
-                                       float(rng.exponential())), c)
+                                       float(rngs[c].exponential())), c)
             for c in range(n)]
     heapq.heapify(heap)
     times, labels = [], []
@@ -70,9 +74,10 @@ def simulate_sgrp_from_history(n, model, hazard, *, n_events=None, horizon=None,
         if n_events is not None and len(times) >= n_events:
             break
         nxt = next_failure_from_history(model, hazard, comp_times[c],
-                                        float(rng.exponential()))
+                                        float(rngs[c].exponential()))
         heapq.heappush(heap, (nxt, c))
-    return np.asarray(times, dtype=float), np.asarray(labels, dtype=int)
+    return (np.asarray(times, dtype=float), np.asarray(labels, dtype=int),
+            [np.asarray(ts, dtype=float) for ts in comp_times])
 
 
 def grp_stream_from_history(model, hazard, rng):

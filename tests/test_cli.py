@@ -129,7 +129,7 @@ def test_manifest_records_output_scheme(tmp_path, args):
         args = ["rate-curve", str(tmp_path / "sim" / "events.csv")]
     out = tmp_path / "out"
     assert main([*args[:1], "--config", cfg, "--out", str(out), *args[1:]]) == 0
-    assert read_manifest(out / "manifest.json")["output_scheme"] == 3
+    assert read_manifest(out / "manifest.json")["output_scheme"] == 4
 
 
 class TestRateCurveCommand:
@@ -179,11 +179,11 @@ class TestFigures:
     #: numpy and scipy the digests were recorded with
     GOLDEN = {
         "fig3_rho0.3_rates.csv":
-            "f89003c930ff155df2417e153c93a9029e56f73eb8a818e0ae40609021cce82e",
+            "bfa8b79b084b591126e9fd20f45486e0e007f27f84dc188ec359a8d6c1c2fc49",
         "fig3_rho0.6_rates.csv":
-            "886ee510587304c17aed8f09634787cdab6b37bc220319902189448191a33a9f",
+            "a1ecb8bbdc7c01b040aa32ba5b51977cfa144e589afb9f78907ccd158b1a7ed3",
         "fig3_rho0.9_rates.csv":
-            "6e92704787f4ebeb1ec4f380961b2d1b5ab1ae6f22443cbe659e329cffc6235f",
+            "c23e327eb3056455d234e0cf2204d815e5ecb5e89e318dd2a2158415afebf30b",
         "fig4_delta0.2_rates.csv":
             "88c2ded807d7832a39e61a9c1deb8734ffaa5c33f8e397667b7e4a92bb3bae40",
         "fig4_delta0.4_rates.csv":
@@ -201,15 +201,15 @@ class TestFigures:
         "fig5_delta1_rates.csv":
             "4758450aa772eaed1894d7fef2bfd3826d2c1b571693fafcb0d3cf385b3bd3db",
         "fig5_sgrp_rates.csv":
-            "c593b7ae083f3216113c6ece3f50a1ec1cbfe5af87f4a465628d8beb3f0b36b2",
+            "f2d76550b103910b951df9b8996b7ab21094bcc64d4e7d6563880607783b1d32",
         "fig6_delta0_rates.csv":
             "89c3ce36e53707440e5f18b813602af4ce32470000e2d63f7359458596f7729f",
         "fig6_delta1_rates.csv":
             "e374006fdd5d3aedf7ca2a81adccf3953021f020f17c8ea547f4e50c6d0f1067",
         "fig6_sgrp_rates.csv":
-            "f19d2d5c19204c41b5091b7d5f84b9c4e4a56797db381769a090e3ea669ec9ed",
+            "dcb3f656ffb1430848cf6de8fae0682e206835049c7e14831c095c22a74e3094",
         "manifest.json":
-            "51f5f79f48997b12ab840ee3c8ef0e10364de7697865ebf4b83b91367573b0b7",
+            "a02fe35172c35c3bcd6a11b289edf16c1aa7b805f06f069b1014efe65fcb71e1",
     }
     GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
@@ -221,7 +221,7 @@ class TestFigures:
                      "--which", "all", "--method", "algorithm1"]) == 0
         manifest = out / "manifest.json"
         payload = read_manifest(manifest)
-        assert payload["output_scheme"] == 3
+        assert payload["output_scheme"] == 4
         # the manifest is written as this serialization, so pinning the
         # versions in it changes those bytes only
         assert manifest.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -244,15 +244,16 @@ class TestFigures:
 class TestHorizonConfigs:
     HORIZON = {"horizon": 2500.0, "seed": 3, "bin_width": 1000.0}
 
-    def test_figures_algorithm1_needs_n_events(self, tmp_path):
+    def test_figures_algorithm1_runs_to_a_horizon(self, tmp_path):
         cfg = write_config(tmp_path, base_config(run=self.HORIZON))
-        proc = run_cli(["figures", "--config", cfg, "--out", "figs", "--which", "fig4"],
-                       tmp_path)
-        assert proc.returncode == 2
-        assert proc.stderr == "error: config: algorithm1 needs run.n_events (no horizon mode)\n"
-        assert not (tmp_path / "figs").exists()  # refused before any curve runs
+        proc = run_cli(["figures", "--config", cfg, "--out", "figs", "--which", "fig4",
+                        "--method", "algorithm1"], tmp_path)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert len(list((tmp_path / "figs").glob("fig4_*_rates.csv"))) == 6
 
-    @pytest.mark.parametrize("which,method", [("fig3", "algorithm1"), ("fig5", "thinning")])
+    @pytest.mark.parametrize("which,method", [("fig3", "algorithm1"), ("fig5", "algorithm1"),
+                                              ("fig5", "thinning")])
     def test_figures_drop_the_partial_tail_bin(self, tmp_path, which, method):
         cfg = write_config(tmp_path, base_config(run=self.HORIZON))
         out = tmp_path / "figs"

@@ -11,8 +11,9 @@ from history_oracle import (grp_stream, grp_stream_from_history, heap_merge,
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, Kijima1,
                      Minimal, MaskedHistory, Normalization, Perfect, PowerLawHazard,
                      approx_intensity, intensity_integral, ks_exp1, nhpp_sample,
-                     rescaled_residuals, simulate_algorithm1, simulate_thinning,
-                     stream_rng)
+                     rescaled_residuals, simulate_algorithm1, simulate_sgrp,
+                     simulate_thinning, stream_rng)
+from sgrpsim.rng import stream_rngs
 from sgrpsim.simulate import _merge
 
 PL = PowerLawHazard(1.3, 40.0)
@@ -76,6 +77,15 @@ class TestAlgorithm1:
         out = simulate_algorithm1(am, 500, seed=10)
         assert np.all(np.diff(out.times) > 0.0)
 
+    @pytest.mark.parametrize("n", [2, 100])
+    def test_delta_one_is_the_exact_superposition_bitwise(self, n):
+        # at delta=1 the streams are n components under the repair rule with
+        # the per-component hazard, keyed as simulate_sgrp keys its components
+        am = ApproxModel(n, 1.0, PL, Kijima1(0.7))
+        got = simulate_algorithm1(am, 3000, seed=14)
+        full = simulate_sgrp(n, am.repair, am.component_hazard(), n_events=3000, seed=14)
+        assert np.array_equal(got.times, full.times)
+
     def test_degenerate_single_stream_rejected(self):
         with pytest.raises(DomainError):
             simulate_algorithm1(ApproxModel(1, 1.0, PL, ARA(1, 0.3)), 10, seed=1)
@@ -111,6 +121,21 @@ class TestAlgorithm1:
         # n=100 streams in one lock-step block; a count below n stops the
         # run before most streams have emitted anything
         self.assert_matches_heap_merge(ApproxModel(100, delta, hazard, repair), count)
+
+    @pytest.mark.parametrize("n,delta", [(1, 0.4), (5, 0.0), (5, 0.5), (5, 1.0), (100, 0.5)])
+    def test_horizon_run_is_the_prefix_of_a_count_run(self, n, delta):
+        am = ApproxModel(n, delta, PL, Kijima1(0.7))
+        whole = simulate_algorithm1(am, 3000, seed=13)
+        horizon = float(whole.times[1800])
+        got = simulate_algorithm1(am, seed=13, horizon=horizon)
+        assert got.t_obs == horizon
+        assert np.array_equal(got.times, whole.times[:1801])
+
+    def test_stop_rule_required(self):
+        with pytest.raises(ValueError):
+            simulate_algorithm1(self.am(), seed=1)
+        with pytest.raises(ValueError):
+            simulate_algorithm1(self.am(), 10, seed=1, horizon=5.0)
 
     @staticmethod
     def assert_matches_heap_merge(am, count):
@@ -171,6 +196,15 @@ class TestAlgorithm1:
                          count)
             assert np.array_equal(got, expect)
             assert np.all(np.diff(got, prepend=0.0) > 0.0)
+
+
+def test_stream_rngs_draw_as_stream_rng():
+    for k in (0, 3, 102):
+        got = stream_rngs(5, k)
+        assert len(got) == k
+        for i, rng in enumerate(got):
+            assert np.array_equal(rng.exponential(size=20),
+                                  stream_rng(5, i).exponential(size=20))
 
 
 class TestThinning:

@@ -61,9 +61,9 @@ class TestHistories:
 
     def test_mask_conserves_counts(self):
         rng = np.random.default_rng(31)
-        for _ in range(10):
+        for seed in range(10):
             full = simulate_sgrp(int(rng.integers(1, 6)), ARA(1, 0.5), PL,
-                                 n_events=int(rng.integers(1, 60)), rng=rng)
+                                 n_events=int(rng.integers(1, 60)), seed=seed)
             assert len(mask(full)) == sum(arr.size for arr in full.per_component)
             assert consistent(full)
 
@@ -191,32 +191,75 @@ class TestTrueIntensity:
             assert walked[k] == pytest.approx(direct, rel=1e-12)
 
 
-def test_tie_break_is_lowest_component_index():
-    # competing candidates resolve deterministically by component order
-    a = simulate_sgrp(4, Minimal(), ConstantHazard(0.5), n_events=200, seed=8)
-    b = simulate_sgrp(4, Minimal(), ConstantHazard(0.5), n_events=200, seed=8)
-    assert np.array_equal(a.labels, b.labels)
+def test_tie_break_is_lowest_component_index(monkeypatch):
+    # components drawing from copies of one stream fail at equal times, and
+    # each tie resolves by component order, as the heap's (time, index) does
+    n = 4
+    monkeypatch.setattr(superpose, "stream_rngs",
+                        lambda seed, k: [stream_rng(seed) for _ in range(k)])
+    full = simulate_sgrp(n, Minimal(), ConstantHazard(0.5), n_events=202, seed=8)
+    assert np.array_equal(full.labels, np.tile(np.arange(1, n + 1), 51)[:202])
+    assert np.array_equal(full.times, np.repeat(full.per_component[0], n)[:202])
+    assert full.counts().tolist() == [51, 51, 50, 50]
+
+
+def assert_matches_heap_oracle(n, model, hazard, seed, **stop):
+    full = simulate_sgrp(n, model, hazard, seed=seed, **stop)
+    times, labels, per_component = simulate_sgrp_from_history(n, model, hazard,
+                                                              seed=seed, **stop)
+    assert np.array_equal(full.times, times)
+    assert np.array_equal(full.labels, labels)
+    assert len(full.per_component) == n
+    for got, expect in zip(full.per_component, per_component):
+        assert np.array_equal(got, expect)
+    assert consistent(full)
+    return full
+
+
+#: ARA(9, rho near 1) under a decreasing hazard: offsets round past the last
+#: failure, and the age is clamped at 0
+CLAMP = (ARA(9, 0.999999), PowerLawHazard(0.3, 1.0, allow_decreasing=True))
 
 
 @pytest.mark.parametrize("n", sorted(EVENTS))
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", [*sorted(CASES), "clamp"])
 def test_simulate_matches_history_sampler_bitwise(case, n):
-    # incremental offsets give the trajectory of the sampler that rebuilds
-    # each offset from the component's whole history, in both stop modes
-    model, hazard = CASES[case]
+    # the lock-step streams with incremental offsets give the trajectory of
+    # one generator per component, each rebuilding its offset from its whole
+    # history, merged by a heap, in both stop modes
+    model, hazard = CLAMP if case == "clamp" else CASES[case]
     seed = 300 + n
-    full = simulate_sgrp(n, model, hazard, n_events=EVENTS[n], seed=seed)
-    times, labels = simulate_sgrp_from_history(n, model, hazard,
-                                               n_events=EVENTS[n], seed=seed)
-    assert np.array_equal(full.times, times)
-    assert np.array_equal(full.labels, labels)
-    horizon = 0.6 * float(times[-1])
-    full = simulate_sgrp(n, model, hazard, horizon=horizon, seed=seed)
-    times, labels = simulate_sgrp_from_history(n, model, hazard,
-                                               horizon=horizon, seed=seed)
-    assert np.array_equal(full.times, times)
-    assert np.array_equal(full.labels, labels)
-    assert consistent(full)
+    full = assert_matches_heap_oracle(n, model, hazard, seed, n_events=EVENTS[n])
+    assert len(full) == EVENTS[n]
+    # a horizon between events, and one at an event, which is kept
+    for horizon in (0.6 * float(full.times[-1]), float(full.times[EVENTS[n] // 2])):
+        full = assert_matches_heap_oracle(n, model, hazard, seed, horizon=horizon)
+        assert full.horizon == horizon
+
+
+@pytest.mark.parametrize("cap", [1, 7, 64])
+@pytest.mark.parametrize("n", [1, 5])
+def test_simulate_does_not_depend_on_block_size(cap, n, monkeypatch):
+    # the streams hand back at most ``cap`` steps per request; the engine
+    # takes what it gets, and the run is the one of uncapped blocks
+    model, seed = Kijima1(0.7), 23
+    count = simulate_sgrp(n, model, PL, n_events=600, seed=seed)
+    horizon = simulate_sgrp(n, model, PL, horizon=0.5 * float(count.times[-1]), seed=seed)
+    make = superpose._rejuvenating_streams
+
+    def capped(*args):
+        streams = make(*args)
+        k = yield next(streams)
+        while True:
+            k = yield streams.send(min(k, cap))
+
+    monkeypatch.setattr(superpose, "_rejuvenating_streams", capped)
+    for whole in (count, horizon):
+        stop = (dict(n_events=len(whole)) if whole is count
+                else dict(horizon=whole.horizon))
+        got = simulate_sgrp(n, model, PL, seed=seed, **stop)
+        assert np.array_equal(got.times, whole.times)
+        assert np.array_equal(got.labels, whole.labels)
 
 
 @pytest.mark.parametrize("n", sorted(EVENTS))
