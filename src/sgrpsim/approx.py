@@ -9,11 +9,12 @@ that each component carries rate/n (``SYSTEM_SPLIT``, the convention the
 stream samplers use). Under ``SYSTEM_SPLIT`` a constant hazard makes the
 model intensity exactly the constant, for every history and delta.
 
-``approx_intensity`` assembles the value from the envelope machinery: the
-model's repair form and component hazard are checked once per model, and
-the envelope offsets once per masked history. Both envelopes read the
-single-component offsets ``W`` of the masked prefixes (see ``bounds``), so
-for m >= 2 the lower side is the provable ``W`` bound rather than the
+The model intensity is mixed in one place, ``ApproxModel._intensity``, from
+the envelopes' lag offsets; ``approx_intensity`` and the thinning sampler
+both call it. The model's repair form and component hazard are checked once
+per model, and the lag offsets once per masked history. Both envelopes read
+the single-component offsets ``W`` of the masked prefixes (see ``bounds``),
+so for m >= 2 the lower side is the provable ``W`` bound rather than the
 paper's round robin.
 """
 
@@ -75,6 +76,14 @@ class ApproxModel:
             raise DomainError("approximation requires a nondecreasing hazard rate")
         return hc
 
+    def _intensity(self, t, lags) -> float:
+        """delta * lower + (1 - delta) * upper at ``t`` over the envelope ``lags``.
+
+        Trusted: ``t`` must not precede the history the lags come from.
+        """
+        lower, upper = envelope_rates(self._envelope_hazard, t, lags)
+        return float(self.delta * lower + (1.0 - self.delta) * upper)
+
     def to_config(self) -> dict:
         return {
             "n": self.n,
@@ -113,6 +122,4 @@ def _check_history_n(am, mh):
 def approx_intensity(am: ApproxModel, mh: MaskedHistory, t) -> float:
     """delta * lower + (1 - delta) * upper at the left limit ``t``."""
     _check_history_n(am, mh)
-    hc = am._envelope_hazard
-    lower, upper = envelope_rates(hc, _eval_time(mh, t), *mh.envelope_offsets(am.repair))
-    return float(am.delta * lower + (1.0 - am.delta) * upper)
+    return am._intensity(_eval_time(mh, t), mh.envelope_offsets(am.repair))

@@ -15,9 +15,10 @@ the offset a single component carries after failing at all of
 * Upper: every failure lands on one component, the other n-1 stay fresh:
   ``(n-1) rate(t) + rate(t - W(N))``. It is a bound for m = 1.
 
-Lag 0 of the lower envelope is the upper's own term and every other lag is
-at most the fresh rate, so lower <= upper. Both require a nondecreasing rate
-and effectiveness in [0, 1].
+So both envelopes read one lag array ``W(N), .., W(N-n+1)``: the upper's
+offset is lag 0. Every other lag's rate is at most the fresh rate, so
+lower <= upper. Both require a nondecreasing rate and effectiveness in
+[0, 1].
 
 Evaluation at a failure time uses the left limit: the history handed in must
 exclude an event exactly at ``t``.
@@ -70,59 +71,57 @@ def _eval_time(mh, t) -> float:
 
 
 def envelope_offset_rows(times, n, ara):
-    """(lag offsets, single-component offset) of every prefix of ``times``.
+    """Lag offsets of every prefix of ``times``.
 
-    Row k, for k = 0..N, holds the offsets after ``times[:k]``: the lags
-    ``W(k), W(k-1), .., W(k-n+1)`` newest first, and ``W(k)``. Both are
-    read-only views of one padded copy of ``W``.
+    Row k, for k = 0..N, holds the lags after ``times[:k]``:
+    ``W(k), W(k-1), .., W(k-n+1)`` newest first. The rows are read-only
+    views of one padded copy of ``W``.
     """
     padded = np.concatenate((np.zeros(n), ara.offsets_after(times)))
     padded.flags.writeable = False
-    return sliding_window_view(padded, n)[:, ::-1], padded[n - 1:]
+    return sliding_window_view(padded, n)[:, ::-1]
 
 
 def envelope_offsets(times, n, ara):
-    """(lag offsets, single-component offset) of the two envelopes after ``times``.
+    """The n lag offsets ``W(N-i)`` of the envelopes after ``times``.
 
-    The n lags ``W(N-i)`` read the last n + m - 1 times only.
+    They read the last n + m - 1 times only.
     """
     tail = np.asarray(times, dtype=float)[-(n + ara.m - 1):]
-    lower, upper = envelope_offset_rows(tail, n, ara)
-    return lower[-1], upper[-1]
+    return envelope_offset_rows(tail, n, ara)[-1]
 
 
-def _envelope_ages(t, lower_off, upper_off):
-    """Columns: the n lag ages, the fresh age, the single-component age."""
+def _envelope_ages(t, lags):
+    """Columns: the n lag ages, then the fresh age."""
     t = np.asarray(t, dtype=float)
-    n = np.shape(lower_off)[-1]
-    ages = np.empty(t.shape + (n + 2,))
-    ages[..., :n] = t[..., None] - lower_off
+    n = np.shape(lags)[-1]
+    ages = np.empty(t.shape + (n + 1,))
+    ages[..., :n] = t[..., None] - lags
     ages[..., n] = t
-    ages[..., n + 1] = t - upper_off
     return ages
 
 
 def _envelope_sums(values):
     """(lower, upper) from per-age values laid out as in :func:`_envelope_ages`."""
-    n = values.shape[-1] - 2
-    return values[..., :n].sum(axis=-1), (n - 1) * values[..., n] + values[..., n + 1]
+    n = values.shape[-1] - 1
+    return values[..., :n].sum(axis=-1), (n - 1) * values[..., n] + values[..., 0]
 
 
-def envelope_rates(hazard, t, lower_off, upper_off):
+def envelope_rates(hazard, t, lags):
     """(lower, upper) envelope values at ``t`` from one rate-kernel call.
 
-    lower: the sum of the n lag rates ``rate(t - lower_off)``; upper: n-1
-    fresh components plus ``rate(t - upper_off)``. A vector ``t`` takes one
-    row of ``lower_off`` and one entry of ``upper_off`` per element.
+    lower: the sum of the n lag rates ``rate(t - lags)``; upper: n-1 fresh
+    components plus lag 0's rate. A vector ``t`` takes one row of ``lags``
+    per element.
 
     Uses the trusted ``hazard.rate_unchecked``: the caller has checked that
     the hazard is nondecreasing and that ``t`` does not precede the history
     the offsets come from, so every age is >= 0.
     """
-    return _envelope_sums(hazard.rate_unchecked(_envelope_ages(t, lower_off, upper_off)))
+    return _envelope_sums(hazard.rate_unchecked(_envelope_ages(t, lags)))
 
 
-def envelope_cumulative(hazard, a, b, lower_off, upper_off):
+def envelope_cumulative(hazard, a, b, lags):
     """(lower, upper) envelope integrals over ``(a, b]``: the closed-form compensator.
 
     Each age term contributes ``H(b - o) - H(a - o)`` with ``H`` the
@@ -131,8 +130,8 @@ def envelope_cumulative(hazard, a, b, lower_off, upper_off):
     does not precede the history they come from, so every age is >= 0 and
     the trusted ``hazard.cumulative_unchecked`` applies.
     """
-    terms = (hazard.cumulative_unchecked(_envelope_ages(b, lower_off, upper_off))
-             - hazard.cumulative_unchecked(_envelope_ages(a, lower_off, upper_off)))
+    terms = (hazard.cumulative_unchecked(_envelope_ages(b, lags))
+             - hazard.cumulative_unchecked(_envelope_ages(a, lags)))
     return _envelope_sums(terms)
 
 
@@ -145,7 +144,7 @@ def sgrp_bounds(mh: MaskedHistory, model, hazard, t) -> BoundPair:
     _require_nondecreasing(hazard)
     _require_improving(model)
     t = _eval_time(mh, t)
-    lower, upper = envelope_rates(hazard, t, *mh.envelope_offsets(model))
+    lower, upper = envelope_rates(hazard, t, mh.envelope_offsets(model))
     return BoundPair(lower=float(lower), upper=float(upper), at=t)
 
 
@@ -162,11 +161,10 @@ def sgrp_bounds_at_events(times, n, model, hazard):
     times = check_history(times)
     lower = np.empty(times.size)
     upper = np.empty(times.size)
-    lower_off, upper_off = envelope_offset_rows(times, n, model)
+    lags = envelope_offset_rows(times, n, model)
     for k0 in range(0, times.size, BLOCK_ROWS):
         k1 = min(k0 + BLOCK_ROWS, times.size)
-        lower[k0:k1], upper[k0:k1] = envelope_rates(
-            hazard, times[k0:k1], lower_off[k0:k1], upper_off[k0:k1])
+        lower[k0:k1], upper[k0:k1] = envelope_rates(hazard, times[k0:k1], lags[k0:k1])
     return lower, upper
 
 

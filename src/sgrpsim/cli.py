@@ -3,7 +3,7 @@
 One JSON config document serves every subcommand, with sections ``hazard``,
 ``repair``, ``system`` ({"n": ...}), ``approx`` ({"delta", "normalization"})
 and ``run`` ({"n_events" | "horizon", "seed", "bin_width"}). Every run writes
-a ``manifest.json`` (config echo, seed, package versions) next to its
+a ``manifest.json`` (config echo, seed, numpy version) next to its
 outputs; rerunning with the same inputs is byte-identical, and a manifest
 itself is accepted wherever a config is.
 
@@ -19,7 +19,6 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,7 @@ from .io import (read_events_csv, write_bounds_csv, write_events_csv,
 from .repair import ARA, repair_from_config
 from .rng import derive_seed
 from .simulate import simulate_algorithm1, simulate_thinning
-from .stats import rate_curve
+from .stats import RateCurve, rate_curve
 from .superpose import mask, simulate_sgrp, true_intensity_at_events
 
 OUTPUT_SCHEME = 4  #: manifest field: version of the arithmetic behind the output bytes
@@ -144,15 +143,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-@cache
-def _scipy_version() -> str:
-    """scipy's version from its installed metadata, without importing scipy."""
-    # once per process: the import and each sys.path scan cost more than scipy's import
-    from importlib.metadata import version
-
-    return version("scipy")
-
-
 def _manifest_payload(cfg: RunConfig, subcommand, seed, outputs, **extra):
     payload = {
         "tool": "sgrpsim",
@@ -161,7 +151,7 @@ def _manifest_payload(cfg: RunConfig, subcommand, seed, outputs, **extra):
         "seed": seed,
         "config": cfg.raw,
         "outputs": sorted(Path(o).name for o in outputs),
-        "versions": {"numpy": np.__version__, "scipy": _scipy_version()},
+        "versions": {"numpy": np.__version__},
         "output_scheme": OUTPUT_SCHEME,
     }
     payload.update(extra)
@@ -314,8 +304,6 @@ def cmd_figures(args):
             results = list(pool.map(_run_figure_task, tasks))
     else:
         results = [_run_figure_task(t) for t in tasks]
-
-    from .stats import RateCurve  # local to keep module import light
 
     files = []
     curve_meta = {}

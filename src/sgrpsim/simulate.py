@@ -10,7 +10,7 @@ the weighted envelope combination:
   earliest times across streams. Every stream draws from its own derived
   seed, so streams sharing a hazard advance together, block by block, one
   vector step per failure of each; the result does not depend on the block
-  sizes, and memory is O(count + n) at a steady pace.
+  sizes, and memory is O(n_events + n) at a steady pace.
 * ``simulate_thinning`` samples directly from the exact model intensity by
   window thinning and serves as the oracle for the stream decomposition,
   whose faithfulness to the model is reported rather than assumed.
@@ -28,10 +28,9 @@ from collections import deque
 import numpy as np
 
 from .approx import ApproxModel
-from .bounds import envelope_rates
 from .errors import DomainError
 from .rng import stream_rng, stream_rngs
-from .superpose import MaskedHistory, _advance_streams, _rejuvenating_streams
+from .superpose import MaskedHistory, _advance_streams, _check_stop, _rejuvenating_streams
 
 __all__ = ["nhpp_sample", "simulate_algorithm1", "simulate_thinning"]
 
@@ -90,11 +89,11 @@ def _merge(times, count):
     return out
 
 
-def simulate_algorithm1(am: ApproxModel, count=None, seed=None, *,
+def simulate_algorithm1(am: ApproxModel, n_events=None, seed=None, *,
                         horizon=None) -> MaskedHistory:
     """Stream-decomposition sampler: the earliest times of all streams.
 
-    Exactly one stopping rule is required: the ``count`` earliest times, or
+    Exactly one stopping rule is required: the ``n_events`` earliest times, or
     every time up to ``horizon``. Streams and their initial intensities
     (with ``base`` the per-component hazard under the model normalization):
 
@@ -107,15 +106,10 @@ def simulate_algorithm1(am: ApproxModel, count=None, seed=None, *,
     Deterministic given ``seed``: every stream draws from its own derived
     generator keyed by (seed, stream-index). Streams sharing a hazard advance
     together in blocks until every stream has passed the last time needed
-    (``superpose._advance_streams``): memory is O(count + n) at a steady
-    pace and O(count * n) at worst.
+    (``superpose._advance_streams``): memory is O(n_events + n) at a steady
+    pace and O(n_events * n) at worst.
     """
-    if (count is None) == (horizon is None):
-        raise ValueError("provide exactly one of count or horizon")
-    if count is not None and count < 1:
-        raise DomainError("count must be >= 1")
-    if horizon is not None and not horizon > 0.0:
-        raise DomainError("horizon must be positive")
+    _check_stop(n_events, horizon)
     if seed is None:
         raise ValueError("provide seed")
     if not am.repair.is_improving:
@@ -138,16 +132,16 @@ def simulate_algorithm1(am: ApproxModel, count=None, seed=None, *,
         groups.append((_rejuvenating_streams(am.repair, base.scaled(1.0 - d), rngs),
                        (1.0 - d) / n))
 
-    if count is not None:
-        count = int(count)
+    if n_events is not None:
+        n_events = int(n_events)
     times = np.concatenate([b.ravel() for b in
-                            _advance_streams(groups, count=count, horizon=horizon)])
-    if count is None:
+                            _advance_streams(groups, count=n_events, horizon=horizon)])
+    if n_events is None:
         # nudged ties move times up, so the merge is cut at the horizon again
         out = _merge(times, int(np.count_nonzero(times <= horizon)))
         out = out[:np.searchsorted(out, horizon, side="right")]
         return MaskedHistory(times=out, n=n, t_obs=float(horizon))
-    out = _merge(times, count)
+    out = _merge(times, n_events)
     return MaskedHistory(times=out, n=n, t_obs=float(out[-1]))
 
 
@@ -171,35 +165,21 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     intensity/majorant. The window starts at ``inverse_cumulative(1)/n``,
     doubles whenever a window stays empty, and tracks the median of the last
     64 inter-event spacings once events accrue; correctness is independent of
-    the window choice.
+    the window choice. The intensity is ``ApproxModel._intensity``, so the
+    model's hazard and repair are checked once, at its first evaluation.
     """
-    if (n_events is None) == (horizon is None):
-        raise ValueError("provide exactly one of n_events or horizon")
-    if n_events is not None and n_events < 1:
-        raise DomainError("n_events must be >= 1")
-    if horizon is not None and not horizon > 0.0:
-        raise DomainError("horizon must be positive")
+    _check_stop(n_events, horizon)
     if rng is None:
         if seed is None:
             raise ValueError("provide seed or rng")
         rng = stream_rng(seed)
-    hc = am.component_hazard()
-    if not hc.is_nondecreasing:
-        raise DomainError("thinning requires a nondecreasing hazard (window majorant)")
-    if not am.repair.is_improving:
-        raise DomainError("thinning requires repair effectiveness in [0, 1]")
-    n, d = am.n, am.delta
+    n = am.n
 
     times = []
     gaps = deque(maxlen=64)  # the latest inter-event gaps set the window
-    # offsets are fixed between events: each accepted event appends one
-    # single-component offset W(N), newest first, to the n lags
-    state, lower_off, upper_off = am.repair.offset_state(), np.zeros(n), 0.0
-
-    def lam(t):
-        lower, upper = envelope_rates(hc, t, lower_off, upper_off)
-        return float(d * lower + (1.0 - d) * upper)
-
+    # offsets are fixed between events: each accepted event prepends one
+    # single-component offset W(N) to the n lags, newest first
+    state, lags = am.repair.offset_state(), np.zeros(n)
     t = 0.0
     window = float(am.hazard.inverse_cumulative(1.0)) / n
     while True:
@@ -210,7 +190,7 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
         w_end = t + window
         if horizon is not None:
             w_end = min(w_end, float(horizon))
-        majorant = lam(w_end)
+        majorant = am._intensity(w_end, lags)
         if majorant <= 0.0:
             # rate can vanish only at the very origin of a power law
             t = w_end
@@ -222,12 +202,12 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
             window *= 2.0
             continue
         t = t + gap
-        if rng.random() * majorant <= lam(t):
+        if rng.random() * majorant <= am._intensity(t, lags):
             if times:
                 gaps.append(t - times[-1])
             times.append(t)
-            state, upper_off = am.repair.offset_step(state, t)
-            lower_off = np.concatenate(((upper_off,), lower_off[:-1]))
+            state, offset = am.repair.offset_step(state, t)
+            lags = np.concatenate(((offset,), lags[:-1]))
             if gaps:
                 window = _median(gaps)
 

@@ -36,9 +36,9 @@ class MaskedHistory:
     """System failure times with the failing component's identity removed.
 
     ``times`` is a read-only copy of the times handed in, so the envelope
-    offsets of the history can be computed once per repair model and reused
-    by every evaluation on it (:meth:`envelope_offsets`). They come from the
-    last n + m - 1 times alone, so each model keeps O(n + m) floats.
+    lag offsets of the history can be computed once per repair model and
+    reused by every evaluation on it (:meth:`envelope_offsets`). They are n
+    floats per model, read from the last n + m - 1 times alone.
     """
 
     times: np.ndarray
@@ -169,6 +169,16 @@ def _advance_streams(groups, *, count=None, horizon=None):
     return [np.concatenate(bs) for bs in blocks]
 
 
+def _check_stop(n_events, horizon):
+    """The samplers' stop rule: exactly one of ``n_events`` >= 1 or ``horizon`` > 0."""
+    if (n_events is None) == (horizon is None):
+        raise ValueError("provide exactly one of n_events or horizon")
+    if n_events is not None and n_events < 1:
+        raise DomainError("n_events must be >= 1")
+    if horizon is not None and not horizon > 0.0:
+        raise DomainError("horizon must be positive")
+
+
 def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None, seed) -> FullHistory:
     """Simulate the superposed failure process of ``n`` identical components.
 
@@ -179,12 +189,7 @@ def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None, seed) -> Ful
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    if (n_events is None) == (horizon is None):
-        raise ValueError("provide exactly one of n_events or horizon")
-    if n_events is not None and n_events < 1:
-        raise DomainError("n_events must be >= 1")
-    if horizon is not None and not horizon > 0.0:
-        raise DomainError("horizon must be positive")
+    _check_stop(n_events, horizon)
 
     streams = _rejuvenating_streams(model, hazard, stream_rngs(seed, n))
     (block,) = _advance_streams([(streams, 1.0 / n)], count=n_events, horizon=horizon)

@@ -153,15 +153,14 @@ def simulate_algorithm1_heap(am, count, seed, grp=grp_stream):
 
 
 def envelope_offsets_from_history(model, hist, n):
-    """(lag offsets, single-component offset) after ``hist``, prefix by prefix.
+    """The n envelope lag offsets after ``hist``, prefix by prefix.
 
     Lag i is the offset of one component that failed at every time of the
     prefix ``hist[:N - i]`` (0 once that prefix is empty), newest first; the
-    single-component offset is lag 0.
+    upper envelope's single-component offset is lag 0.
     """
-    lags = np.array([model.effective_age_offset(hist[:max(len(hist) - i, 0)])
+    return np.array([model.effective_age_offset(hist[:max(len(hist) - i, 0)])
                      for i in range(n)])
-    return lags, lags[0]
 
 
 def simulate_thinning_from_history(am, *, n_events=None, horizon=None, seed):
@@ -170,11 +169,11 @@ def simulate_thinning_from_history(am, *, n_events=None, horizon=None, seed):
     hc = am.component_hazard()
     n, d = am.n, am.delta
     hist = np.empty(0)
-    lower_off, upper_off = envelope_offsets_from_history(am.repair, hist, n)
+    lags = envelope_offsets_from_history(am.repair, hist, n)
 
     def lam(t):
-        lower = float(np.sum(hc.rate(t - lower_off)))
-        upper = float((n - 1) * hc.rate(t) + hc.rate(t - upper_off))
+        lower = float(np.sum(hc.rate(t - lags)))
+        upper = float((n - 1) * hc.rate(t) + hc.rate(t - lags[0]))
         return float(d * lower + (1.0 - d) * upper)
 
     t = 0.0
@@ -200,7 +199,7 @@ def simulate_thinning_from_history(am, *, n_events=None, horizon=None, seed):
         t = t + gap
         if rng.random() * majorant <= lam(t):
             hist = np.append(hist, t)
-            lower_off, upper_off = envelope_offsets_from_history(am.repair, hist, n)
+            lags = envelope_offsets_from_history(am.repair, hist, n)
             if hist.size >= 2:
                 window = float(np.median(np.diff(hist[-65:])))
     t_obs = float(horizon) if horizon is not None else (float(hist[-1]) if hist.size else 0.0)

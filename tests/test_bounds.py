@@ -48,29 +48,29 @@ def random_masked(rng, n=None, max_len=25):
 class TestLagOffsets:
     def test_partial_first_cycle(self):
         # N=2 <= n=3: lags take W(2) = rho*T2, W(1) = rho*T1, nothing
-        off = bounds.envelope_offsets(np.array([4.0, 10.0]), 3, ARA(1, 0.5))[0]
+        off = bounds.envelope_offsets(np.array([4.0, 10.0]), 3, ARA(1, 0.5))
         assert np.allclose(off, [5.0, 2.0, 0.0])
 
     def test_round_robin_with_memory(self):
         # N=5 > n=2, m=2: lag i is W(5-i), one component failing at T1..T(5-i)
         times = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        off = bounds.envelope_offsets(times, 2, ARA(2, 0.5))[0]
+        off = bounds.envelope_offsets(times, 2, ARA(2, 0.5))
         # lag 0: 0.5*(T5 + 0.5*T4); lag 1: 0.5*(T4 + 0.5*T3)
         assert np.allclose(off, [3.5, 2.75])
 
     def test_memory_cap_uniform(self):
         # W(L) holds min(m, L) terms, so memory beyond the history changes nothing
         times = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert np.array_equal(bounds.envelope_offsets(times, 2, ARA(9, 0.5))[0],
-                              bounds.envelope_offsets(times, 2, ARA(5, 0.5))[0])
+        assert np.array_equal(bounds.envelope_offsets(times, 2, ARA(9, 0.5)),
+                              bounds.envelope_offsets(times, 2, ARA(5, 0.5)))
 
     def test_last_component_offset_uses_full_memory(self):
         times = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        # 0.5*(5 + 0.5*4) for m=2
-        assert bounds.envelope_offsets(times, 2, ARA(2, 0.5))[1] == pytest.approx(3.5)
+        # lag 0 is the upper envelope's offset: 0.5*(5 + 0.5*4) for m=2
+        assert bounds.envelope_offsets(times, 2, ARA(2, 0.5))[0] == pytest.approx(3.5)
         # all five times for m >= 5
         expect = 0.5 * sum(0.5 ** j * times[4 - j] for j in range(5))
-        assert bounds.envelope_offsets(times, 2, ARA(9, 0.5))[1] == pytest.approx(expect)
+        assert bounds.envelope_offsets(times, 2, ARA(9, 0.5))[0] == pytest.approx(expect)
 
 
 def srp_reference(masked, hazard, t):
@@ -263,19 +263,17 @@ class TestBatchedRows:
                                          (4, 9, 0.8), (7, 2, 0.0), (5, 2, 1.0)])
     def test_offsets_over_prefix_lengths_bitwise(self, n, m, rho):
         # row k of the W views matches the one-prefix call and the offsets
-        # rebuilt from each prefix of the history
+        # rebuilt from each prefix of the history; its lag 0 is the offset of
+        # one component that failed at all of the prefix
         times = np.cumsum(np.random.default_rng(45).exponential(3.0, size=12 * n + 30))
         model = ARA(m, rho)
-        lags, lasts = bounds.envelope_offset_rows(times, n, model)
+        lags = bounds.envelope_offset_rows(times, n, model)
         assert lags.shape == (times.size + 1, n)
-        assert lasts.shape == (times.size + 1,)
         for k in range(times.size + 1):
-            lower, upper = bounds.envelope_offsets(times[:k], n, model)
-            assert np.array_equal(lags[k], lower)
-            assert lasts[k] == upper
-            expect_lower, expect_upper = envelope_offsets_from_history(model, times[:k], n)
-            assert np.array_equal(lower, expect_lower)
-            assert upper == expect_upper
+            row = bounds.envelope_offsets(times[:k], n, model)
+            assert np.array_equal(lags[k], row)
+            assert lags[k][0] == model.effective_age_offset(times[:k])
+            assert np.array_equal(row, envelope_offsets_from_history(model, times[:k], n))
 
     @pytest.mark.parametrize("block_rows", [1, 5, 64])
     def test_rows_do_not_depend_on_block_size(self, block_rows, monkeypatch):
@@ -302,23 +300,22 @@ class TestEnvelopeCumulative:
         times = np.cumsum(rng.exponential(2.0, size=3 * n * m + 2))
         ara = ARA(m, 0.4)
         for k in (0, n // 2 + 1, times.size):
-            lower_off, upper_off = bounds.envelope_offsets(times[:k], n, ara)
+            lags = bounds.envelope_offsets(times[:k], n, ara)
             a = float(times[k - 1]) if k else 0.0
             for b in (a + 0.3, a + 25.0):
-                lower, upper = bounds.envelope_cumulative(hazard, a, b, lower_off, upper_off)
+                lower, upper = bounds.envelope_cumulative(hazard, a, b, lags)
                 for got, side in ((lower, 0), (upper, 1)):
                     quad = intensity_integral(lambda t: bounds.envelope_rates(
-                        hazard, t, lower_off, upper_off)[side])(a, b)
+                        hazard, t, lags)[side])(a, b)
                     assert got == pytest.approx(quad, rel=1e-8)
 
     def test_rows_equal_single_intervals(self):
         times = np.cumsum(np.random.default_rng(48).exponential(3.0, size=40))
-        lower_off, upper_off = bounds.envelope_offset_rows(times, 4, ARA(2, 0.5))
-        lower_off, upper_off = lower_off[1:-1], upper_off[1:-1]
+        lags = bounds.envelope_offset_rows(times, 4, ARA(2, 0.5))[1:-1]
         a, b = times[:-1], times[1:]
-        lower, upper = bounds.envelope_cumulative(PL, a, b, lower_off, upper_off)
+        lower, upper = bounds.envelope_cumulative(PL, a, b, lags)
         for r in range(a.size):
-            one = bounds.envelope_cumulative(PL, a[r], b[r], lower_off[r], upper_off[r])
+            one = bounds.envelope_cumulative(PL, a[r], b[r], lags[r])
             assert (lower[r], upper[r]) == one
 
 

@@ -38,13 +38,18 @@ def tree_bytes(root):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(args, cwd):
-    """Run the CLI in a fresh interpreter; returns the completed process."""
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def run_cli(args, cwd):
+    """Run the CLI in a fresh interpreter; returns the completed process."""
     return subprocess.run([sys.executable, "-m", "sgrpsim.cli", *args], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=src_env(), capture_output=True, text=True, timeout=120)
 
 
 class TestSimulateSgrp:
@@ -129,7 +134,9 @@ def test_manifest_records_output_scheme(tmp_path, args):
         args = ["rate-curve", str(tmp_path / "sim" / "events.csv")]
     out = tmp_path / "out"
     assert main([*args[:1], "--config", cfg, "--out", str(out), *args[1:]]) == 0
-    assert read_manifest(out / "manifest.json")["output_scheme"] == 4
+    manifest = read_manifest(out / "manifest.json")
+    assert manifest["output_scheme"] == 4
+    assert manifest["versions"] == {"numpy": np.__version__}
 
 
 class TestRateCurveCommand:
@@ -176,7 +183,7 @@ class TestFigures:
     #: sha256 of every file ``figures --which all --method algorithm1`` writes
     #: for the README config at seed 3 with 1,500 events per curve; the
     #: manifest's is taken with its ``versions`` set to GOLDEN_VERSIONS, the
-    #: numpy and scipy the digests were recorded with
+    #: numpy the digests were recorded with
     GOLDEN = {
         "fig3_rho0.3_rates.csv":
             "bfa8b79b084b591126e9fd20f45486e0e007f27f84dc188ec359a8d6c1c2fc49",
@@ -209,9 +216,9 @@ class TestFigures:
         "fig6_sgrp_rates.csv":
             "dcb3f656ffb1430848cf6de8fae0682e206835049c7e14831c095c22a74e3094",
         "manifest.json":
-            "a02fe35172c35c3bcd6a11b289edf16c1aa7b805f06f069b1014efe65fcb71e1",
+            "7ab1dfe6da5551e4cd5d9cee54016294e8b15a636b2e7862c0a97f83bc9b2a0c",
     }
-    GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+    GOLDEN_VERSIONS = {"numpy": "2.4.6"}
 
     def test_all_curves_match_golden_digests(self, tmp_path):
         cfg = write_config(tmp_path, base_config(
@@ -372,14 +379,23 @@ class TestConfigContract:
 
 
 def test_cli_import_leaves_quadrature_unloaded():
-    # scipy.integrate is imported on first use by stats.intensity_integral,
-    # and the manifest reads scipy's version from its metadata
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    # scipy.integrate is imported on first use by stats.intensity_integral
     code = ("import sys, sgrpsim.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_simulate_run_leaves_package_metadata_unloaded(tmp_path):
+    # the manifest records numpy's version only, so no run reads installed
+    # package metadata
+    cfg = write_config(tmp_path, base_config())
+    code = ("import sys; from sgrpsim.cli import main; "
+            f"code = main(['simulate-sgrp', '--config', {cfg!r}, '--out', 'out']); "
+            "print(code, 'importlib.metadata' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
