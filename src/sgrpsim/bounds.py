@@ -70,6 +70,13 @@ def _eval_time(mh, t) -> float:
     return t
 
 
+def _padded_offsets(times, n, ara):
+    """``W`` after each of ``times``, behind n zeros for ``W(L <= 0)``; read-only."""
+    padded = np.concatenate((np.zeros(n), ara.offsets_after(times)))
+    padded.flags.writeable = False
+    return padded
+
+
 def envelope_offset_rows(times, n, ara):
     """Lag offsets of every prefix of ``times``.
 
@@ -77,18 +84,17 @@ def envelope_offset_rows(times, n, ara):
     ``W(k), W(k-1), .., W(k-n+1)`` newest first. The rows are read-only
     views of one padded copy of ``W``.
     """
-    padded = np.concatenate((np.zeros(n), ara.offsets_after(times)))
-    padded.flags.writeable = False
-    return sliding_window_view(padded, n)[:, ::-1]
+    return sliding_window_view(_padded_offsets(times, n, ara), n)[:, ::-1]
 
 
 def envelope_offsets(times, n, ara):
     """The n lag offsets ``W(N-i)`` of the envelopes after ``times``.
 
-    They read the last n + m - 1 times only.
+    The last row of :func:`envelope_offset_rows`, bit for bit and read-only,
+    built alone: it reads the last n + m - 1 times only.
     """
     tail = np.asarray(times, dtype=float)[-(n + ara.m - 1):]
-    return envelope_offset_rows(tail, n, ara)[-1]
+    return _padded_offsets(tail, n, ara)[::-1][:n]
 
 
 def _envelope_ages(t, lags):
@@ -111,13 +117,23 @@ def envelope_rates(hazard, t, lags):
     """(lower, upper) envelope values at ``t`` from one rate-kernel call.
 
     lower: the sum of the n lag rates ``rate(t - lags)``; upper: n-1 fresh
-    components plus lag 0's rate. A vector ``t`` takes one row of ``lags``
-    per element.
+    components plus lag 0's rate. A float ``t`` (``np.float64`` included)
+    takes one ``(n+1,)`` age row, the lags then the fresh age, and skips the
+    broadcasting of the vector route; the sums are the same floats, since
+    both reduce the same contiguous lag rates. Any other ``t`` is broadcast:
+    an array takes one row of ``lags`` per element.
 
     Uses the trusted ``hazard.rate_unchecked``: the caller has checked that
     the hazard is nondecreasing and that ``t`` does not precede the history
     the offsets come from, so every age is >= 0.
     """
+    if isinstance(t, float):
+        n = len(lags)
+        ages = np.empty(n + 1)
+        np.subtract(t, lags, out=ages[:n])
+        ages[n] = t
+        rates = hazard.rate_unchecked(ages)
+        return np.add.reduce(rates[:n]), (n - 1) * rates[n] + rates[0]
     return _envelope_sums(hazard.rate_unchecked(_envelope_ages(t, lags)))
 
 

@@ -23,6 +23,7 @@ reading is used here.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 
 import numpy as np
@@ -145,16 +146,6 @@ def simulate_algorithm1(am: ApproxModel, n_events=None, seed=None, *,
     return MaskedHistory(times=out, n=n, t_obs=float(out[-1]))
 
 
-def _median(values):
-    """Median of floats: the middle value, or the mean of the two middle ones.
-
-    The same float as ``np.median``, without its array overhead.
-    """
-    s = sorted(values)
-    k = len(s) // 2
-    return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
-
-
 def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
                       seed=None, rng=None) -> MaskedHistory:
     """Window thinning driven by the exact model intensity.
@@ -176,7 +167,9 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     n = am.n
 
     times = []
-    gaps = deque(maxlen=64)  # the latest inter-event gaps set the window
+    # the median of the latest 64 inter-event gaps sets the window: the gaps
+    # in arrival order, and the same gaps kept sorted
+    gaps, ranked = deque(), []
     # offsets are fixed between events: each accepted event prepends one
     # single-component offset W(N) to the n lags, newest first
     state, lags = am.repair.offset_state(), np.zeros(n)
@@ -204,12 +197,17 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
         t = t + gap
         if rng.random() * majorant <= am._intensity(t, lags):
             if times:
-                gaps.append(t - times[-1])
+                spacing = t - times[-1]
+                gaps.append(spacing)
+                insort(ranked, spacing)
+                if len(gaps) > 64:
+                    del ranked[bisect_left(ranked, gaps.popleft())]
+                # the middle gap, or the mean of the two middle ones: np.median's float
+                k = len(ranked) // 2
+                window = ranked[k] if len(ranked) % 2 else (ranked[k - 1] + ranked[k]) / 2
             times.append(t)
             state, offset = am.repair.offset_step(state, t)
             lags = np.concatenate(((offset,), lags[:-1]))
-            if gaps:
-                window = _median(gaps)
 
     times = np.asarray(times, dtype=float)
     t_obs = float(horizon) if horizon is not None else (float(times[-1]) if times.size else 0.0)

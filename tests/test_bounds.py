@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import sgrpsim.bounds as bounds
 from history_oracle import envelope_offsets_from_history
-from sgrpsim import (ARA, ConstantHazard, DomainError, Kijima1, MaskedHistory,
-                     Minimal, Perfect, PowerLawHazard,
+from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, Kijima1,
+                     MaskedHistory, Minimal, Perfect, PowerLawHazard,
                      heterogeneous_upper, intensity_integral, mask,
                      sgrp_bounds, sgrp_bounds_at_events, simulate_sgrp,
                      true_intensity_at_events)
@@ -71,6 +71,22 @@ class TestLagOffsets:
         # all five times for m >= 5
         expect = 0.5 * sum(0.5 ** j * times[4 - j] for j in range(5))
         assert bounds.envelope_offsets(times, 2, ARA(9, 0.5))[0] == pytest.approx(expect)
+
+    def test_last_row_alone_equals_rows_bitwise(self):
+        # envelope_offsets builds the last row only, from the last n + m - 1
+        # times; N = 0 and N < n pad with W(L <= 0) = 0
+        rng = np.random.default_rng(49)
+        cases = [(3, 1, 0.3, 0), (5, 2, 0.5, 2), (1, 4, 1.0, 0), (6, 3, 0.0, 4)]
+        for _ in range(200):
+            cases.append((int(rng.integers(1, 40)), int(rng.integers(1, 8)),
+                          float(rng.choice([0.0, 1.0, rng.uniform()])),
+                          int(rng.integers(0, 120))))
+        for n, m, rho, big_n in cases:
+            times = np.cumsum(rng.exponential(2.0, size=big_n))
+            lags = bounds.envelope_offsets(times, n, ARA(m, rho))
+            assert lags.shape == (n,)
+            assert np.array_equal(lags, bounds.envelope_offset_rows(times, n, ARA(m, rho))[-1])
+            assert not lags.flags.writeable
 
 
 def srp_reference(masked, hazard, t):
@@ -317,6 +333,51 @@ class TestEnvelopeCumulative:
         for r in range(a.size):
             one = bounds.envelope_cumulative(PL, a[r], b[r], lags[r])
             assert (lower[r], upper[r]) == one
+
+
+class TestScalarRoute:
+    """A float ``t`` takes one age row; it must equal the vector route bit for bit."""
+
+    @staticmethod
+    def vector_row(hazard, t, lags):
+        lower, upper = bounds.envelope_rates(hazard, np.array([t]), lags[None])
+        return lower[0], upper[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 300])
+    @pytest.mark.parametrize("hazard", [PL, ConstantHazard(0.2)], ids=["power_law", "constant"])
+    def test_float_time_equals_vector_row(self, hazard, n):
+        rng = np.random.default_rng(50 + n)
+        times = np.cumsum(rng.exponential(2.0, size=2 * n + 3))
+        for k in (0, n // 2, times.size):
+            lags = bounds.envelope_offsets(times[:k], n, ARA(3, 0.4))
+            last = float(times[k - 1]) if k else 0.0
+            # lags[0] leaves lag 0 at age 0
+            for t in (float(lags[0]), last, last + 0.7, last + 31.0):
+                want = self.vector_row(hazard, t, lags)
+                for form in (t, np.float64(t), np.array(t)):
+                    got = bounds.envelope_rates(hazard, form, lags)
+                    assert got == want, (k, t, type(form))
+
+    def test_random_cases_equal_vector_row(self):
+        rng = np.random.default_rng(51)
+        for _ in range(300):
+            n = int(rng.integers(1, 301))
+            hazard = PowerLawHazard(float(rng.uniform(1.0, 4.0)), float(rng.uniform(1.0, 80.0)))
+            times = np.cumsum(rng.exponential(2.0, size=int(rng.integers(0, 2 * n + 2))))
+            lags = bounds.envelope_offsets(times, n, ARA(int(rng.integers(1, 5)), rng.uniform()))
+            t = (float(times[-1]) if times.size else 0.0) + float(rng.exponential(5.0))
+            assert bounds.envelope_rates(hazard, t, lags) == self.vector_row(hazard, t, lags)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("n", [1, 7, 100])
+    def test_model_intensity_is_the_vector_row_mix(self, n, delta):
+        times = np.cumsum(np.random.default_rng(52 + n).exponential(2.0, size=3 * n))
+        for hazard in (PL, ConstantHazard(0.2)):
+            am = ApproxModel(n, delta, hazard, ARA(2, 0.5))
+            lags = bounds.envelope_offsets(times, n, am.repair)
+            for t in (float(lags[0]), float(times[-1]) + 4.0):
+                lower, upper = self.vector_row(am.component_hazard(), t, lags)
+                assert am._intensity(t, lags) == float(delta * lower + (1.0 - delta) * upper)
 
 
 class TestHeterogeneousUpper:
