@@ -1,8 +1,10 @@
 """CSV event logs, curve exports and run manifests.
 
 Times are printed with 17 significant digits so a written log reloads
-bit-identically. Manifests are JSON with sorted keys and no timestamps, so a
-rerun with the same seed produces byte-identical files.
+bit-identically. Rows are the bytes ``csv.writer`` writes (``,`` between
+fields, ``\\r\\n`` after each), formatted and written in blocks of
+:data:`BLOCK_ROWS` rows. Manifests are JSON with sorted keys and no
+timestamps, so a rerun with the same seed produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,19 +21,40 @@ __all__ = ["write_events_csv", "read_events_csv", "write_rates_csv",
            "read_rates_csv", "write_bounds_csv", "write_manifest", "read_manifest"]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+#: Rows per ``write``: a block's text is tens of kB, so a large table is
+#: never held as one string.
+BLOCK_ROWS = 512
+
+
+def _write_rows(fh, row_format, *columns):
+    """Write ``row_format % row`` for each row of the equal-length ``columns``.
+
+    Each block reads its values as Python numbers (``tolist``), so ``%.17g``
+    prints a float as ``format(float(x), ".17g")`` does and ``%d`` an integer
+    as ``int(x)`` does. A block is one ``%`` over the row format repeated, on
+    the block's values in row order: a tuple per row raised the peak memory
+    of repeated ``bounds-check`` runs by about 0.3 MB.
+    """
+    width = len(columns)
+    for lo in range(0, len(columns[0]), BLOCK_ROWS):
+        parts = [c[lo:lo + BLOCK_ROWS].tolist() for c in columns]
+        values = [None] * (len(parts[0]) * width)
+        for j, part in enumerate(parts):
+            values[j::width] = part
+        fh.write(row_format * len(parts[0]) % tuple(values))
 
 
 def write_events_csv(path, times, labels=None):
     """Event log with columns index,time,component; component empty when masked."""
     path = Path(path)
+    times = np.asarray(times, dtype=float)
+    index = np.arange(1, times.size + 1)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "time", "component"])
-        for k, t in enumerate(times):
-            comp = "" if labels is None else int(labels[k])
-            writer.writerow([k + 1, _fmt(t), comp])
+        fh.write("index,time,component\r\n")
+        if labels is None:
+            _write_rows(fh, "%d,%.17g,\r\n", index, times)
+        else:
+            _write_rows(fh, "%d,%.17g,%d\r\n", index, times, np.asarray(labels))
     return path
 
 
@@ -67,11 +90,9 @@ def write_rates_csv(path, curve, note=None):
         if note:
             fh.write(f"# {note}\n")
         fh.write("# bins anchored at 0; partial tail bin dropped when a horizon is set\n")
-        writer = csv.writer(fh)
-        writer.writerow(["bin_start", "bin_end", "count", "rate"])
-        for start, count, rate in zip(curve.starts, curve.counts, curve.rates):
-            writer.writerow([_fmt(start), _fmt(start + curve.bin_width),
-                             int(count), _fmt(rate)])
+        fh.write("bin_start,bin_end,count,rate\r\n")
+        _write_rows(fh, "%.17g,%.17g,%d,%.17g\r\n", curve.starts,
+                    curve.starts + curve.bin_width, curve.counts, curve.rates)
     return path
 
 
@@ -94,13 +115,14 @@ def read_rates_csv(path):
 def write_bounds_csv(path, t, lower, upper, true=None):
     """Envelope table with columns t,lower,upper,true (true optional)."""
     path = Path(path)
+    columns = [np.asarray(c, dtype=float) for c in (t, lower, upper)]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "lower", "upper", "true"])
-        for k in range(len(t)):
-            row = [_fmt(t[k]), _fmt(lower[k]), _fmt(upper[k])]
-            row.append(_fmt(true[k]) if true is not None else "")
-            writer.writerow(row)
+        fh.write("t,lower,upper,true\r\n")
+        if true is None:
+            _write_rows(fh, "%.17g,%.17g,%.17g,\r\n", *columns)
+        else:
+            _write_rows(fh, "%.17g,%.17g,%.17g,%.17g\r\n", *columns,
+                        np.asarray(true, dtype=float))
     return path
 
 

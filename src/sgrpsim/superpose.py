@@ -61,14 +61,19 @@ class MaskedHistory:
         return int(self.times.size)
 
     def envelope_offsets(self, ara):
-        """``bounds.envelope_offsets(times, n, ara)``, computed once per ``ara``."""
-        try:
-            return self._offsets[ara]
-        except KeyError:
+        """``bounds.envelope_offsets(times, n, ara)``, computed once per ``ara``.
+
+        The memo is keyed by ``id(ara)``, which skips hashing the dataclass on
+        every call; each entry holds ``ara`` itself, so the id is not reused
+        while the entry lives.
+        """
+        entry = self._offsets.get(id(ara))
+        if entry is None or entry[0] is not ara:
             from .bounds import envelope_offsets  # bounds imports this module
 
-            offsets = self._offsets[ara] = envelope_offsets(self.times, self.n, ara)
-            return offsets
+            offsets = envelope_offsets(self.times, self.n, ara)
+            entry = self._offsets[id(ara)] = (ara, offsets)
+        return entry[1]
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,15 @@ class TestHistoryMemo:
             assert np.array_equal(masked.envelope_offsets(repair),
                                   envelope_offsets_from_history(repair, times, n))
 
+    def test_models_made_and_dropped_in_turn(self):
+        # each model is a temporary: a memo keyed by id that let it go would
+        # meet its id again in the next model and hand out stale offsets
+        times = np.cumsum(np.random.default_rng(58).exponential(1.5, size=30))
+        masked = mh(times, 4)
+        for m, rho in ((1, 0.3), (1, 0.6), (3, 0.6), (1, 0.3), (3, 0.9)):
+            assert np.array_equal(masked.envelope_offsets(ARA(m, rho)),
+                                  envelope_offsets_from_history(ARA(m, rho), times, 4))
+
     def test_times_are_read_only(self):
         masked = mh([1.0, 2.0, 4.0], 2)
         approx_intensity(ApproxModel(2, 0.5, PL, ARA(1, 0.3)), masked, 5.0)

@@ -388,6 +388,15 @@ def test_cli_import_leaves_quadrature_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random loads with the first stream, not with the package
+    code = "import sys, sgrpsim.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_simulate_run_leaves_package_metadata_unloaded(tmp_path):
     # the manifest records numpy's version only, so no run reads installed
     # package metadata
