@@ -76,13 +76,15 @@ class ApproxModel:
             raise DomainError("approximation requires a nondecreasing hazard rate")
         return hc
 
-    def _intensity(self, t, lags) -> float:
+    def _intensity(self, t, lags):
         """delta * lower + (1 - delta) * upper at ``t`` over the envelope ``lags``.
 
-        Trusted: ``t`` must not precede the history the lags come from.
+        A float ``t`` gives a float, an array of times an array of the same
+        shape. Trusted: ``t`` must not precede the history the lags come from.
         """
         lower, upper = envelope_rates(self._envelope_hazard, t, lags)
-        return float(self.delta * lower + (1.0 - self.delta) * upper)
+        mixed = self.delta * lower + (1.0 - self.delta) * upper
+        return float(mixed) if isinstance(t, float) else mixed
 
     def to_config(self) -> dict:
         return {
@@ -119,7 +121,12 @@ def _check_history_n(am, mh):
         raise DomainError(f"masked history has n={mh.n}, model has n={am.n}")
 
 
-def approx_intensity(am: ApproxModel, mh: MaskedHistory, t) -> float:
-    """delta * lower + (1 - delta) * upper at the left limit ``t``."""
+def approx_intensity(am: ApproxModel, mh: MaskedHistory, t):
+    """delta * lower + (1 - delta) * upper at the left limit ``t``.
+
+    A scalar ``t`` gives a float. An array of times, none before the last
+    masked failure, gives an array of the same shape, equal bit for bit to
+    the scalar calls.
+    """
     _check_history_n(am, mh)
     return am._intensity(_eval_time(mh, t), mh.envelope_offsets(am.repair))

@@ -59,14 +59,22 @@ def _require_improving(model):
         raise DomainError("bound evaluation requires repair effectiveness in [0, 1]")
 
 
-def _eval_time(mh, t) -> float:
-    """``t`` as a float, refused when NaN or before the last masked failure."""
-    t = float(t)
+def _eval_time(mh, t):
+    """A scalar ``t`` as a float, any other as a float array.
+
+    Refused when a time is NaN or precedes the last masked failure.
+    """
     last = float(mh.times[-1]) if mh.times.size else 0.0
-    if not t >= last:
-        if t != t:
+    if np.ndim(t) == 0:
+        t = float(t)
+        ok = t >= last
+    else:
+        t = np.asarray(t, dtype=float)
+        ok = bool(np.all(t >= last))
+    if not ok:  # NaN fails the comparison too
+        if np.isnan(t).any():
             raise DomainError("evaluation time t is NaN")
-        raise DomainError(f"t={t} precedes the last masked failure at {last}")
+        raise DomainError(f"t={float(np.min(t))} precedes the last masked failure at {last}")
     return t
 
 

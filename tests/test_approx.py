@@ -77,6 +77,23 @@ class TestConstruction:
                 with pytest.raises(DomainError, match="NaN"):
                     fn(am, masked, np.nan)
 
+    def test_array_times_equal_scalar_calls_bitwise(self):
+        rng = np.random.default_rng(59)
+        for i in range(40):
+            am, masked, t = random_case(rng, n=100 if i % 4 == 0 else None)
+            ts = t + np.concatenate(([0.0], rng.exponential(5.0, size=20)))
+            got = approx_intensity(am, masked, ts)
+            assert got.shape == ts.shape
+            assert got.tolist() == [approx_intensity(am, masked, u) for u in ts.tolist()]
+
+    def test_array_times_checked(self):
+        am = ApproxModel(3, 0.5, PL, ARA(1, 0.3))
+        for masked in (mh([1.0, 4.0], 3), mh([], 3)):
+            with pytest.raises(DomainError, match="NaN"):
+                approx_intensity(am, masked, np.array([5.0, np.nan, 6.0]))
+        with pytest.raises(DomainError, match="precedes the last masked failure"):
+            approx_intensity(am, mh([1.0, 4.0], 3), np.array([5.0, 3.5, 6.0]))
+
     def test_domain_checks_hold_at_every_evaluation(self):
         # the checked (repair, hazard) pair is resolved lazily; a model that
         # fails the checks keeps failing instead of caching a bad result

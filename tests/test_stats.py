@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import stats as sps
 
-from sgrpsim import (ARA, ConstantHazard, DomainError, PowerLawHazard,
-                     intensity_integral, ks_exp1, mean_rate, rate_curve,
-                     rescaled_residuals, simulate_sgrp, stream_rng,
+import sgrpsim.bounds as bounds
+from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, MaskedHistory,
+                     Perfect, PowerLawHazard, approx_intensity, intensity_integral,
+                     ks_exp1, mean_rate, rate_curve, rescaled_residuals,
+                     simulate_sgrp, simulate_thinning, stream_rng,
                      true_system_intensity)
 
 PL = PowerLawHazard(1.3, 40.0)
@@ -70,10 +73,99 @@ class TestRescaledResiduals:
         # residuals of the exact superposition against its own intensity
         model = ARA(1, 0.3)
         full = simulate_sgrp(3, model, PL, n_events=500, seed=73)
+        # true_system_intensity takes one time, so it is mapped over the nodes
         integral = intensity_integral(
-            lambda u: true_system_intensity(full, model, PL, u))
+            lambda u: np.array([true_system_intensity(full, model, PL, x) for x in u]))
         res = rescaled_residuals(full.times, integral)
         assert not ks_exp1(res).rejects[0.01]
+
+
+def quad(intensity, a, b, rtol=1e-8):
+    """scipy's adaptive quadrature with the tolerances intensity_integral uses."""
+    return integrate.quad(intensity, a, b, epsrel=rtol, limit=200)[0]
+
+
+def within_tolerance(value):
+    """``value`` to quad's error bound: rtol 1e-8, or 1.49e-8 absolute near 0."""
+    return pytest.approx(value, rel=1e-8, abs=1.49e-8)
+
+
+class CountingIntensity:
+    """A vectorised intensity that records the shape of every call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.shapes = []
+
+    def __call__(self, t):
+        self.shapes.append(np.shape(t))
+        return self.fn(t)
+
+
+class TestIntensityIntegral:
+    def test_model_intervals_bitwise_equal_quad(self):
+        # the bench's model between thinning events: every interval is
+        # accepted on its first panel and gets quad's bits
+        am = ApproxModel(100, 0.5, PL, ARA(1, 0.3))
+        times = simulate_thinning(am, n_events=300, seed=81).times
+        for k in range(200, times.size):
+            a, b = float(times[k - 1]), float(times[k])
+            hist = MaskedHistory(times[:k], am.n, t_obs=a)
+            counted = CountingIntensity(lambda u: approx_intensity(am, hist, u))
+            got = intensity_integral(counted)(a, b)
+            assert counted.shapes == [(21,)]
+            assert got == quad(lambda u: approx_intensity(am, hist, u), a, b)
+
+    @pytest.mark.parametrize("hazard", [PL, ConstantHazard(0.2)], ids=["power_law", "constant"])
+    def test_envelope_intervals_bitwise_equal_quad(self, hazard):
+        rng = np.random.default_rng(82)
+        n, ara = 5, ARA(1, 0.4)
+        times = np.cumsum(rng.exponential(2.0, size=60))
+        for k in range(10, times.size):
+            lags = bounds.envelope_offsets(times[:k], n, ara)
+            a, b = float(times[k - 1]), float(times[k])
+            for side in (0, 1):
+                counted = CountingIntensity(
+                    lambda t: bounds.envelope_rates(hazard, t, lags)[side])
+                got = intensity_integral(counted)(a, b)
+                assert counted.shapes == [(21,)]
+                assert got == quad(lambda t: float(bounds.envelope_rates(
+                    hazard, t, lags)[side]), a, b)
+
+    def test_perfect_repair_from_age_zero_bisects_to_tolerance(self):
+        # rate(t - 10) ~ (t - 10)**0.3 has an unbounded slope at the repair
+        hist = [10.0]
+        counted = CountingIntensity(
+            lambda u: Perfect().conditional_intensity(PL, hist, u))
+        for b in (10.5, 17.0, 60.0, 400.0):
+            counted.shapes.clear()
+            got = intensity_integral(counted)(10.0, b)
+            # the first panel is refused, then each split evaluates two panels
+            assert len(counted.shapes) > 1 and len(counted.shapes) % 2 == 1
+            assert set(counted.shapes) == {(21,)}
+            ref = quad(lambda u: Perfect().conditional_intensity(PL, hist, u), 10.0, b)
+            assert got == within_tolerance(ref)
+            assert got == within_tolerance(PL.cumulative(b - 10.0))
+
+    def test_sqrt_bisects_to_tolerance(self):
+        for b in (1e-3, 1.0, 250.0):
+            got = intensity_integral(np.sqrt)(0.0, b)
+            assert got == within_tolerance(quad(np.sqrt, 0.0, b))
+            assert got == within_tolerance(2.0 / 3.0 * b ** 1.5)
+
+    def test_empty_interval_is_zero(self):
+        counted = CountingIntensity(np.sqrt)
+        assert intensity_integral(counted)(2.0, 2.0) == 0.0
+        assert intensity_integral(counted)(3.0, 2.0) == 0.0
+        assert counted.shapes == []
+
+    def test_warns_when_panels_run_out(self):
+        # about 1,600 periods on (0, 1) need more than 200 panels
+        counted = CountingIntensity(lambda u: np.sin(1e4 * u))
+        with pytest.warns(RuntimeWarning, match="200 panels"):
+            intensity_integral(counted)(0.0, 1.0)
+        # the first panel, then 199 splits of two panels each
+        assert len(counted.shapes) == 1 + 2 * 199
 
 
 class TestKsExp1:
