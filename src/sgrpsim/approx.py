@@ -79,11 +79,20 @@ class ApproxModel:
     def _intensity(self, t, lags):
         """delta * lower + (1 - delta) * upper at ``t`` over the envelope ``lags``.
 
-        A float ``t`` gives a float, an array of times an array of the same
-        shape. Trusted: ``t`` must not precede the history the lags come from.
+        A float ``t`` gives a float, a list of floats a list mixed on Python
+        floats (see ``envelope_rates``), and an array of times an array of
+        the same shape. Trusted: ``t`` must not precede the history the lags
+        come from.
         """
         lower, upper = envelope_rates(self._envelope_hazard, t, lags)
-        mixed = self.delta * lower + (1.0 - self.delta) * upper
+        d, e = self.delta, 1.0 - self.delta
+
+        def mix(lower, upper):
+            return d * lower + e * upper
+
+        if isinstance(t, list):
+            return list(map(mix, lower, upper))
+        mixed = mix(lower, upper)
         return float(mixed) if isinstance(t, float) else mixed
 
     def to_config(self) -> dict:

@@ -106,43 +106,44 @@ def envelope_offsets(times, n, ara):
 
 
 def _envelope_ages(t, lags):
-    """Columns: the n lag ages, then the fresh age."""
+    """Columns: the n lag ages, then the fresh age; one row per element of ``t``."""
     t = np.asarray(t, dtype=float)
-    n = np.shape(lags)[-1]
+    n = lags.shape[-1]
     ages = np.empty(t.shape + (n + 1,))
-    ages[..., :n] = t[..., None] - lags
+    np.subtract(t[..., None], lags, out=ages[..., :n])
     ages[..., n] = t
     return ages
 
 
-def _envelope_sums(values):
-    """(lower, upper) from per-age values laid out as in :func:`_envelope_ages`."""
+def _envelope_sums(values, t):
+    """(lower, upper) from per-age values laid out as in :func:`_envelope_ages`.
+
+    For a list of times, two lists of Python floats: they take numpy's IEEE
+    operations, and for a few rows cost less than numpy's per-call overhead.
+    """
     n = values.shape[-1] - 1
-    return values[..., :n].sum(axis=-1), (n - 1) * values[..., n] + values[..., 0]
+    lower = np.add.reduce(values[..., :n], axis=-1)
+    if isinstance(t, list):
+        # columns 0 and n: lag 0's value, then the fresh one
+        return lower.tolist(), [(n - 1) * fresh + lag0 for lag0, fresh in values[:, ::n].tolist()]
+    return lower, (n - 1) * values[..., n] + values[..., 0]
 
 
 def envelope_rates(hazard, t, lags):
     """(lower, upper) envelope values at ``t`` from one rate-kernel call.
 
     lower: the sum of the n lag rates ``rate(t - lags)``; upper: n-1 fresh
-    components plus lag 0's rate. A float ``t`` (``np.float64`` included)
-    takes one ``(n+1,)`` age row, the lags then the fresh age, and skips the
-    broadcasting of the vector route; the sums are the same floats, since
-    both reduce the same contiguous lag rates. Any other ``t`` is broadcast:
-    an array takes one row of ``lags`` per element.
+    components plus lag 0's rate. ``t`` is a float, an array of times or a
+    list of floats, which gives two lists; ``lags`` is an array of n lags,
+    or one row of lags per time. Each time takes one row of ages, the n lag
+    ages then the fresh age, so a row's lag rates are contiguous and every
+    row reduces them alike: a time gives the same floats in every form.
 
     Uses the trusted ``hazard.rate_unchecked``: the caller has checked that
     the hazard is nondecreasing and that ``t`` does not precede the history
     the offsets come from, so every age is >= 0.
     """
-    if isinstance(t, float):
-        n = len(lags)
-        ages = np.empty(n + 1)
-        np.subtract(t, lags, out=ages[:n])
-        ages[n] = t
-        rates = hazard.rate_unchecked(ages)
-        return np.add.reduce(rates[:n]), (n - 1) * rates[n] + rates[0]
-    return _envelope_sums(hazard.rate_unchecked(_envelope_ages(t, lags)))
+    return _envelope_sums(hazard.rate_unchecked(_envelope_ages(t, lags)), t)
 
 
 def envelope_cumulative(hazard, a, b, lags):
@@ -156,7 +157,7 @@ def envelope_cumulative(hazard, a, b, lags):
     """
     terms = (hazard.cumulative_unchecked(_envelope_ages(b, lags))
              - hazard.cumulative_unchecked(_envelope_ages(a, lags)))
-    return _envelope_sums(terms)
+    return _envelope_sums(terms, b)
 
 
 def sgrp_bounds(mh: MaskedHistory, model, hazard, t) -> BoundPair:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
+from math import inf, nan
 
 import numpy as np
 
@@ -34,6 +35,10 @@ from .rng import stream_rng, stream_rngs
 from .superpose import MaskedHistory, _advance_streams, _check_stop, _rejuvenating_streams
 
 __all__ = ["nhpp_sample", "simulate_algorithm1", "simulate_thinning"]
+
+#: Window ends one rate call of the thinning sampler evaluates past the
+#: window's start: the window and the two that misses double it into.
+CHAIN_ENDS = 3
 
 
 def nhpp_sample(hazard, count, rng=None, *, uniforms=None) -> np.ndarray:
@@ -146,6 +151,11 @@ def simulate_algorithm1(am: ApproxModel, n_events=None, seed=None, *,
     return MaskedHistory(times=out, n=n, t_obs=float(out[-1]))
 
 
+def _squeeze(n):
+    """``1 - kappa`` with ``kappa = 4 (n + 8) eps``; see :func:`simulate_thinning`."""
+    return 1.0 - 4 * (n + 8) * np.finfo(float).eps
+
+
 def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
                       seed=None, rng=None) -> MaskedHistory:
     """Window thinning driven by the exact model intensity.
@@ -153,11 +163,34 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     Between events the intensity is nondecreasing in t (fixed offsets, rising
     rate), so its value at the end of a lookahead window dominates the window
     and candidates from that homogeneous rate can be accepted with probability
-    intensity/majorant. The window starts at ``inverse_cumulative(1)/n``,
-    doubles whenever a window stays empty, and tracks the median of the last
-    64 inter-event spacings once events accrue; correctness is independent of
-    the window choice. The intensity is ``ApproxModel._intensity``, so the
-    model's hazard and repair are checked once, at its first evaluation.
+    intensity/majorant (Ogata, 1981). The window starts at
+    ``inverse_cumulative(1)/n``, doubles whenever a window stays empty, and
+    tracks the median of the last 64 inter-event spacings once events accrue;
+    correctness is independent of the window choice. The intensity is
+    ``ApproxModel._intensity``, so the model's hazard and repair are checked
+    once, at its first evaluation.
+
+    One rate call serves a window and the misses after it: it evaluates the
+    window's start and the ``CHAIN_ENDS`` window ends that the doubling rule
+    reaches from there, each end computed with the loop's own float steps
+    and horizon clip, so every majorant is the float a call at that end
+    alone gives. A candidate is accepted without evaluating the intensity
+    when ``U * majorant <= (1 - kappa) * L`` (Marsaglia's squeeze), where L
+    is the intensity already computed at the window's start over the same
+    lags: the event time, a missed window's end or a rejected candidate.
+
+    The squeeze decides only what the evaluation would: for s <= t and
+    nonnegative ages, ``fl((1 - kappa) * L(s)) <= L(t)`` with
+    ``kappa = 4 (n + 8) eps``. Rounding keeps order, so every age at t is
+    at least its age at s. A rate kernel within 3u (u = eps / 2) of a
+    nondecreasing function of its float age, as the power law's pow within
+    1 ulp and one product is, keeps ``rate(t) >= (1 - 6u) rate(s)``. A sum
+    of n nonnegative terms is within a factor 1 +- (n - 1) u of exact, which
+    costs the lower envelope (2n + 4) u in all; the upper envelope costs
+    10u, the mix 4u more and the product with ``1 - kappa`` u: at most
+    (2n + 15) u, and kappa is four times that. So every draw, decision and
+    output bit is the evaluation's. A window start before the largest
+    offset so far would take a negative age, so it gets no squeeze.
     """
     _check_stop(n_events, horizon)
     if rng is None:
@@ -165,37 +198,58 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
             raise ValueError("provide seed or rng")
         rng = stream_rng(seed)
     n = am.n
+    cap = inf if horizon is None else float(horizon)
+    squeeze = _squeeze(n)
+    intensity, step = am._intensity, am.repair.offset_step
 
     times = []
     # the median of the latest 64 inter-event gaps sets the window: the gaps
     # in arrival order, and the same gaps kept sorted
     gaps, ranked = deque(), []
-    # offsets are fixed between events: each accepted event prepends one
-    # single-component offset W(N) to the n lags, newest first
-    state, lags = am.repair.offset_state(), np.zeros(n)
+    # offsets are fixed between events: each accepted event puts one
+    # single-component offset W(N) in front of the n lags, newest first. The
+    # lags are the n floats of ``ring`` from ``head`` on; an event writes one
+    # slot lower, and at the front the n - 1 lags that stay move to the back,
+    # once per n + 256 events
+    state, ring = am.repair.offset_state(), np.zeros(2 * n + 256)
+    head = ring.size - n
+    lags, high = ring[head:], 0.0  # high: the largest offset so far
     t = 0.0
     window = float(am.hazard.inverse_cumulative(1.0)) / n
+    # one rate call evaluates ``rows``: the window's start, then the window
+    # ends still to come; ``i`` indexes the next end
+    rows, i = [], 0
     while True:
         if n_events is not None and len(times) >= n_events:
             break
-        if horizon is not None and t >= horizon:
+        if t >= cap:
             break
-        w_end = t + window
-        if horizon is not None:
-            w_end = min(w_end, float(horizon))
-        majorant = am._intensity(w_end, lags)
-        if majorant <= 0.0:
-            # rate can vanish only at the very origin of a power law
-            t = w_end
-            window *= 2.0
-            continue
-        gap = float(rng.exponential()) / majorant
+        if i == len(rows):
+            rows, end, w = [t if t >= high else nan], t, window
+            for _ in range(CHAIN_ENDS):
+                end = end + w
+                if end >= cap:
+                    rows.append(cap)
+                    break
+                rows.append(end)
+                w *= 2.0
+            lam = intensity(rows, lags)
+            floor = squeeze * lam[0]  # NaN, so no squeeze, before an offset
+            i = 1
+        w_end, majorant = rows[i], lam[i]
+        i += 1
+        # the rate vanishes only at the very origin of a power law: no draw
+        gap = inf if majorant <= 0.0 else float(rng.exponential()) / majorant
         if t + gap >= w_end:
+            # the window stayed empty: its end starts the next, twice as long
             t = w_end
             window *= 2.0
+            floor = squeeze * majorant if t >= high else nan
             continue
         t = t + gap
-        if rng.random() * majorant <= am._intensity(t, lags):
+        rows, i = [], 0  # the next window starts at t
+        accept = rng.random() * majorant
+        if accept <= floor or accept <= intensity(t, lags):
             if times:
                 spacing = t - times[-1]
                 gaps.append(spacing)
@@ -206,8 +260,15 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
                 k = len(ranked) // 2
                 window = ranked[k] if len(ranked) % 2 else (ranked[k - 1] + ranked[k]) / 2
             times.append(t)
-            state, offset = am.repair.offset_step(state, t)
-            lags = np.concatenate(((offset,), lags[:-1]))
+            state, offset = step(state, t)
+            if offset > high:
+                high = offset
+            if head == 0:
+                head = ring.size - n + 1
+                ring[head:] = ring[:n - 1]
+            head -= 1
+            ring[head] = offset
+            lags = ring[head:head + n]
 
     times = np.asarray(times, dtype=float)
     t_obs = float(horizon) if horizon is not None else (float(times[-1]) if times.size else 0.0)

@@ -107,28 +107,35 @@ def _rejuvenating_streams(model, hazard, rngs):
     scalar draws, so each column is bit for bit the stream drawn one failure
     at a time.
     """
-    state, offset, t = model.offset_state(), 0.0, 0.0
     k = yield
+    if len(rngs) <= 2:
+        # one or two streams step column by column on Python floats, which
+        # cost less than 1- or 2-element arrays (at five streams the arrays
+        # are the cheaper)
+        columns = [(model.offset_state(), 0.0, 0.0) for _ in rngs]
+        while True:
+            block = np.empty((k, len(rngs)))
+            for i, rng in enumerate(rngs):
+                state, offset, t = columns[i]
+                times = []
+                for e in rng.exponential(size=k).tolist():
+                    t = next_failure_time(hazard, offset, t, e)
+                    state, offset = model.offset_step(state, t)
+                    times.append(t)
+                block[:, i] = times
+                columns[i] = state, offset, t
+            k = yield block
+    state, offset, t = model.offset_state(), 0.0, 0.0
     while True:
-        if len(rngs) == 1:
-            # a lone stream steps on Python floats, which cost less than
-            # 1-element arrays
-            column = []
-            for e in rngs[0].exponential(size=k).tolist():
-                t = next_failure_time(hazard, offset, t, e)
-                state, offset = model.offset_step(state, t)
-                column.append(t)
-            block = np.array(column)[:, None]
-        else:
-            block = np.column_stack([rng.exponential(size=k) for rng in rngs])
-            for j in range(k):
-                # next_failure_time's guards: the age clamped at 0, and a time
-                # not past the last failure becomes the next float up
-                target = hazard.cumulative_unchecked(np.maximum(t - offset, 0.0)) + block[j]
-                t = np.maximum(offset + hazard.inverse_cumulative_unchecked(target),
-                               np.nextafter(t, np.inf))
-                state, offset = model.offset_step(state, t)
-                block[j] = t
+        block = np.column_stack([rng.exponential(size=k) for rng in rngs])
+        for j in range(k):
+            # next_failure_time's guards: the age clamped at 0, and a time
+            # not past the last failure becomes the next float up
+            target = hazard.cumulative_unchecked(np.maximum(t - offset, 0.0)) + block[j]
+            t = np.maximum(offset + hazard.inverse_cumulative_unchecked(target),
+                           np.nextafter(t, np.inf))
+            state, offset = model.offset_step(state, t)
+            block[j] = t
         k = yield block
 
 

@@ -10,16 +10,19 @@ from per-stream generators and merge them through a heap. The tests compare
 the package's incremental and lock-step paths to them bit for bit.
 
 ``approx_intensity_ara`` writes the model intensity out in closed form, as a
-second arithmetic path for the envelope assembly.
+second arithmetic path for the envelope assembly. ``RampHazard`` is a hazard
+family outside the shipped ones.
 """
 
 import heapq
+from dataclasses import dataclass
 
 import numpy as np
 
 from sgrpsim import DomainError, MaskedHistory, stream_rng
 from sgrpsim.approx import _check_history_n
 from sgrpsim.bounds import _eval_time
+from sgrpsim.hazards import Hazard
 from sgrpsim.repair import next_failure_time
 
 
@@ -236,3 +239,35 @@ def approx_intensity_ara(am, mh, t):
     head = ((n - lags) * d + (n - 1) * (1.0 - d)) * lam(t)
     tail = d * float(np.sum(lam(t - offs)))
     return float(head + (1.0 - d) * lam(t - w(big_n)) + tail)
+
+
+@dataclass(frozen=True)
+class RampHazard(Hazard):
+    """rate(x) = slope * min(x, cap): nondecreasing, and flat from ``cap`` on.
+
+    A family under the three-kernel contract that is neither a power law nor
+    constant: once every age passes ``cap`` an intensity built on it is
+    exactly flat.
+    """
+
+    slope: float
+    cap: float
+    is_nondecreasing = True
+
+    def rate_unchecked(self, ages):
+        return self.slope * np.minimum(ages, self.cap)
+
+    def cumulative_unchecked(self, ages):
+        x = np.minimum(ages, self.cap)
+        return self.slope * (0.5 * x * x + self.cap * (ages - x))
+
+    def inverse_cumulative_unchecked(self, u):
+        knee = 0.5 * self.slope * self.cap * self.cap
+        return np.where(u <= knee, np.sqrt(2.0 * u / self.slope),
+                        self.cap + (u - knee) / (self.slope * self.cap))
+
+    def scaled(self, factor):
+        return RampHazard(self.slope * factor, self.cap)
+
+    def to_config(self):
+        return {"family": "ramp", "slope": self.slope, "cap": self.cap}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgrpsim.bounds as bounds
-from history_oracle import envelope_offsets_from_history
+from history_oracle import RampHazard, envelope_offsets_from_history
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, Kijima1,
                      MaskedHistory, Minimal, Perfect, PowerLawHazard,
                      heterogeneous_upper, intensity_integral, mask,
@@ -227,6 +227,20 @@ class TestSgrpBounds:
         true = true_intensity_at_events(full, model, PL)
         assert np.all(lower <= true + 1e-9)
 
+    def test_deep_memory_upper_envelope_fails_for_a_ramp_hazard(self):
+        # the m >= 2 upper envelope is checked for the shipped hazards, not
+        # proven: under the ramp rate min(x, 1.1) and ARA(2, .5), components
+        # A, B, A failing at 1, 2, 3 carry offsets 1.75 and 1.0, while one
+        # component failing at all three carries W(3) = 2.0
+        ramp, model = RampHazard(1.0, 1.1), ARA(2, 0.5)
+        pair = sgrp_bounds(mh([1.0, 2.0, 3.0], 2), model, ramp, 3.0)
+        true = (model.conditional_intensity(ramp, [1.0, 3.0], 3.0)
+                + model.conditional_intensity(ramp, [2.0], 3.0))
+        assert true == pytest.approx(2.2, rel=1e-15)
+        assert pair.upper == pytest.approx(2.1, rel=1e-15)
+        assert pair.lower == pytest.approx(2.1, rel=1e-15)
+        assert true > pair.upper
+
 
 def test_monotone_information():
     # appending a newer failure never raises the round-robin lower envelope
@@ -378,6 +392,25 @@ class TestScalarRoute:
             for t in (float(lags[0]), float(times[-1]) + 4.0):
                 lower, upper = self.vector_row(am.component_hazard(), t, lags)
                 assert am._intensity(t, lags) == float(delta * lower + (1.0 - delta) * upper)
+
+
+class TestListRoute:
+    """A list of times gives Python floats; each equals its vector row bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 100])
+    @pytest.mark.parametrize("hazard", [PL, ConstantHazard(0.2), RampHazard(0.5, 3.0)],
+                             ids=["power_law", "constant", "ramp"])
+    def test_list_of_times_equals_vector_rows(self, hazard, n):
+        times = np.cumsum(np.random.default_rng(53 + n).exponential(2.0, size=2 * n + 3))
+        lags = bounds.envelope_offsets(times, n, ARA(3, 0.4))
+        ts = [float(lags[0]), float(times[-1]), float(times[-1]) + 0.7, float(times[-1]) + 31.0]
+        lower, upper = bounds.envelope_rates(hazard, ts, lags)
+        want = bounds.envelope_rates(hazard, np.array(ts), lags)
+        assert type(lower) is type(upper) is list
+        assert lower == want[0].tolist() and upper == want[1].tolist()
+        for delta in (0.0, 0.3, 1.0):
+            am = ApproxModel(n, delta, hazard, ARA(3, 0.4))
+            assert am._intensity(ts, lags) == [am._intensity(t, lags) for t in ts]
 
 
 class TestHeterogeneousUpper:

@@ -1,11 +1,14 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 import sgrpsim.simulate as simulate
-from history_oracle import (grp_stream, grp_stream_from_history, heap_merge,
+from history_oracle import (RampHazard, grp_stream, grp_stream_from_history, heap_merge,
                             nhpp_stream, simulate_algorithm1_heap,
                             simulate_thinning_from_history)
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, Kijima1,
@@ -13,10 +16,34 @@ from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, Kijima1,
                      approx_intensity, intensity_integral, ks_exp1, nhpp_sample,
                      rescaled_residuals, simulate_algorithm1, simulate_sgrp,
                      simulate_thinning, stream_rng)
+from sgrpsim.bounds import envelope_offsets
 from sgrpsim.rng import stream_rngs
-from sgrpsim.simulate import _merge
+from sgrpsim.simulate import _merge, _squeeze
 
 PL = PowerLawHazard(1.3, 40.0)
+
+#: nondecreasing hazards: power laws with beta in [1, 4], constants, and ramps
+#: whose intensity goes exactly flat once every age passes the cap
+HAZARDS = st.one_of(
+    st.builds(PowerLawHazard, st.floats(1.0, 4.0), st.floats(1.0, 80.0)),
+    st.builds(ConstantHazard, st.floats(0.01, 10.0)),
+    st.builds(RampHazard, st.floats(0.01, 10.0), st.floats(0.01, 50.0)))
+DELTAS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class JitteredPowerLaw(PowerLawHazard):
+    """A power law whose rate kernel is off by one ulp, up or toward 0.
+
+    The direction follows the parity of each value's bits, so the kernel is
+    within 2 ulps of a nondecreasing rate but not itself monotone, as a
+    vector pow that is not correctly rounded may be.
+    """
+
+    def rate_unchecked(self, ages):
+        rate = np.asarray(super().rate_unchecked(ages))
+        odd = (rate.view(np.int64) & 1).astype(bool)
+        return np.nextafter(rate, np.where(odd, np.inf, 0.0))
 
 
 class TestNhppSample:
@@ -102,7 +129,8 @@ class TestAlgorithm1:
     @pytest.mark.parametrize("n,delta,repair", [
         (5, 0.5, Kijima1(0.7)), (5, 0.0, Kijima1(0.7)), (5, 1.0, Kijima1(0.7)),
         (100, 0.5, Kijima1(0.7)), (1, 0.4, Kijima1(0.7)), (5, 0.5, ARA(3, 0.5)),
-        (5, 0.5, Perfect()), (5, 0.5, Minimal())])
+        (5, 0.5, Perfect()), (5, 0.5, Minimal()),
+        (2, 0.5, Kijima1(0.7)), (2, 1.0, ARA(3, 0.5))])
     def test_streams_match_history_recomputation_bitwise(self, n, delta, repair):
         # the streams advance in lock step and carry their offsets
         # incrementally; one generator per stream, each rebuilding its offset
@@ -283,6 +311,59 @@ class TestThinning:
         expect = simulate_thinning_from_history(am, horizon=horizon, seed=21)
         assert np.array_equal(got.times, expect.times)
         assert got.t_obs == expect.t_obs == horizon
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 150), m=st.integers(1, 4), rho=st.floats(0.0, 1.0),
+           delta=DELTAS, hazard=HAZARDS, count=st.integers(1, 60),
+           cut=st.floats(0.05, 1.5), seed=st.integers(0, 2**32 - 1))
+    def test_matches_whole_history_thinning_bitwise_everywhere(self, n, m, rho, delta,
+                                                               hazard, count, cut, seed):
+        # the majorant chain and the squeeze change no draw, decision or bit;
+        # a horizon cut anywhere in the run clips the chain evaluated there
+        am = ApproxModel(n, delta, hazard, ARA(m, rho))
+        got = simulate_thinning(am, n_events=count, seed=seed)
+        expect = simulate_thinning_from_history(am, n_events=count, seed=seed)
+        assert np.array_equal(got.times, expect.times)
+        horizon = cut * float(got.times[-1])
+        got = simulate_thinning(am, horizon=horizon, seed=seed)
+        expect = simulate_thinning_from_history(am, horizon=horizon, seed=seed)
+        assert np.array_equal(got.times, expect.times)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 300), m=st.integers(1, 4), rho=st.floats(0.0, 1.0),
+           delta=DELTAS,
+           hazard=HAZARDS | st.builds(JitteredPowerLaw, st.floats(1.0, 4.0), st.floats(1.0, 80.0)),
+           gaps=st.lists(st.floats(1e-6, 50.0), max_size=40),
+           start=st.floats(0.0, 100.0), step=st.floats(0.0, 100.0) | st.just(None))
+    def test_squeeze_bounds_the_float_intensity_from_below(self, n, m, rho, delta, hazard,
+                                                           gaps, start, step):
+        # for s <= t and nonnegative ages, fl((1 - kappa) * lam(s)) <= lam(t):
+        # the float intensity falls by less than the sampler's kappa as t rises,
+        # the next float up included, even where the rate kernel does not keep
+        # the order of close ages
+        am = ApproxModel(n, delta, hazard, ARA(m, rho), Normalization.COMPONENT)
+        times = np.cumsum(gaps)
+        lags = envelope_offsets(times, n, am.repair)
+        s = max(float(times[-1]) if times.size else 0.0, float(lags.max())) + start
+        t = float(np.nextafter(s, np.inf)) if step is None else s + step
+        lam_s, lam_t = am._intensity([s, t], lags)
+        assert _squeeze(n) * lam_s <= lam_t
+
+    def test_one_rate_call_per_event(self, monkeypatch):
+        # on the bench oracle config the doubling chain and the squeeze leave
+        # about one rate-kernel call per event, where evaluating every window
+        # end and every candidate alone made 2.63
+        calls = []
+        kernel = PowerLawHazard.rate_unchecked
+
+        def counted(hazard, ages):
+            calls.append(1)
+            return kernel(hazard, ages)
+
+        monkeypatch.setattr(PowerLawHazard, "rate_unchecked", counted)
+        out = simulate_thinning(ApproxModel(100, 0.5, PL, ARA(1, 0.3)), n_events=4000, seed=1)
+        assert len(out) == 4000
+        assert len(calls) / len(out) <= 1.2
 
 
 def test_rescaled_residuals_recover_nhpp_uniforms():

@@ -20,8 +20,9 @@ CASES = {
     "minimal": (Minimal(), PL),
     "constant": (ARA(2, 0.4), ConstantHazard(0.2)),
 }
-#: events per component count; n=100 crosses a BLOCK_ROWS boundary
-EVENTS = {1: 1200, 5: 2000, 100: 5000}
+#: events per component count; n=1 and n=2 step their streams on Python
+#: floats, n=100 crosses a BLOCK_ROWS boundary
+EVENTS = {1: 1200, 2: 1200, 5: 2000, 100: 5000}
 
 
 def build_full(per_component, horizon=None):
@@ -238,7 +239,7 @@ def test_simulate_matches_history_sampler_bitwise(case, n):
 
 
 @pytest.mark.parametrize("cap", [1, 7, 64])
-@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("n", [1, 2, 5])
 def test_simulate_does_not_depend_on_block_size(cap, n, monkeypatch):
     # the streams hand back at most ``cap`` steps per request; the engine
     # takes what it gets, and the run is the one of uncapped blocks
