@@ -12,10 +12,9 @@ model intensity exactly the constant, for every history and delta.
 The model intensity is mixed in one place, ``ApproxModel._intensity``, from
 the envelopes' lag offsets; ``approx_intensity`` and the thinning sampler
 both call it. The model's repair form and component hazard are checked once
-per model, and the lag offsets once per masked history. Both envelopes read
-the single-component offsets ``W`` of the masked prefixes (see ``bounds``),
-so for m >= 2 the lower side is the provable ``W`` bound rather than the
-paper's round robin.
+per model. Both envelopes read the single-component offsets ``W`` of the
+masked prefixes (see ``bounds``), so for m >= 2 the lower side is the
+provable ``W`` bound rather than the paper's round robin.
 """
 
 from __future__ import annotations
@@ -24,10 +23,10 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bounds import _eval_time, envelope_rates
-from .errors import ConfigError, DomainError, config_number
-from .hazards import Hazard, hazard_from_config
-from .repair import ARA, repair_from_config
+from .bounds import _eval_time, envelope_offsets, envelope_rates
+from .errors import DomainError
+from .hazards import Hazard
+from .repair import ARA
 from .superpose import MaskedHistory
 
 __all__ = ["Normalization", "ApproxModel", "approx_intensity"]
@@ -95,35 +94,6 @@ class ApproxModel:
         mixed = mix(lower, upper)
         return float(mixed) if isinstance(t, float) else mixed
 
-    def to_config(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": self.delta,
-            "normalization": self.normalization.value,
-            "hazard": self.hazard.to_config(),
-            "repair": self.repair.to_config(),
-        }
-
-    @classmethod
-    def from_config(cls, cfg) -> "ApproxModel":
-        if not isinstance(cfg, dict):
-            raise ConfigError("approx model config must be an object")
-        for key in ("n", "delta", "hazard", "repair"):
-            if key not in cfg:
-                raise ConfigError(f"approx model config needs key '{key}'")
-        norm = cfg.get("normalization", Normalization.SYSTEM_SPLIT.value)
-        try:
-            normalization = Normalization(norm)
-        except ValueError:
-            raise ConfigError(f"unknown normalization {norm!r}") from None
-        return cls(
-            n=config_number("n", cfg["n"], int),
-            delta=config_number("delta", cfg["delta"]),
-            hazard=hazard_from_config(cfg["hazard"]),
-            repair=repair_from_config(cfg["repair"]),
-            normalization=normalization,
-        )
-
 
 def _check_history_n(am, mh):
     if isinstance(mh, MaskedHistory) and mh.n != am.n:
@@ -138,4 +108,4 @@ def approx_intensity(am: ApproxModel, mh: MaskedHistory, t):
     the scalar calls.
     """
     _check_history_n(am, mh)
-    return am._intensity(_eval_time(mh, t), mh.envelope_offsets(am.repair))
+    return am._intensity(_eval_time(mh, t), envelope_offsets(mh.times, mh.n, am.repair))

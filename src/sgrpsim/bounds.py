@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
+from .hazards import ConstantHazard, PowerLawHazard
 from .repair import check_history
 from .superpose import BLOCK_ROWS, MaskedHistory
 
@@ -78,31 +78,28 @@ def _eval_time(mh, t):
     return t
 
 
-def _padded_offsets(times, n, ara):
-    """``W`` after each of ``times``, behind n zeros for ``W(L <= 0)``; read-only."""
-    padded = np.concatenate((np.zeros(n), ara.offsets_after(times)))
-    padded.flags.writeable = False
-    return padded
-
-
 def envelope_offset_rows(times, n, ara):
     """Lag offsets of every prefix of ``times``.
 
     Row k, for k = 0..N, holds the lags after ``times[:k]``:
     ``W(k), W(k-1), .., W(k-n+1)`` newest first. The rows are read-only
-    views of one padded copy of ``W``.
+    views of one copy of ``W`` behind n zeros for ``W(L <= 0)``.
     """
-    return sliding_window_view(_padded_offsets(times, n, ara), n)[:, ::-1]
+    padded = np.concatenate((np.zeros(n), ara.offsets_after(times)))
+    padded.flags.writeable = False
+    # row k reads padded[k + n - 1] down to padded[k]
+    step = padded.itemsize
+    return np.ndarray((padded.size - n + 1, n), float, padded, (n - 1) * step, (step, -step))
 
 
 def envelope_offsets(times, n, ara):
     """The n lag offsets ``W(N-i)`` of the envelopes after ``times``.
 
-    The last row of :func:`envelope_offset_rows`, bit for bit and read-only,
-    built alone: it reads the last n + m - 1 times only.
+    The last row of :func:`envelope_offset_rows`, read from the last
+    n + m - 1 times only.
     """
     tail = np.asarray(times, dtype=float)[-(n + ara.m - 1):]
-    return _padded_offsets(tail, n, ara)[::-1][:n]
+    return envelope_offset_rows(tail, n, ara)[-1]
 
 
 def _envelope_ages(t, lags):
@@ -163,13 +160,12 @@ def envelope_cumulative(hazard, a, b, lags):
 def sgrp_bounds(mh: MaskedHistory, model, hazard, t) -> BoundPair:
     """Envelope under an improving age-reduction repair family.
 
-    Replacement repair is ``Perfect()``, i.e. ``ARA(1, 1.0)``. The offsets
-    of ``mh`` are computed once per repair model and kept on it.
+    Replacement repair is ``Perfect()``, i.e. ``ARA(1, 1.0)``.
     """
     _require_nondecreasing(hazard)
     _require_improving(model)
     t = _eval_time(mh, t)
-    lower, upper = envelope_rates(hazard, t, mh.envelope_offsets(model))
+    lower, upper = envelope_rates(hazard, t, envelope_offsets(mh.times, mh.n, model))
     return BoundPair(lower=float(lower), upper=float(upper), at=t)
 
 
@@ -193,13 +189,26 @@ def sgrp_bounds_at_events(times, n, model, hazard):
     return lower, upper
 
 
-def heterogeneous_upper(mh: MaskedHistory, hazards, model, t, grid_points=256) -> float:
+def _power_law_shape(hazard):
+    """beta of a power-law hazard, 1 for a constant one; other families are refused."""
+    if isinstance(hazard, PowerLawHazard):
+        return hazard.beta
+    if isinstance(hazard, ConstantHazard):
+        return 1.0
+    raise DomainError(f"heterogeneous envelope needs power-law or constant hazards, "
+                      f"got {type(hazard).__name__}")
+
+
+def heterogeneous_upper(mh: MaskedHistory, hazards, model, t) -> float:
     """Upper envelope for components with ordered heterogeneous hazards.
 
-    ``hazards`` must be sorted weakest-first; the pointwise ordering is
-    validated on a uniform grid over [0, t] (``grid_points`` points) before
-    evaluation. All masked failures are attributed to the weakest component,
-    which all share the same repair model.
+    ``hazards`` must be sorted weakest-first on (0, t]. The rates of two
+    power laws have the ratio ``c x^(beta2 - beta1)``, a constant being the
+    power law with beta = 1, so one rate stays at or below the next on
+    (0, t] exactly when the next's beta is at most its own and its rate at
+    t is at most the next's. Other families are refused. All masked failures
+    are attributed to the weakest component, which all share the same
+    repair model.
     """
     if len(hazards) != mh.n:
         raise DomainError(f"need one hazard per component: {len(hazards)} != n={mh.n}")
@@ -207,11 +216,10 @@ def heterogeneous_upper(mh: MaskedHistory, hazards, model, t, grid_points=256) -
     for h in hazards:
         _require_nondecreasing(h)
     t = _eval_time(mh, t)
-    grid = np.linspace(0.0, t, grid_points)
-    rates = np.vstack([np.atleast_1d(h.rate(grid)) for h in hazards])
-    bad = rates[:-1] > rates[1:]
-    if np.any(bad):
-        first = float(grid[int(np.argmax(np.any(bad, axis=0)))])
-        raise DomainError(f"initial intensities are not ordered at t={first}")
-    rest = sum(float(h.rate(t)) for h in hazards[1:])
-    return rest + float(model.conditional_intensity(hazards[0], mh.times, t))
+    betas = [_power_law_shape(h) for h in hazards]
+    rates = [float(h.rate(t)) for h in hazards]
+    for i in range(len(hazards) - 1):
+        if betas[i + 1] > betas[i] or rates[i] > rates[i + 1]:
+            raise DomainError(f"initial intensities of components {i + 1} and {i + 2} "
+                              f"are not ordered on (0, {t}]")
+    return sum(rates[1:]) + float(model.conditional_intensity(hazards[0], mh.times, t))

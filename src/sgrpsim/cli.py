@@ -295,6 +295,8 @@ def _run_figure_task(task):
 
 
 def cmd_figures(args):
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = load_config(args.config)
     seed = _resolve_seed(cfg, args)
     tasks = _figure_tasks(args.which, cfg, seed, args.method)

@@ -12,10 +12,13 @@ class ConfigError(ValueError):
 def config_number(where, value, kind=float):
     """``kind(value)``; a ConfigError naming ``where`` if the value is not one.
 
-    An integer field accepts an integral number (``10.0``) but not ``2.5``.
+    An integer field accepts an integral number (``10.0``) but not ``2.5``,
+    and no field accepts a JSON boolean.
     """
     what = "an integer" if kind is int else "a number"
     try:
+        if isinstance(value, bool):
+            raise TypeError
         out = kind(value)
         if kind is int and isinstance(value, float) and out != value:
             raise ValueError

@@ -41,26 +41,18 @@ __all__ = ["nhpp_sample", "simulate_algorithm1", "simulate_thinning"]
 CHAIN_ENDS = 3
 
 
-def nhpp_sample(hazard, count, rng=None, *, uniforms=None) -> np.ndarray:
-    """Inversion sampling of an inhomogeneous Poisson process.
+def nhpp_sample(hazard, count, rng) -> np.ndarray:
+    """The first ``count`` times of an inhomogeneous Poisson process.
 
-    Accumulates unit exponentials tau_k and maps them through the inverse
-    cumulative hazard: t_k = inf{v : cumulative(v) >= tau_k}. ``uniforms``
-    forces the driving U(0,1) draws for deterministic tests.
+    One block of the stream sampler's Poisson stream: running sums tau_k of
+    unit exponentials from ``rng``, mapped through the inverse cumulative
+    hazard, t_k = inf{v : cumulative(v) >= tau_k}.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    if uniforms is None:
-        if rng is None:
-            raise ValueError("either rng or forced uniforms are required")
-        uniforms = rng.random(int(count))
-    u = np.asarray(uniforms, dtype=float)
-    if u.size != count:
-        raise ValueError(f"need exactly {count} uniforms, got {u.size}")
-    if np.any(u <= 0.0) or np.any(u > 1.0):
-        raise DomainError("uniform draws must lie in (0, 1]")
-    taus = np.cumsum(-np.log(u))
-    return np.asarray(hazard.inverse_cumulative(taus), dtype=float)
+    stream = _poisson_stream(hazard, rng)
+    next(stream)
+    return stream.send(int(count))[:, 0]
 
 
 def _poisson_stream(hazard, rng):

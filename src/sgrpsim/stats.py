@@ -164,8 +164,10 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
 _NODES = np.array([-x for x in _XGK] + [0.0] + list(_XGK[::-1]))
 _EPMACH = float(np.finfo(float).eps)
 _UFLOW = float(np.finfo(float).tiny)
-#: quad's default absolute tolerance and its panel limit.
+#: quad's default absolute tolerance, the relative one used here, and quad's
+#: panel limit.
 _EPSABS = 1.49e-8
+_EPSREL = 1e-8
 _LIMIT = 200
 
 
@@ -206,16 +208,16 @@ def _qk21(intensity, a, b):
     return result, abserr, resasc
 
 
-def intensity_integral(intensity, rtol=1e-8):
+def intensity_integral(intensity):
     """Wrap a vectorised intensity as an interval integral by 21-point panels.
 
     Returns a callable (a, b) -> integral, suitable for
     :func:`rescaled_residuals`; ``intensity`` must map an array of times to
     an array of rates and is called once per panel, on its 21 nodes. The
     first panel is QUADPACK's qk21 over (a, b] and is accepted as quad
-    accepts it, when its error estimate is at most ``max(1.49e-8, rtol *
+    accepts it, when its error estimate is at most ``max(1.49e-8, 1e-8 *
     |result|)`` and differs from ``resasc``, or is 0; the result is then
-    bit-identical to ``scipy.integrate.quad(intensity, a, b, epsrel=rtol,
+    bit-identical to ``scipy.integrate.quad(intensity, a, b, epsrel=1e-8,
     limit=200)`` on the same intensity values. Otherwise the panel with the
     largest error estimate is bisected until the summed estimates meet the
     same bound, which matches quad within the tolerance but not bit for bit;
@@ -227,16 +229,16 @@ def intensity_integral(intensity, rtol=1e-8):
         if b <= a:
             return 0.0
         result, abserr, resasc = _qk21(intensity, a, b)
-        if ((abserr <= max(_EPSABS, rtol * abs(result)) and abserr != resasc)
+        if ((abserr <= max(_EPSABS, _EPSREL * abs(result)) and abserr != resasc)
                 or abserr == 0.0):
             return result
         panels = [(a, b, result, abserr)]
         while True:
             total = math.fsum(p[2] for p in panels)
-            if math.fsum(p[3] for p in panels) <= max(_EPSABS, rtol * abs(total)):
+            if math.fsum(p[3] for p in panels) <= max(_EPSABS, _EPSREL * abs(total)):
                 return total
             if len(panels) >= _LIMIT:
-                warnings.warn(f"quadrature on ({a}, {b}) did not meet rtol={rtol} "
+                warnings.warn(f"quadrature on ({a}, {b}) did not meet rtol={_EPSREL} "
                               f"within {_LIMIT} panels", RuntimeWarning, stacklevel=2)
                 return total
             lo, hi, _, _ = panels.pop(max(range(len(panels)), key=lambda i: panels[i][3]))

@@ -15,7 +15,7 @@ component index. The same engine drives the stream sampler of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,16 +35,12 @@ BLOCK_ROWS = 4096
 class MaskedHistory:
     """System failure times with the failing component's identity removed.
 
-    ``times`` is a read-only copy of the times handed in, so the envelope
-    lag offsets of the history can be computed once per repair model and
-    reused by every evaluation on it (:meth:`envelope_offsets`). They are n
-    floats per model, read from the last n + m - 1 times alone.
+    ``times`` is a read-only copy of the times handed in.
     """
 
     times: np.ndarray
     n: int
     t_obs: float
-    _offsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = check_history(np.array(self.times, dtype=float))
@@ -59,21 +55,6 @@ class MaskedHistory:
 
     def __len__(self):
         return int(self.times.size)
-
-    def envelope_offsets(self, ara):
-        """``bounds.envelope_offsets(times, n, ara)``, computed once per ``ara``.
-
-        The memo is keyed by ``id(ara)``, which skips hashing the dataclass on
-        every call; each entry holds ``ara`` itself, so the id is not reused
-        while the entry lives.
-        """
-        entry = self._offsets.get(id(ara))
-        if entry is None or entry[0] is not ara:
-            from .bounds import envelope_offsets  # bounds imports this module
-
-            offsets = envelope_offsets(self.times, self.n, ara)
-            entry = self._offsets[id(ara)] = (ara, offsets)
-        return entry[1]
 
 
 @dataclass(frozen=True)

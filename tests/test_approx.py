@@ -4,6 +4,7 @@ import pytest
 from history_oracle import approx_intensity_ara, envelope_offsets_from_history
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, MaskedHistory,
                      Normalization, PowerLawHazard, approx_intensity, sgrp_bounds)
+from sgrpsim.bounds import envelope_offsets
 
 PL = PowerLawHazard(1.3, 40.0)
 
@@ -57,14 +58,6 @@ class TestConstruction:
         am2 = ApproxModel(4, 0.5, PL, ARA(1, 0.3), Normalization.COMPONENT)
         assert am2.component_hazard() is PL
 
-    def test_config_round_trip(self):
-        am = ApproxModel(100, 0.5, PL, ARA(1, 0.3))
-        assert ApproxModel.from_config(am.to_config()) == am
-        cfg = {"n": 100, "delta": 0.5, "normalization": "system_split",
-               "hazard": {"family": "power_law", "beta": 1.3, "eta": 40.0},
-               "repair": {"model": "ara", "m": 1, "rho": 0.3}}
-        assert ApproxModel.from_config(cfg) == am
-
     def test_mismatched_n_rejected(self):
         am = ApproxModel(3, 0.5, PL, ARA(1, 0.3))
         with pytest.raises(DomainError):
@@ -108,7 +101,7 @@ class TestConstruction:
 class TestHistoryMemo:
     """One history evaluated under several models equals fresh evaluations."""
 
-    #: pairs share m or rho, so a memo keyed on either alone mixes them up
+    #: pairs share m or rho, so the offsets must follow both
     REPAIRS = (ARA(1, 0.3), ARA(3, 0.3), ARA(3, 0.6))
 
     def test_repeated_evaluations_match_fresh_histories_bitwise(self):
@@ -127,17 +120,8 @@ class TestHistoryMemo:
                 expect = sgrp_bounds(mh(times.copy(), n), am.repair, am.component_hazard(), t)
                 assert (got.lower, got.upper) == (expect.lower, expect.upper)
         for repair in self.REPAIRS:
-            assert np.array_equal(masked.envelope_offsets(repair),
+            assert np.array_equal(envelope_offsets(masked.times, n, repair),
                                   envelope_offsets_from_history(repair, times, n))
-
-    def test_models_made_and_dropped_in_turn(self):
-        # each model is a temporary: a memo keyed by id that let it go would
-        # meet its id again in the next model and hand out stale offsets
-        times = np.cumsum(np.random.default_rng(58).exponential(1.5, size=30))
-        masked = mh(times, 4)
-        for m, rho in ((1, 0.3), (1, 0.6), (3, 0.6), (1, 0.3), (3, 0.9)):
-            assert np.array_equal(masked.envelope_offsets(ARA(m, rho)),
-                                  envelope_offsets_from_history(ARA(m, rho), times, 4))
 
     def test_times_are_read_only(self):
         masked = mh([1.0, 2.0, 4.0], 2)
@@ -145,7 +129,7 @@ class TestHistoryMemo:
         with pytest.raises(ValueError):
             masked.times[-1] = 4.5
         with pytest.raises(ValueError):
-            masked.envelope_offsets(ARA(1, 0.3))[0] = 0.0
+            envelope_offsets(masked.times, 2, ARA(1, 0.3))[0] = 0.0
 
 
 class TestEmptyHistory:

@@ -227,6 +227,23 @@ class TestSgrpBounds:
         true = true_intensity_at_events(full, model, PL)
         assert np.all(lower <= true + 1e-9)
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(2, 4), rho=st.floats(0.0, 1.0),
+           hazard=st.one_of(st.builds(PowerLawHazard, st.floats(1.0, 4.0), st.floats(1.0, 80.0)),
+                            st.builds(ConstantHazard, st.floats(0.01, 10.0))),
+           gaps=st.lists(st.floats(0.01, 50.0), max_size=6),
+           labels=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+           after=st.sampled_from([0.0]) | st.floats(0.0, 50.0))
+    def test_deep_memory_upper_envelope_property(self, n, m, rho, hazard, gaps, labels, after):
+        # checked, not proven, for the power law and the constant: every
+        # labelling of a short masked history stays under the upper envelope
+        model, times = ARA(m, rho), np.cumsum(gaps)
+        t = (times[-1] if times.size else 0.0) + after
+        owner = np.array(labels[:times.size], dtype=int) % n
+        true = sum(model.conditional_intensity(hazard, times[owner == c], t) for c in range(n))
+        upper = sgrp_bounds(mh(times, n), model, hazard, t).upper
+        assert true <= upper * (1 + 1e-12)
+
     def test_deep_memory_upper_envelope_fails_for_a_ramp_hazard(self):
         # the m >= 2 upper envelope is checked for the shipped hazards, not
         # proven: under the ramp rate min(x, 1.1) and ARA(2, .5), components
@@ -434,6 +451,57 @@ class TestHeterogeneousUpper:
         hazards = [ConstantHazard(0.2), ConstantHazard(0.1)]
         with pytest.raises(DomainError, match="not ordered"):
             heterogeneous_upper(mh([1.0], 2), hazards, Perfect(), 4.0)
+
+    def test_steeper_next_hazard_is_refused(self):
+        # ordered at t = 100, but the steeper power law is the smaller rate
+        # near 0: at x = 0.01 the rates are 0.00270 against 0.00054
+        first, second = PowerLawHazard(1.3, 40.0), PowerLawHazard(2.0, 6.0937)
+        assert first.rate(100.0) <= second.rate(100.0)
+        assert first.rate(0.01) == pytest.approx(0.00270, abs=5e-6)
+        assert second.rate(0.01) == pytest.approx(0.00054, abs=5e-6)
+        with pytest.raises(DomainError, match="not ordered"):
+            heterogeneous_upper(mh([1.0], 2), [first, second], Perfect(), 100.0)
+
+    def test_falling_beta_is_ordered_up_to_the_crossing(self):
+        # the rate ratio PL(1.3, 40) / PL(2, 100) falls in x: ordered while
+        # the steeper rate is still the smaller one at t
+        first, second = PowerLawHazard(2.0, 100.0), PL
+        masked = mh([20.0, 60.0], 2)
+        got = heterogeneous_upper(masked, [first, second], ARA(1, 0.5), 100.0)
+        expect = second.rate(100.0) + ARA(1, 0.5).conditional_intensity(
+            first, masked.times, 100.0)
+        assert got == expect
+        with pytest.raises(DomainError, match="not ordered"):
+            heterogeneous_upper(masked, [first, second], ARA(1, 0.5), 1000.0)
+
+    def test_constant_beside_a_power_law(self):
+        # a constant is the power law with beta = 1: it may follow a steeper
+        # power law whose rate at t is no larger, never precede one
+        masked = mh([1.0], 2)
+        got = heterogeneous_upper(masked, [PL, ConstantHazard(0.1)], Perfect(), 100.0)
+        assert got == 0.1 + Perfect().conditional_intensity(PL, masked.times, 100.0)
+        with pytest.raises(DomainError, match="not ordered"):
+            heterogeneous_upper(masked, [PL, ConstantHazard(0.01)], Perfect(), 100.0)
+        with pytest.raises(DomainError, match="not ordered"):
+            heterogeneous_upper(masked, [ConstantHazard(1e-9), PL], Perfect(), 100.0)
+
+    def test_other_families_are_refused(self):
+        with pytest.raises(DomainError, match="RampHazard"):
+            heterogeneous_upper(mh([1.0], 2), [RampHazard(0.1, 5.0), PL], Perfect(), 4.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hazards=st.lists(st.one_of(
+               st.builds(PowerLawHazard, st.floats(1.0, 4.0), st.floats(1.0, 80.0)),
+               st.builds(ConstantHazard, st.floats(0.01, 10.0))), min_size=2, max_size=2),
+           t=st.floats(0.5, 500.0))
+    def test_accepted_pairs_are_ordered_on_a_grid(self, hazards, t):
+        try:
+            heterogeneous_upper(mh([], 2), hazards, Perfect(), t)
+        except DomainError:
+            return
+        grid = t * np.geomspace(1e-12, 1.0, 400)
+        first, second = (h.rate(grid) for h in hazards)
+        assert np.all(first <= second * (1 + 1e-12))
 
     def test_wrong_component_count(self):
         with pytest.raises(DomainError):

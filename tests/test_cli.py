@@ -353,6 +353,12 @@ class TestConfigContract:
         ("run", "n_events", 10.9, "run.n_events"),
         ("repair", "m", 1.5, "repair.m"),
         ("hazard", "allow_decreasing", "false", "hazard.allow_decreasing"),
+        ("system", "n", True, "system.n"),
+        ("system", "n", False, "system.n"),
+        ("hazard", "beta", True, "hazard.beta"),
+        ("hazard", "beta", False, "hazard.beta"),
+        ("run", "seed", True, "run.seed"),
+        ("run", "seed", False, "run.seed"),
     ])
     def test_non_numeric_config_value(self, tmp_path, section, key, value, mentions):
         cfg = write_config(tmp_path, with_value(section, key, value))
@@ -364,6 +370,13 @@ class TestConfigContract:
         proc = run_cli(["simulate-sgrp", "--config", cfg, "--out", "out",
                         "--seed", "-5"], tmp_path)
         self.assert_config_error(proc, "--seed")
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs(self, tmp_path, jobs):
+        cfg = write_config(tmp_path, base_config())
+        proc = run_cli(["figures", "--config", cfg, "--out", "out", "--jobs", jobs], tmp_path)
+        self.assert_config_error(proc, f"--jobs must be >= 1, got {jobs}")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("log,mentions", [
         ("index,time,component\n1,0.5,\n2,soon,\n", "line 3"),

@@ -47,10 +47,13 @@ class JitteredPowerLaw(PowerLawHazard):
 
 
 class TestNhppSample:
-    def test_unit_rate_forced_uniforms(self):
-        u = np.full(3, np.exp(-1.0))
-        got = nhpp_sample(ConstantHazard(1.0), 3, uniforms=u)
-        assert np.allclose(got, [1.0, 2.0, 3.0], rtol=1e-12)
+    def test_unit_rate_is_running_sum_of_exponentials(self):
+        # one block of the Poisson stream: the times at unit rate are the
+        # running sums of the generator's exponentials
+        got = nhpp_sample(ConstantHazard(1.0), 3, stream_rng(60))
+        expect = np.cumsum(stream_rng(60).exponential(size=3))
+        assert np.allclose(got, expect, rtol=1e-12)
+        assert np.array_equal(got, expect)
 
     def test_zero_rate_stream_cannot_be_built(self):
         # the Poisson stream scale vanishes at delta=1, which the hazard
@@ -366,9 +369,8 @@ class TestThinning:
         assert len(calls) / len(out) <= 1.2
 
 
-def test_rescaled_residuals_recover_nhpp_uniforms():
-    rng = stream_rng(19)
-    u = rng.random(200)
-    times = nhpp_sample(PL, 200, uniforms=u)
+def test_rescaled_residuals_recover_nhpp_exponentials():
+    times = nhpp_sample(PL, 200, stream_rng(19))
+    draws = stream_rng(19).exponential(size=200)
     res = rescaled_residuals(times, lambda a, b: PL.cumulative(b) - PL.cumulative(a))
-    assert np.allclose(res, -np.log(u), rtol=1e-9)
+    assert np.allclose(res, draws, rtol=1e-9)
