@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bounds import _eval_time, envelope_offsets, envelope_rates
+from .bounds import _envelope_rates, _eval_time, _offset_row, _with_fresh
 from .errors import DomainError
 from .hazards import Hazard
 from .repair import ARA
@@ -75,24 +75,22 @@ class ApproxModel:
             raise DomainError("approximation requires a nondecreasing hazard rate")
         return hc
 
-    def _intensity(self, t, lags):
-        """delta * lower + (1 - delta) * upper at ``t`` over the envelope ``lags``.
+    def _intensity(self, t, row):
+        """delta * lower + (1 - delta) * upper at ``t`` over the offset ``row``.
 
-        A float ``t`` gives a float, a list of floats a list mixed on Python
-        floats (see ``envelope_rates``), and an array of times an array of
-        the same shape. Trusted: ``t`` must not precede the history the lags
-        come from.
+        ``row`` is the n lags, then the fresh component's offset 0 (n lags
+        alone get the 0 appended). A float ``t`` gives a float and a list of
+        floats a list, both mixed on Python floats (see ``envelope_rates``);
+        an array of times gives an array of the same shape. Trusted: ``t``
+        must not precede the history the lags come from.
         """
-        lower, upper = envelope_rates(self._envelope_hazard, t, lags)
+        if row.shape[-1] == self.n:
+            row = _with_fresh(row)
+        lower, upper = _envelope_rates(self._envelope_hazard, t, row)
         d, e = self.delta, 1.0 - self.delta
-
-        def mix(lower, upper):
-            return d * lower + e * upper
-
         if isinstance(t, list):
-            return list(map(mix, lower, upper))
-        mixed = mix(lower, upper)
-        return float(mixed) if isinstance(t, float) else mixed
+            return [d * lo + e * up for lo, up in zip(lower, upper)]
+        return d * lower + e * upper
 
 
 def _check_history_n(am, mh):
@@ -108,4 +106,4 @@ def approx_intensity(am: ApproxModel, mh: MaskedHistory, t):
     the scalar calls.
     """
     _check_history_n(am, mh)
-    return am._intensity(_eval_time(mh, t), envelope_offsets(mh.times, mh.n, am.repair))
+    return am._intensity(_eval_time(mh, t), _offset_row(mh.times, mh.n, am.repair))

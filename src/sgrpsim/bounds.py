@@ -70,7 +70,7 @@ def _eval_time(mh, t):
         ok = t >= last
     else:
         t = np.asarray(t, dtype=float)
-        ok = bool(np.all(t >= last))
+        ok = bool((t >= last).all())
     if not ok:  # NaN fails the comparison too
         if np.isnan(t).any():
             raise DomainError("evaluation time t is NaN")
@@ -92,28 +92,37 @@ def envelope_offset_rows(times, n, ara):
     return np.ndarray((padded.size - n + 1, n), float, padded, (n - 1) * step, (step, -step))
 
 
-def envelope_offsets(times, n, ara):
-    """The n lag offsets ``W(N-i)`` of the envelopes after ``times``.
+def _offset_row(times, n, ara):
+    """The lags ``W(N), .., W(N-n+1)``, then the fresh component's offset 0.
 
-    The last row of :func:`envelope_offset_rows`, read from the last
-    n + m - 1 times only.
+    Read-only, from the last n + m - 1 times only: the last row of
+    :func:`envelope_offset_rows` with one column more, so that ``t - row``
+    is one row of envelope ages.
     """
-    tail = np.asarray(times, dtype=float)[-(n + ara.m - 1):]
-    return envelope_offset_rows(tail, n, ara)[-1]
+    w = ara.offsets_after(times[-(n + ara.m - 1):])[::-1][:n]
+    row = np.zeros(n + 1)
+    row[:w.size] = w
+    row.flags.writeable = False
+    return row
 
 
-def _envelope_ages(t, lags):
-    """Columns: the n lag ages, then the fresh age; one row per element of ``t``."""
-    t = np.asarray(t, dtype=float)
-    n = lags.shape[-1]
-    ages = np.empty(t.shape + (n + 1,))
-    np.subtract(t[..., None], lags, out=ages[..., :n])
-    ages[..., n] = t
-    return ages
+def envelope_offsets(times, n, ara):
+    """The n lag offsets ``W(N-i)`` of the envelopes after ``times``."""
+    return _offset_row(times, n, ara)[:n]
+
+
+def _with_fresh(lags):
+    """``lags``, a row of n or one per time, then the fresh component's offset 0."""
+    return np.concatenate((lags, np.zeros(lags.shape[:-1] + (1,))), axis=-1)
+
+
+def _ages(t, row):
+    """One row of ages per element of ``t``: the n lag ages, then the fresh age."""
+    return np.asarray(t, dtype=float)[..., None] - row
 
 
 def _envelope_sums(values, t):
-    """(lower, upper) from per-age values laid out as in :func:`_envelope_ages`.
+    """(lower, upper) from per-age values laid out as in :func:`_ages`.
 
     For a list of times, two lists of Python floats: they take numpy's IEEE
     operations, and for a few rows cost less than numpy's per-call overhead.
@@ -124,6 +133,14 @@ def _envelope_sums(values, t):
         # columns 0 and n: lag 0's value, then the fresh one
         return lower.tolist(), [(n - 1) * fresh + lag0 for lag0, fresh in values[:, ::n].tolist()]
     return lower, (n - 1) * values[..., n] + values[..., 0]
+
+
+def _envelope_rates(hazard, t, row):
+    """:func:`envelope_rates` over a :func:`_offset_row`; a float ``t`` is the list ``[t]``."""
+    if isinstance(t, float):
+        (lower,), (upper,) = _envelope_rates(hazard, [t], row)
+        return lower, upper
+    return _envelope_sums(hazard.rate_unchecked(_ages(t, row)), t)
 
 
 def envelope_rates(hazard, t, lags):
@@ -140,7 +157,7 @@ def envelope_rates(hazard, t, lags):
     the hazard is nondecreasing and that ``t`` does not precede the history
     the offsets come from, so every age is >= 0.
     """
-    return _envelope_sums(hazard.rate_unchecked(_envelope_ages(t, lags)), t)
+    return _envelope_rates(hazard, t, _with_fresh(lags))
 
 
 def envelope_cumulative(hazard, a, b, lags):
@@ -152,8 +169,8 @@ def envelope_cumulative(hazard, a, b, lags):
     does not precede the history they come from, so every age is >= 0 and
     the trusted ``hazard.cumulative_unchecked`` applies.
     """
-    terms = (hazard.cumulative_unchecked(_envelope_ages(b, lags))
-             - hazard.cumulative_unchecked(_envelope_ages(a, lags)))
+    row = _with_fresh(lags)
+    terms = hazard.cumulative_unchecked(_ages(b, row)) - hazard.cumulative_unchecked(_ages(a, row))
     return _envelope_sums(terms, b)
 
 
@@ -165,7 +182,7 @@ def sgrp_bounds(mh: MaskedHistory, model, hazard, t) -> BoundPair:
     _require_nondecreasing(hazard)
     _require_improving(model)
     t = _eval_time(mh, t)
-    lower, upper = envelope_rates(hazard, t, envelope_offsets(mh.times, mh.n, model))
+    lower, upper = _envelope_rates(hazard, t, _offset_row(mh.times, mh.n, model))
     return BoundPair(lower=float(lower), upper=float(upper), at=t)
 
 

@@ -84,7 +84,11 @@ class PowerLawHazard(Hazard):
         return self.beta >= 1.0
 
     def rate_unchecked(self, ages):
-        return (self.beta / self.eta) * np.power(ages / self.eta, self.beta - 1.0)
+        # one temporary: the scaled ages, raised and multiplied in place
+        x = np.asarray(ages / self.eta)
+        np.power(x, self.beta - 1.0, out=x)
+        x *= self.beta / self.eta
+        return x
 
     def cumulative_unchecked(self, ages):
         return np.power(ages / self.eta, self.beta)

@@ -44,7 +44,7 @@ def check_history(times) -> np.ndarray:
         # written so that a NaN, which fails every comparison, is refused
         if not arr[0] >= 0.0:
             raise DomainError(f"failure times must be nonnegative, got {arr[0]}")
-        if arr.size > 1 and not float(np.min(np.diff(arr))) > 0.0:
+        if not (arr[1:] > arr[:-1]).all():
             raise DomainError("failure times must be strictly increasing")
     return arr
 

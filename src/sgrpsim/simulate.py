@@ -200,12 +200,12 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     gaps, ranked = deque(), []
     # offsets are fixed between events: each accepted event puts one
     # single-component offset W(N) in front of the n lags, newest first. The
-    # lags are the n floats of ``ring`` from ``head`` on; an event writes one
-    # slot lower, and at the front the n - 1 lags that stay move to the back,
-    # once per n + 256 events
-    state, ring = am.repair.offset_state(), np.zeros(2 * n + 256)
-    head = ring.size - n
-    lags, high = ring[head:], 0.0  # high: the largest offset so far
+    # n lags and the fresh component's 0 are the n + 1 floats of ``ring`` from
+    # ``head`` on; an event writes one slot lower and zeroes the lag it drops,
+    # and the n - 1 lags that stay move to the back once per n + 256 events
+    state, ring = am.repair.offset_state(), np.zeros(2 * n + 257)
+    head = ring.size - n - 1
+    offsets, high = ring[head:], 0.0  # high: the largest offset so far
     t = 0.0
     window = float(am.hazard.inverse_cumulative(1.0)) / n
     # one rate call evaluates ``rows``: the window's start, then the window
@@ -225,7 +225,7 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
                     break
                 rows.append(end)
                 w *= 2.0
-            lam = intensity(rows, lags)
+            lam = intensity(rows, offsets)
             floor = squeeze * lam[0]  # NaN, so no squeeze, before an offset
             i = 1
         w_end, majorant = rows[i], lam[i]
@@ -241,7 +241,7 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
         t = t + gap
         rows, i = [], 0  # the next window starts at t
         accept = rng.random() * majorant
-        if accept <= floor or accept <= intensity(t, lags):
+        if accept <= floor or accept <= intensity(t, offsets):
             if times:
                 spacing = t - times[-1]
                 gaps.append(spacing)
@@ -256,11 +256,12 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
             if offset > high:
                 high = offset
             if head == 0:
-                head = ring.size - n + 1
-                ring[head:] = ring[:n - 1]
+                head = ring.size - n
+                ring[head:-1] = ring[:n - 1]
             head -= 1
             ring[head] = offset
-            lags = ring[head:head + n]
+            ring[head + n] = 0.0
+            offsets = ring[head:head + n + 1]
 
     times = np.asarray(times, dtype=float)
     t_obs = float(horizon) if horizon is not None else (float(times[-1]) if times.size else 0.0)

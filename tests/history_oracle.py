@@ -10,8 +10,13 @@ from per-stream generators and merge them through a heap. The tests compare
 the package's incremental and lock-step paths to them bit for bit.
 
 ``approx_intensity_ara`` writes the model intensity out in closed form, as a
-second arithmetic path for the envelope assembly. ``RampHazard`` is a hazard
-family outside the shipped ones.
+second arithmetic path for the envelope assembly. ``envelope_rates_columns``,
+``envelope_cumulative_columns`` and ``model_intensity_columns`` are the
+envelope route the package used before its offset rows carried the fresh
+component's zero: the n lag ages written into an empty block, the fresh age
+copied in as a last column, the power-law rate in three temporaries and the
+sums on 0-d arrays for a float time. ``RampHazard`` is a hazard family
+outside the shipped ones.
 """
 
 import heapq
@@ -22,7 +27,7 @@ import numpy as np
 from sgrpsim import DomainError, MaskedHistory, stream_rng
 from sgrpsim.approx import _check_history_n
 from sgrpsim.bounds import _eval_time
-from sgrpsim.hazards import Hazard
+from sgrpsim.hazards import Hazard, PowerLawHazard
 from sgrpsim.repair import next_failure_time
 
 
@@ -239,6 +244,54 @@ def approx_intensity_ara(am, mh, t):
     head = ((n - lags) * d + (n - 1) * (1.0 - d)) * lam(t)
     tail = d * float(np.sum(lam(t - offs)))
     return float(head + (1.0 - d) * lam(t - w(big_n)) + tail)
+
+
+def _envelope_ages(t, lags):
+    """Columns: the n lag ages, then the fresh age; one row per element of ``t``."""
+    t = np.asarray(t, dtype=float)
+    n = lags.shape[-1]
+    ages = np.empty(t.shape + (n + 1,))
+    np.subtract(t[..., None], lags, out=ages[..., :n])
+    ages[..., n] = t
+    return ages
+
+
+def _rate(hazard, ages):
+    """The rate kernel, the power law written with its three temporaries."""
+    if type(hazard) is PowerLawHazard:
+        return (hazard.beta / hazard.eta) * np.power(ages / hazard.eta, hazard.beta - 1.0)
+    return hazard.rate_unchecked(ages)
+
+
+def _envelope_sums(values, t):
+    """(lower, upper) from per-age values laid out as in ``_envelope_ages``."""
+    n = values.shape[-1] - 1
+    lower = np.add.reduce(values[..., :n], axis=-1)
+    if isinstance(t, list):
+        return lower.tolist(), [(n - 1) * fresh + lag0 for lag0, fresh in values[:, ::n].tolist()]
+    return lower, (n - 1) * values[..., n] + values[..., 0]
+
+
+def envelope_rates_columns(hazard, t, lags):
+    """(lower, upper) at ``t`` over the n ``lags``, the fresh age written as a column."""
+    return _envelope_sums(_rate(hazard, _envelope_ages(t, lags)), t)
+
+
+def envelope_cumulative_columns(hazard, a, b, lags):
+    """(lower, upper) envelope integrals over ``(a, b]``, the fresh age as a column."""
+    terms = (hazard.cumulative_unchecked(_envelope_ages(b, lags))
+             - hazard.cumulative_unchecked(_envelope_ages(a, lags)))
+    return _envelope_sums(terms, b)
+
+
+def model_intensity_columns(am, t, lags):
+    """delta * lower + (1 - delta) * upper over the n ``lags``, mixed as the package did."""
+    lower, upper = envelope_rates_columns(am._envelope_hazard, t, lags)
+    d, e = am.delta, 1.0 - am.delta
+    if isinstance(t, list):
+        return [d * lo + e * up for lo, up in zip(lower, upper)]
+    mixed = d * lower + e * upper
+    return float(mixed) if isinstance(t, float) else mixed
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgrpsim.bounds as bounds
-from history_oracle import RampHazard, envelope_offsets_from_history
+from history_oracle import (RampHazard, envelope_cumulative_columns,
+                            envelope_offsets_from_history, envelope_rates_columns,
+                            model_intensity_columns)
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, Kijima1,
-                     MaskedHistory, Minimal, Perfect, PowerLawHazard,
-                     heterogeneous_upper, intensity_integral, mask,
+                     MaskedHistory, Minimal, Normalization, Perfect, PowerLawHazard,
+                     approx_intensity, heterogeneous_upper, intensity_integral, mask,
                      sgrp_bounds, sgrp_bounds_at_events, simulate_sgrp,
                      true_intensity_at_events)
 from sgrpsim.cli import SANDWICH_SLACK, main
@@ -428,6 +430,74 @@ class TestListRoute:
         for delta in (0.0, 0.3, 1.0):
             am = ApproxModel(n, delta, hazard, ARA(3, 0.4))
             assert am._intensity(ts, lags) == [am._intensity(t, lags) for t in ts]
+
+
+def bits(values):
+    """The bytes of ``values`` as float64: equal only when bit for bit equal."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestOneRoute:
+    """The offset-row route against the column route it replaced, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 150), m=st.integers(1, 4), rho=st.floats(0.0, 1.0),
+           delta=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           hazard=st.one_of(st.builds(PowerLawHazard, st.floats(1.0, 4.0), st.floats(1.0, 80.0)),
+                            st.builds(ConstantHazard, st.floats(0.01, 10.0))),
+           gaps=st.lists(st.floats(1e-6, 50.0), max_size=40),
+           after=st.lists(st.sampled_from([0.0]) | st.floats(0.0, 100.0), min_size=1, max_size=5))
+    def test_equals_the_column_route_bitwise(self, n, m, rho, delta, hazard, gaps, after):
+        am = ApproxModel(n, delta, hazard, ARA(m, rho), Normalization.COMPONENT)
+        times = np.cumsum(gaps)
+        lags = bounds.envelope_offsets(times, n, am.repair)
+        row = bounds._offset_row(times, n, am.repair)
+        assert bits(row) == bits(np.append(lags, 0.0))
+        last = float(times[-1]) if times.size else 0.0
+        ts = [last + a for a in after]
+        # a float, a list, a 1-D array
+        for t in (ts[0], ts, np.array(ts)):
+            want = envelope_rates_columns(hazard, t, lags)
+            assert bits(bounds.envelope_rates(hazard, t, lags)) == bits(want)
+            want = model_intensity_columns(am, t, lags)
+            assert bits(am._intensity(t, row)) == bits(want)
+            assert bits(am._intensity(t, lags)) == bits(want)
+            assert bits(approx_intensity(am, mh(times, n), t)) == bits(want)
+        pair = bounds.sgrp_bounds(mh(times, n), am.repair, hazard, ts[0])
+        assert bits([pair.lower, pair.upper]) == bits(envelope_rates_columns(hazard, ts[0], lags))
+        # 2-D lag rows: the left limit at each event over the lags before it
+        if times.size:
+            rows = bounds.envelope_offset_rows(times, n, am.repair)[:-1]
+            want = envelope_rates_columns(hazard, times, rows)
+            assert bits(bounds.sgrp_bounds_at_events(times, n, am.repair, hazard)) == bits(want)
+            a = np.concatenate(([0.0], times[:-1]))
+            got = bounds.envelope_cumulative(hazard, a, times, rows)
+            want = envelope_cumulative_columns(hazard, a, times, rows)
+            assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 100])
+    @pytest.mark.parametrize("hazard", [PL, ConstantHazard(0.2)], ids=["power_law", "constant"])
+    def test_float_list_and_array_give_the_same_float(self, hazard, n):
+        times = np.cumsum(np.random.default_rng(54 + n).exponential(2.0, size=2 * n + 3))
+        am = ApproxModel(n, 0.3, hazard, ARA(2, 0.4))
+        masked = mh(times, n)
+        lags = bounds.envelope_offsets(times, n, am.repair)
+        row = bounds._offset_row(times, n, am.repair)
+        for t in (float(times[-1]), float(times[-1]) + 0.7, float(times[-1]) + 31.0):
+            value = am._intensity(t, row)
+            assert type(value) is float
+            assert am._intensity([t], row) == [value]
+            assert am._intensity(np.array([t]), row).tolist() == [value]
+            assert approx_intensity(am, masked, t) == value
+            assert approx_intensity(am, masked, [t]).tolist() == [value]
+            assert approx_intensity(am, masked, np.array([t])).tolist() == [value]
+            lower, upper = bounds.envelope_rates(hazard, t, lags)
+            assert type(lower) is type(upper) is float
+            assert bounds.envelope_rates(hazard, [t], lags) == ([lower], [upper])
+            got = bounds.envelope_rates(hazard, np.array([t]), lags)
+            assert (got[0].tolist(), got[1].tolist()) == ([lower], [upper])
+            pair = bounds.sgrp_bounds(masked, am.repair, hazard, t)
+            assert (pair.lower, pair.upper) == (lower, upper)
 
 
 class TestHeterogeneousUpper:

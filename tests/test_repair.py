@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from history_oracle import offset_from_history
 from sgrpsim import (ARA, ConstantHazard, DomainError, Kijima1, Minimal, Perfect,
@@ -223,6 +225,48 @@ class TestValidation:
             check_history([3.0, 2.0])
         with pytest.raises(DomainError):
             check_history([-1.0, 2.0])
+
+    @staticmethod
+    def accepted_by_min_diff(times):
+        """The earlier test of a history: its first time and the smallest gap."""
+        arr = np.asarray(times, dtype=float)
+        if arr.size and not arr[0] >= 0.0:
+            return False
+        with np.errstate(invalid="ignore"):  # inf - inf
+            return not (arr.size > 1 and not float(np.min(np.diff(arr))) > 0.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(base=st.lists(st.floats(0.0, 1e6) | st.floats(0.0, 1e-300), max_size=10),
+           distinct=st.booleans(),
+           edits=st.lists(st.tuples(st.integers(0, 11), st.sampled_from(
+               ["nan", "inf", "-inf", "tie", "-0.0", "subnormal", "swap"])), max_size=3))
+    @example(base=[], distinct=True, edits=[(0, "nan")])
+    @example(base=[], distinct=True, edits=[(0, "-0.0")])
+    @example(base=[0.0], distinct=True, edits=[(1, "-0.0")])
+    @example(base=[0.0], distinct=True, edits=[(0, "-0.0")])
+    @example(base=[0.0], distinct=True, edits=[(1, "subnormal")])
+    @example(base=[1.0], distinct=True, edits=[(1, "inf"), (2, "inf")])
+    def test_strict_increase_refuses_what_the_smallest_gap_refused(self, base, distinct, edits):
+        # one comparison of neighbours refuses NaN anywhere, ties, decreases
+        # and a negative first time, exactly as the smallest difference did
+        times = sorted(set(base)) if distinct else sorted(base)
+        for at, kind in edits:
+            k = min(at, len(times))
+            if kind == "tie" and times:
+                times.insert(k, times[min(k, len(times) - 1)])
+            elif kind == "subnormal":
+                x = times[k - 1] if k else 0.0
+                times.insert(k, float(np.nextafter(x, np.inf)))
+            elif kind == "swap" and k + 1 < len(times):
+                times[k], times[k + 1] = times[k + 1], times[k]
+            elif kind in ("nan", "inf", "-inf", "-0.0"):
+                times.insert(k, float(kind))
+        try:
+            check_history(times)
+            accepted = True
+        except DomainError:
+            accepted = False
+        assert accepted == self.accepted_by_min_diff(times)
 
     def test_rho_cap(self):
         with pytest.raises(DomainError):
