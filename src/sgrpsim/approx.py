@@ -10,11 +10,12 @@ stream samplers use). Under ``SYSTEM_SPLIT`` a constant hazard makes the
 model intensity exactly the constant, for every history and delta.
 
 The model intensity is mixed in one place, ``ApproxModel._intensity``, from
-the envelopes' lag offsets; ``approx_intensity`` and the thinning sampler
-both call it. The model's repair form and component hazard are checked once
-per model. Both envelopes read the single-component offsets ``W`` of the
-masked prefixes (see ``bounds``), so for m >= 2 the lower side is the
-provable ``W`` bound rather than the paper's round robin.
+one offset row of the envelopes (the n lags, then the fresh component's 0);
+``approx_intensity`` and the thinning sampler both call it. The model's
+repair form and component hazard are checked once per model. Both envelopes
+read the single-component offsets ``W`` of the masked prefixes (see
+``bounds``), so for m >= 2 the lower side is the provable ``W`` bound
+rather than the paper's round robin.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bounds import _envelope_rates, _eval_time, _offset_row, _with_fresh
+from .bounds import _eval_time, envelope_offset_row, envelope_rates
 from .errors import DomainError
 from .hazards import Hazard
 from .repair import ARA
@@ -78,15 +79,13 @@ class ApproxModel:
     def _intensity(self, t, row):
         """delta * lower + (1 - delta) * upper at ``t`` over the offset ``row``.
 
-        ``row`` is the n lags, then the fresh component's offset 0 (n lags
-        alone get the 0 appended). A float ``t`` gives a float and a list of
-        floats a list, both mixed on Python floats (see ``envelope_rates``);
-        an array of times gives an array of the same shape. Trusted: ``t``
-        must not precede the history the lags come from.
+        ``row`` is the n lags, then the fresh component's offset 0. A float
+        ``t`` gives a float and a list of floats a list, both mixed on Python
+        floats (see ``envelope_rates``); an array of times gives an array of
+        the same shape. Trusted: ``t`` must not precede the history the lags
+        come from.
         """
-        if row.shape[-1] == self.n:
-            row = _with_fresh(row)
-        lower, upper = _envelope_rates(self._envelope_hazard, t, row)
+        lower, upper = envelope_rates(self._envelope_hazard, t, row)
         d, e = self.delta, 1.0 - self.delta
         if isinstance(t, list):
             return [d * lo + e * up for lo, up in zip(lower, upper)]
@@ -106,4 +105,4 @@ def approx_intensity(am: ApproxModel, mh: MaskedHistory, t):
     the scalar calls.
     """
     _check_history_n(am, mh)
-    return am._intensity(_eval_time(mh, t), _offset_row(mh.times, mh.n, am.repair))
+    return am._intensity(_eval_time(mh, t), envelope_offset_row(mh.times, mh.n, am.repair))

@@ -18,7 +18,9 @@ the offset a single component carries after failing at all of
 So both envelopes read one lag array ``W(N), .., W(N-n+1)``: the upper's
 offset is lag 0. Every other lag's rate is at most the fresh rate, so
 lower <= upper. Both require a nondecreasing rate and effectiveness in
-[0, 1].
+[0, 1]. Every evaluation reads one offset row, the n lags and then the fresh
+component's offset 0 (:func:`envelope_offset_row`), so ``t - row`` gives all
+n + 1 ages in one subtraction.
 
 Evaluation at a failure time uses the left limit: the history handed in must
 exclude an event exactly at ``t``.
@@ -36,7 +38,7 @@ from .repair import check_history
 from .superpose import BLOCK_ROWS, MaskedHistory
 
 __all__ = ["BoundPair", "sgrp_bounds", "sgrp_bounds_at_events", "heterogeneous_upper",
-           "envelope_offset_rows", "envelope_offsets", "envelope_rates",
+           "envelope_offset_rows", "envelope_offset_row", "envelope_rates",
            "envelope_cumulative"]
 
 
@@ -92,33 +94,22 @@ def envelope_offset_rows(times, n, ara):
     return np.ndarray((padded.size - n + 1, n), float, padded, (n - 1) * step, (step, -step))
 
 
-def _offset_row(times, n, ara):
+def envelope_offset_row(times, n, ara):
     """The lags ``W(N), .., W(N-n+1)``, then the fresh component's offset 0.
 
-    Read-only, from the last n + m - 1 times only: the last row of
-    :func:`envelope_offset_rows` with one column more, so that ``t - row``
-    is one row of envelope ages.
+    Read-only: the last row of :func:`envelope_offset_rows` over the last
+    n + m - 1 times only, with one column more, so that ``t - row`` is one
+    row of envelope ages.
     """
-    w = ara.offsets_after(times[-(n + ara.m - 1):])[::-1][:n]
     row = np.zeros(n + 1)
-    row[:w.size] = w
+    row[:n] = envelope_offset_rows(times[-(n + ara.m - 1):], n, ara)[-1]
     row.flags.writeable = False
     return row
 
 
-def envelope_offsets(times, n, ara):
-    """The n lag offsets ``W(N-i)`` of the envelopes after ``times``."""
-    return _offset_row(times, n, ara)[:n]
-
-
-def _with_fresh(lags):
-    """``lags``, a row of n or one per time, then the fresh component's offset 0."""
-    return np.concatenate((lags, np.zeros(lags.shape[:-1] + (1,))), axis=-1)
-
-
-def _ages(t, row):
+def _ages(t, rows):
     """One row of ages per element of ``t``: the n lag ages, then the fresh age."""
-    return np.asarray(t, dtype=float)[..., None] - row
+    return np.asarray(t, dtype=float)[..., None] - rows
 
 
 def _envelope_sums(values, t):
@@ -135,55 +126,59 @@ def _envelope_sums(values, t):
     return lower, (n - 1) * values[..., n] + values[..., 0]
 
 
-def _envelope_rates(hazard, t, row):
-    """:func:`envelope_rates` over a :func:`_offset_row`; a float ``t`` is the list ``[t]``."""
-    if isinstance(t, float):
-        (lower,), (upper,) = _envelope_rates(hazard, [t], row)
-        return lower, upper
-    return _envelope_sums(hazard.rate_unchecked(_ages(t, row)), t)
-
-
-def envelope_rates(hazard, t, lags):
+def envelope_rates(hazard, t, rows):
     """(lower, upper) envelope values at ``t`` from one rate-kernel call.
 
-    lower: the sum of the n lag rates ``rate(t - lags)``; upper: n-1 fresh
-    components plus lag 0's rate. ``t`` is a float, an array of times or a
-    list of floats, which gives two lists; ``lags`` is an array of n lags,
-    or one row of lags per time. Each time takes one row of ages, the n lag
-    ages then the fresh age, so a row's lag rates are contiguous and every
+    lower: the sum of the n lag rates; upper: n-1 fresh components plus lag
+    0's rate. ``rows`` is one offset row of :func:`envelope_offset_row`
+    (the n lags, then the fresh component's 0), or one such row per time.
+    ``t`` is an array of times, a list of floats, which gives two lists, or
+    a float, which is the one-element list and gives two floats. Each time
+    takes one row of ages, so a row's lag rates are contiguous and every
     row reduces them alike: a time gives the same floats in every form.
 
     Uses the trusted ``hazard.rate_unchecked``: the caller has checked that
     the hazard is nondecreasing and that ``t`` does not precede the history
     the offsets come from, so every age is >= 0.
     """
-    return _envelope_rates(hazard, t, _with_fresh(lags))
+    if isinstance(t, float):
+        (lower,), (upper,) = envelope_rates(hazard, [t], rows)
+        return lower, upper
+    return _envelope_sums(hazard.rate_unchecked(_ages(t, rows)), t)
 
 
-def envelope_cumulative(hazard, a, b, lags):
+def envelope_cumulative(hazard, a, b, rows):
     """(lower, upper) envelope integrals over ``(a, b]``: the closed-form compensator.
 
     Each age term contributes ``H(b - o) - H(a - o)`` with ``H`` the
-    cumulative hazard, summed as in :func:`envelope_rates`. The offsets must
-    hold on the whole interval, i.e. no event lies in ``(a, b)`` and ``a``
-    does not precede the history they come from, so every age is >= 0 and
-    the trusted ``hazard.cumulative_unchecked`` applies.
+    cumulative hazard, over offset ``rows`` and summed as in
+    :func:`envelope_rates`. The offsets must hold on the whole interval,
+    i.e. no event lies in ``(a, b)`` and ``a`` does not precede the history
+    they come from, so every age is >= 0 and the trusted
+    ``hazard.cumulative_unchecked`` applies.
     """
-    row = _with_fresh(lags)
-    terms = hazard.cumulative_unchecked(_ages(b, row)) - hazard.cumulative_unchecked(_ages(a, row))
+    terms = hazard.cumulative_unchecked(_ages(b, rows)) - hazard.cumulative_unchecked(_ages(a, rows))
     return _envelope_sums(terms, b)
 
 
+def _one_time(mh, t):
+    """:func:`_eval_time` for a scalar ``t``; an array of times is refused."""
+    if np.ndim(t) != 0:
+        raise DomainError(f"t must be one time, got shape {np.shape(t)}: "
+                          f"sgrp_bounds_at_events and envelope_rates take many")
+    return _eval_time(mh, t)
+
+
 def sgrp_bounds(mh: MaskedHistory, model, hazard, t) -> BoundPair:
-    """Envelope under an improving age-reduction repair family.
+    """Envelope under an improving age-reduction repair family at one time ``t``.
 
     Replacement repair is ``Perfect()``, i.e. ``ARA(1, 1.0)``.
     """
     _require_nondecreasing(hazard)
     _require_improving(model)
-    t = _eval_time(mh, t)
-    lower, upper = _envelope_rates(hazard, t, _offset_row(mh.times, mh.n, model))
-    return BoundPair(lower=float(lower), upper=float(upper), at=t)
+    t = _one_time(mh, t)
+    lower, upper = envelope_rates(hazard, t, envelope_offset_row(mh.times, mh.n, model))
+    return BoundPair(lower=lower, upper=upper, at=t)
 
 
 def sgrp_bounds_at_events(times, n, model, hazard):
@@ -192,7 +187,8 @@ def sgrp_bounds_at_events(times, n, model, hazard):
     Row k is evaluated at ``times[k]`` with the history strictly before it, so
     it equals ``sgrp_bounds`` on the k-event prefix, bit for bit. ``W`` is
     computed once; rows are evaluated in blocks of at most ``BLOCK_ROWS``,
-    with one rate call per block. Returns (lower, upper) arrays.
+    with one rate call per block, over one block of offset rows whose last
+    column stays 0. Returns (lower, upper) arrays.
     """
     _require_nondecreasing(hazard)
     _require_improving(model)
@@ -200,9 +196,12 @@ def sgrp_bounds_at_events(times, n, model, hazard):
     lower = np.empty(times.size)
     upper = np.empty(times.size)
     lags = envelope_offset_rows(times, n, model)
+    rows = np.zeros((min(BLOCK_ROWS, times.size), n + 1))
     for k0 in range(0, times.size, BLOCK_ROWS):
         k1 = min(k0 + BLOCK_ROWS, times.size)
-        lower[k0:k1], upper[k0:k1] = envelope_rates(hazard, times[k0:k1], lags[k0:k1])
+        block = rows[:k1 - k0]
+        block[:, :n] = lags[k0:k1]
+        lower[k0:k1], upper[k0:k1] = envelope_rates(hazard, times[k0:k1], block)
     return lower, upper
 
 
@@ -232,7 +231,7 @@ def heterogeneous_upper(mh: MaskedHistory, hazards, model, t) -> float:
     _require_improving(model)
     for h in hazards:
         _require_nondecreasing(h)
-    t = _eval_time(mh, t)
+    t = _one_time(mh, t)
     betas = [_power_law_shape(h) for h in hazards]
     rates = [float(h.rate(t)) for h in hazards]
     for i in range(len(hazards) - 1):

@@ -225,6 +225,7 @@ def cmd_bounds_check(args):
 
 def cmd_rate_curve(args):
     cfg = load_config(args.config)
+    seed = _resolve_seed(cfg, args)
     out = _out_dir(args)
     events_path = Path(args.events)
     if not events_path.exists():
@@ -234,7 +235,7 @@ def cmd_rate_curve(args):
     files = [write_rates_csv(out / "rates.csv", curve,
                              note=f"source={events_path.name}")]
     write_manifest(out / "manifest.json",
-                   _manifest_payload(cfg, "rate-curve", cfg.seed, files,
+                   _manifest_payload(cfg, "rate-curve", seed, files,
                                      source=str(events_path), bins=len(curve)))
     return 0
 

@@ -112,17 +112,13 @@ def read_rates_csv(path):
     return (np.asarray(starts), np.asarray(counts, dtype=int), np.asarray(rates))
 
 
-def write_bounds_csv(path, t, lower, upper, true=None):
-    """Envelope table with columns t,lower,upper,true (true optional)."""
+def write_bounds_csv(path, t, lower, upper, true):
+    """Envelope table with columns t,lower,upper,true."""
     path = Path(path)
-    columns = [np.asarray(c, dtype=float) for c in (t, lower, upper)]
+    columns = [np.asarray(c, dtype=float) for c in (t, lower, upper, true)]
     with path.open("w", newline="") as fh:
         fh.write("t,lower,upper,true\r\n")
-        if true is None:
-            _write_rows(fh, "%.17g,%.17g,%.17g,\r\n", *columns)
-        else:
-            _write_rows(fh, "%.17g,%.17g,%.17g,%.17g\r\n", *columns,
-                        np.asarray(true, dtype=float))
+        _write_rows(fh, "%.17g,%.17g,%.17g,%.17g\r\n", *columns)
     return path
 
 

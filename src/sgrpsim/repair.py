@@ -151,18 +151,12 @@ class ARA:
         out = hazard.rate(np.maximum(t_arr - self.effective_age_offset(times), 0.0))
         return out if t_arr.ndim else float(out)
 
-    def sample_next_failure(self, hazard, times, rng=None, *, exponential=None):
-        """Draw the next failure time; ``exponential`` forces the Exp(1) variate."""
+    def sample_next_failure(self, hazard, times, rng):
+        """Draw the next failure time with one Exp(1) variate from ``rng``."""
         times = check_history(times)
-        if exponential is None:
-            if rng is None:
-                raise ValueError("either rng or a forced exponential is required")
-            exponential = float(rng.exponential())
-        if not exponential > 0.0:
-            raise DomainError(f"exponential variate must be positive, got {exponential}")
         last = float(times[-1]) if times.size else 0.0
         return next_failure_time(hazard, self.effective_age_offset(times), last,
-                                 float(exponential))
+                                 float(rng.exponential()))
 
 
 def Perfect() -> ARA:

@@ -198,14 +198,12 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     # the median of the latest 64 inter-event gaps sets the window: the gaps
     # in arrival order, and the same gaps kept sorted
     gaps, ranked = deque(), []
-    # offsets are fixed between events: each accepted event puts one
-    # single-component offset W(N) in front of the n lags, newest first. The
-    # n lags and the fresh component's 0 are the n + 1 floats of ``ring`` from
-    # ``head`` on; an event writes one slot lower and zeroes the lag it drops,
-    # and the n - 1 lags that stay move to the back once per n + 256 events
-    state, ring = am.repair.offset_state(), np.zeros(2 * n + 257)
-    head = ring.size - n - 1
-    offsets, high = ring[head:], 0.0  # high: the largest offset so far
+    # offsets are fixed between events: the offset row holds the n lags,
+    # newest first, then the fresh component's 0. Each accepted event shifts
+    # the lags one place back, dropping the oldest, and puts its
+    # single-component offset W(N) in front
+    state, offsets = am.repair.offset_state(), np.zeros(n + 1)
+    high = 0.0  # the largest offset so far
     t = 0.0
     window = float(am.hazard.inverse_cumulative(1.0)) / n
     # one rate call evaluates ``rows``: the window's start, then the window
@@ -255,13 +253,8 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
             state, offset = step(state, t)
             if offset > high:
                 high = offset
-            if head == 0:
-                head = ring.size - n
-                ring[head:-1] = ring[:n - 1]
-            head -= 1
-            ring[head] = offset
-            ring[head + n] = 0.0
-            offsets = ring[head:head + n + 1]
+            offsets[1:n] = offsets[:n - 1]
+            offsets[0] = offset
 
     times = np.asarray(times, dtype=float)
     t_obs = float(horizon) if horizon is not None else (float(times[-1]) if times.size else 0.0)

@@ -4,7 +4,7 @@ import pytest
 from history_oracle import approx_intensity_ara, envelope_offsets_from_history
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, MaskedHistory,
                      Normalization, PowerLawHazard, approx_intensity, sgrp_bounds)
-from sgrpsim.bounds import envelope_offsets
+from sgrpsim.bounds import envelope_offset_row
 
 PL = PowerLawHazard(1.3, 40.0)
 
@@ -120,8 +120,8 @@ class TestHistoryMemo:
                 expect = sgrp_bounds(mh(times.copy(), n), am.repair, am.component_hazard(), t)
                 assert (got.lower, got.upper) == (expect.lower, expect.upper)
         for repair in self.REPAIRS:
-            assert np.array_equal(envelope_offsets(masked.times, n, repair),
-                                  envelope_offsets_from_history(repair, times, n))
+            assert np.array_equal(envelope_offset_row(masked.times, n, repair),
+                                  np.append(envelope_offsets_from_history(repair, times, n), 0.0))
 
     def test_times_are_read_only(self):
         masked = mh([1.0, 2.0, 4.0], 2)
@@ -129,7 +129,7 @@ class TestHistoryMemo:
         with pytest.raises(ValueError):
             masked.times[-1] = 4.5
         with pytest.raises(ValueError):
-            envelope_offsets(masked.times, 2, ARA(1, 0.3))[0] = 0.0
+            envelope_offset_row(masked.times, 2, ARA(1, 0.3))[0] = 0.0
 
 
 class TestEmptyHistory:

@@ -39,6 +39,11 @@ def mh(times, n, t_obs=None):
     return MaskedHistory(times, n, last if t_obs is None else t_obs)
 
 
+def offset_rows(times, n, ara):
+    """The offset rows of every prefix of ``times``: the n lags, then a 0 column."""
+    return np.pad(bounds.envelope_offset_rows(times, n, ara), [(0, 0), (0, 1)])
+
+
 def random_masked(rng, n=None, max_len=25):
     n = n or int(rng.integers(1, 8))
     k = int(rng.integers(0, max_len))
@@ -50,33 +55,34 @@ def random_masked(rng, n=None, max_len=25):
 class TestLagOffsets:
     def test_partial_first_cycle(self):
         # N=2 <= n=3: lags take W(2) = rho*T2, W(1) = rho*T1, nothing
-        off = bounds.envelope_offsets(np.array([4.0, 10.0]), 3, ARA(1, 0.5))
-        assert np.allclose(off, [5.0, 2.0, 0.0])
+        # then the fresh component's 0
+        off = bounds.envelope_offset_row(np.array([4.0, 10.0]), 3, ARA(1, 0.5))
+        assert np.allclose(off, [5.0, 2.0, 0.0, 0.0])
 
     def test_round_robin_with_memory(self):
         # N=5 > n=2, m=2: lag i is W(5-i), one component failing at T1..T(5-i)
         times = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        off = bounds.envelope_offsets(times, 2, ARA(2, 0.5))
-        # lag 0: 0.5*(T5 + 0.5*T4); lag 1: 0.5*(T4 + 0.5*T3)
-        assert np.allclose(off, [3.5, 2.75])
+        off = bounds.envelope_offset_row(times, 2, ARA(2, 0.5))
+        # lag 0: 0.5*(T5 + 0.5*T4); lag 1: 0.5*(T4 + 0.5*T3); the fresh 0
+        assert np.allclose(off, [3.5, 2.75, 0.0])
 
     def test_memory_cap_uniform(self):
         # W(L) holds min(m, L) terms, so memory beyond the history changes nothing
         times = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert np.array_equal(bounds.envelope_offsets(times, 2, ARA(9, 0.5)),
-                              bounds.envelope_offsets(times, 2, ARA(5, 0.5)))
+        assert np.array_equal(bounds.envelope_offset_row(times, 2, ARA(9, 0.5)),
+                              bounds.envelope_offset_row(times, 2, ARA(5, 0.5)))
 
     def test_last_component_offset_uses_full_memory(self):
         times = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         # lag 0 is the upper envelope's offset: 0.5*(5 + 0.5*4) for m=2
-        assert bounds.envelope_offsets(times, 2, ARA(2, 0.5))[0] == pytest.approx(3.5)
+        assert bounds.envelope_offset_row(times, 2, ARA(2, 0.5))[0] == pytest.approx(3.5)
         # all five times for m >= 5
         expect = 0.5 * sum(0.5 ** j * times[4 - j] for j in range(5))
-        assert bounds.envelope_offsets(times, 2, ARA(9, 0.5))[0] == pytest.approx(expect)
+        assert bounds.envelope_offset_row(times, 2, ARA(9, 0.5))[0] == pytest.approx(expect)
 
     def test_last_row_alone_equals_rows_bitwise(self):
-        # envelope_offsets builds the last row only, from the last n + m - 1
-        # times; N = 0 and N < n pad with W(L <= 0) = 0
+        # envelope_offset_row builds the last row only, from the last n + m - 1
+        # times, then the fresh 0; N = 0 and N < n pad with W(L <= 0) = 0
         rng = np.random.default_rng(49)
         cases = [(3, 1, 0.3, 0), (5, 2, 0.5, 2), (1, 4, 1.0, 0), (6, 3, 0.0, 4)]
         for _ in range(200):
@@ -85,10 +91,11 @@ class TestLagOffsets:
                           int(rng.integers(0, 120))))
         for n, m, rho, big_n in cases:
             times = np.cumsum(rng.exponential(2.0, size=big_n))
-            lags = bounds.envelope_offsets(times, n, ARA(m, rho))
-            assert lags.shape == (n,)
-            assert np.array_equal(lags, bounds.envelope_offset_rows(times, n, ARA(m, rho))[-1])
-            assert not lags.flags.writeable
+            row = bounds.envelope_offset_row(times, n, ARA(m, rho))
+            assert row.shape == (n + 1,)
+            assert np.array_equal(row[:n], bounds.envelope_offset_rows(times, n, ARA(m, rho))[-1])
+            assert row[n] == 0.0
+            assert not row.flags.writeable
 
 
 def srp_reference(masked, hazard, t):
@@ -142,6 +149,24 @@ class TestSrpBounds:
                 sgrp_bounds(masked, ARA(1, 0.3), PL, np.nan)
             with pytest.raises(DomainError, match="NaN"):
                 heterogeneous_upper(masked, [PL, PL], ARA(1, 0.3), np.nan)
+
+    @pytest.mark.parametrize("t", [np.array([4.0]), [4.0], np.array([4.0, 9.0]),
+                                   np.array([[4.0]])], ids=["array1", "list1", "array2", "2d"])
+    def test_many_times_refused(self, t):
+        # one time per call; the error names the entry points for many
+        masked = mh([3.0], 2)
+        for call in (lambda: sgrp_bounds(masked, ARA(1, 0.3), PL, t),
+                     lambda: heterogeneous_upper(masked, [PL, PL], ARA(1, 0.3), t)):
+            with pytest.raises(DomainError, match="sgrp_bounds_at_events and envelope_rates"):
+                call()
+
+    def test_zero_dimensional_time_accepted(self):
+        masked = mh([3.0], 2)
+        pair = sgrp_bounds(masked, ARA(1, 0.3), PL, np.array(4.0))
+        assert pair == sgrp_bounds(masked, ARA(1, 0.3), PL, 4.0)
+        assert type(pair.lower) is type(pair.upper) is type(pair.at) is float
+        assert heterogeneous_upper(masked, [PL, PL], ARA(1, 0.3), np.array(4.0)) == \
+            heterogeneous_upper(masked, [PL, PL], ARA(1, 0.3), 4.0)
 
 
 class TestSgrpBounds:
@@ -319,7 +344,7 @@ class TestBatchedRows:
         lags = bounds.envelope_offset_rows(times, n, model)
         assert lags.shape == (times.size + 1, n)
         for k in range(times.size + 1):
-            row = bounds.envelope_offsets(times[:k], n, model)
+            row = bounds.envelope_offset_row(times[:k], n, model)[:n]
             assert np.array_equal(lags[k], row)
             assert lags[k][0] == model.effective_age_offset(times[:k])
             assert np.array_equal(row, envelope_offsets_from_history(model, times[:k], n))
@@ -349,22 +374,22 @@ class TestEnvelopeCumulative:
         times = np.cumsum(rng.exponential(2.0, size=3 * n * m + 2))
         ara = ARA(m, 0.4)
         for k in (0, n // 2 + 1, times.size):
-            lags = bounds.envelope_offsets(times[:k], n, ara)
+            row = bounds.envelope_offset_row(times[:k], n, ara)
             a = float(times[k - 1]) if k else 0.0
             for b in (a + 0.3, a + 25.0):
-                lower, upper = bounds.envelope_cumulative(hazard, a, b, lags)
+                lower, upper = bounds.envelope_cumulative(hazard, a, b, row)
                 for got, side in ((lower, 0), (upper, 1)):
                     quad = intensity_integral(lambda t: bounds.envelope_rates(
-                        hazard, t, lags)[side])(a, b)
+                        hazard, t, row)[side])(a, b)
                     assert got == pytest.approx(quad, rel=1e-8)
 
     def test_rows_equal_single_intervals(self):
         times = np.cumsum(np.random.default_rng(48).exponential(3.0, size=40))
-        lags = bounds.envelope_offset_rows(times, 4, ARA(2, 0.5))[1:-1]
+        rows = offset_rows(times, 4, ARA(2, 0.5))[1:-1]
         a, b = times[:-1], times[1:]
-        lower, upper = bounds.envelope_cumulative(PL, a, b, lags)
+        lower, upper = bounds.envelope_cumulative(PL, a, b, rows)
         for r in range(a.size):
-            one = bounds.envelope_cumulative(PL, a[r], b[r], lags[r])
+            one = bounds.envelope_cumulative(PL, a[r], b[r], rows[r])
             assert (lower[r], upper[r]) == one
 
 
@@ -372,8 +397,8 @@ class TestScalarRoute:
     """A float ``t`` takes one age row; it must equal the vector route bit for bit."""
 
     @staticmethod
-    def vector_row(hazard, t, lags):
-        lower, upper = bounds.envelope_rates(hazard, np.array([t]), lags[None])
+    def vector_row(hazard, t, row):
+        lower, upper = bounds.envelope_rates(hazard, np.array([t]), row[None])
         return lower[0], upper[0]
 
     @pytest.mark.parametrize("n", [1, 2, 7, 100, 300])
@@ -382,13 +407,13 @@ class TestScalarRoute:
         rng = np.random.default_rng(50 + n)
         times = np.cumsum(rng.exponential(2.0, size=2 * n + 3))
         for k in (0, n // 2, times.size):
-            lags = bounds.envelope_offsets(times[:k], n, ARA(3, 0.4))
+            row = bounds.envelope_offset_row(times[:k], n, ARA(3, 0.4))
             last = float(times[k - 1]) if k else 0.0
-            # lags[0] leaves lag 0 at age 0
-            for t in (float(lags[0]), last, last + 0.7, last + 31.0):
-                want = self.vector_row(hazard, t, lags)
+            # row[0] leaves lag 0 at age 0
+            for t in (float(row[0]), last, last + 0.7, last + 31.0):
+                want = self.vector_row(hazard, t, row)
                 for form in (t, np.float64(t), np.array(t)):
-                    got = bounds.envelope_rates(hazard, form, lags)
+                    got = bounds.envelope_rates(hazard, form, row)
                     assert got == want, (k, t, type(form))
 
     def test_random_cases_equal_vector_row(self):
@@ -397,9 +422,9 @@ class TestScalarRoute:
             n = int(rng.integers(1, 301))
             hazard = PowerLawHazard(float(rng.uniform(1.0, 4.0)), float(rng.uniform(1.0, 80.0)))
             times = np.cumsum(rng.exponential(2.0, size=int(rng.integers(0, 2 * n + 2))))
-            lags = bounds.envelope_offsets(times, n, ARA(int(rng.integers(1, 5)), rng.uniform()))
+            row = bounds.envelope_offset_row(times, n, ARA(int(rng.integers(1, 5)), rng.uniform()))
             t = (float(times[-1]) if times.size else 0.0) + float(rng.exponential(5.0))
-            assert bounds.envelope_rates(hazard, t, lags) == self.vector_row(hazard, t, lags)
+            assert bounds.envelope_rates(hazard, t, row) == self.vector_row(hazard, t, row)
 
     @pytest.mark.parametrize("delta", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("n", [1, 7, 100])
@@ -407,10 +432,10 @@ class TestScalarRoute:
         times = np.cumsum(np.random.default_rng(52 + n).exponential(2.0, size=3 * n))
         for hazard in (PL, ConstantHazard(0.2)):
             am = ApproxModel(n, delta, hazard, ARA(2, 0.5))
-            lags = bounds.envelope_offsets(times, n, am.repair)
-            for t in (float(lags[0]), float(times[-1]) + 4.0):
-                lower, upper = self.vector_row(am.component_hazard(), t, lags)
-                assert am._intensity(t, lags) == float(delta * lower + (1.0 - delta) * upper)
+            row = bounds.envelope_offset_row(times, n, am.repair)
+            for t in (float(row[0]), float(times[-1]) + 4.0):
+                lower, upper = self.vector_row(am.component_hazard(), t, row)
+                assert am._intensity(t, row) == float(delta * lower + (1.0 - delta) * upper)
 
 
 class TestListRoute:
@@ -421,15 +446,15 @@ class TestListRoute:
                              ids=["power_law", "constant", "ramp"])
     def test_list_of_times_equals_vector_rows(self, hazard, n):
         times = np.cumsum(np.random.default_rng(53 + n).exponential(2.0, size=2 * n + 3))
-        lags = bounds.envelope_offsets(times, n, ARA(3, 0.4))
-        ts = [float(lags[0]), float(times[-1]), float(times[-1]) + 0.7, float(times[-1]) + 31.0]
-        lower, upper = bounds.envelope_rates(hazard, ts, lags)
-        want = bounds.envelope_rates(hazard, np.array(ts), lags)
+        row = bounds.envelope_offset_row(times, n, ARA(3, 0.4))
+        ts = [float(row[0]), float(times[-1]), float(times[-1]) + 0.7, float(times[-1]) + 31.0]
+        lower, upper = bounds.envelope_rates(hazard, ts, row)
+        want = bounds.envelope_rates(hazard, np.array(ts), row)
         assert type(lower) is type(upper) is list
         assert lower == want[0].tolist() and upper == want[1].tolist()
         for delta in (0.0, 0.3, 1.0):
             am = ApproxModel(n, delta, hazard, ARA(3, 0.4))
-            assert am._intensity(ts, lags) == [am._intensity(t, lags) for t in ts]
+            assert am._intensity(ts, row) == [am._intensity(t, row) for t in ts]
 
 
 def bits(values):
@@ -450,29 +475,30 @@ class TestOneRoute:
     def test_equals_the_column_route_bitwise(self, n, m, rho, delta, hazard, gaps, after):
         am = ApproxModel(n, delta, hazard, ARA(m, rho), Normalization.COMPONENT)
         times = np.cumsum(gaps)
-        lags = bounds.envelope_offsets(times, n, am.repair)
-        row = bounds._offset_row(times, n, am.repair)
+        lags = bounds.envelope_offset_rows(times, n, am.repair)[-1]
+        row = bounds.envelope_offset_row(times, n, am.repair)
         assert bits(row) == bits(np.append(lags, 0.0))
         last = float(times[-1]) if times.size else 0.0
         ts = [last + a for a in after]
         # a float, a list, a 1-D array
         for t in (ts[0], ts, np.array(ts)):
             want = envelope_rates_columns(hazard, t, lags)
-            assert bits(bounds.envelope_rates(hazard, t, lags)) == bits(want)
+            assert bits(bounds.envelope_rates(hazard, t, row)) == bits(want)
             want = model_intensity_columns(am, t, lags)
             assert bits(am._intensity(t, row)) == bits(want)
-            assert bits(am._intensity(t, lags)) == bits(want)
             assert bits(approx_intensity(am, mh(times, n), t)) == bits(want)
         pair = bounds.sgrp_bounds(mh(times, n), am.repair, hazard, ts[0])
         assert bits([pair.lower, pair.upper]) == bits(envelope_rates_columns(hazard, ts[0], lags))
-        # 2-D lag rows: the left limit at each event over the lags before it
+        # 2-D rows: the left limit at each event over the offsets before it
         if times.size:
-            rows = bounds.envelope_offset_rows(times, n, am.repair)[:-1]
-            want = envelope_rates_columns(hazard, times, rows)
+            lags = bounds.envelope_offset_rows(times, n, am.repair)[:-1]
+            want = envelope_rates_columns(hazard, times, lags)
             assert bits(bounds.sgrp_bounds_at_events(times, n, am.repair, hazard)) == bits(want)
+            rows = offset_rows(times, n, am.repair)[:-1]
+            assert bits(bounds.envelope_rates(hazard, times, rows)) == bits(want)
             a = np.concatenate(([0.0], times[:-1]))
             got = bounds.envelope_cumulative(hazard, a, times, rows)
-            want = envelope_cumulative_columns(hazard, a, times, rows)
+            want = envelope_cumulative_columns(hazard, a, times, lags)
             assert bits(got) == bits(want)
 
     @pytest.mark.parametrize("n", [1, 2, 100])
@@ -481,8 +507,7 @@ class TestOneRoute:
         times = np.cumsum(np.random.default_rng(54 + n).exponential(2.0, size=2 * n + 3))
         am = ApproxModel(n, 0.3, hazard, ARA(2, 0.4))
         masked = mh(times, n)
-        lags = bounds.envelope_offsets(times, n, am.repair)
-        row = bounds._offset_row(times, n, am.repair)
+        row = bounds.envelope_offset_row(times, n, am.repair)
         for t in (float(times[-1]), float(times[-1]) + 0.7, float(times[-1]) + 31.0):
             value = am._intensity(t, row)
             assert type(value) is float
@@ -491,10 +516,10 @@ class TestOneRoute:
             assert approx_intensity(am, masked, t) == value
             assert approx_intensity(am, masked, [t]).tolist() == [value]
             assert approx_intensity(am, masked, np.array([t])).tolist() == [value]
-            lower, upper = bounds.envelope_rates(hazard, t, lags)
+            lower, upper = bounds.envelope_rates(hazard, t, row)
             assert type(lower) is type(upper) is float
-            assert bounds.envelope_rates(hazard, [t], lags) == ([lower], [upper])
-            got = bounds.envelope_rates(hazard, np.array([t]), lags)
+            assert bounds.envelope_rates(hazard, [t], row) == ([lower], [upper])
+            got = bounds.envelope_rates(hazard, np.array([t]), row)
             assert (got[0].tolist(), got[1].tolist()) == ([lower], [upper])
             pair = bounds.sgrp_bounds(masked, am.repair, hazard, t)
             assert (pair.lower, pair.upper) == (lower, upper)

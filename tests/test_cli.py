@@ -167,6 +167,16 @@ class TestRateCurveCommand:
         assert list(counts) == [np.sum(times < 1000.0),
                                 np.sum((times >= 1000.0) & (times < 2000.0))]
 
+    def test_seed_override_is_recorded(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        events = tmp_path / "events.csv"
+        events.write_text("index,time,component\n1,0.5,\n2,3.0,\n")
+        for args, seed in (([], 11), (["--seed", "5"], 5)):
+            out = tmp_path / f"rc{seed}"
+            assert main(["rate-curve", str(events), "--config", cfg,
+                         "--out", str(out), *args]) == 0
+            assert read_manifest(out / "manifest.json")["seed"] == seed
+
 
 class TestFigures:
     def test_fig5_curves(self, tmp_path):
@@ -370,6 +380,15 @@ class TestConfigContract:
         proc = run_cli(["simulate-sgrp", "--config", cfg, "--out", "out",
                         "--seed", "-5"], tmp_path)
         self.assert_config_error(proc, "--seed")
+
+    def test_negative_seed_override_of_rate_curve(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        events = tmp_path / "events.csv"
+        events.write_text("index,time,component\n1,0.5,\n")
+        proc = run_cli(["rate-curve", str(events), "--config", cfg, "--out", "rc",
+                        "--seed", "-1"], tmp_path)
+        self.assert_config_error(proc, "--seed")
+        assert not (tmp_path / "rc").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_nonpositive_jobs(self, tmp_path, jobs):

@@ -7,6 +7,7 @@ from history_oracle import offset_from_history
 from sgrpsim import (ARA, ConstantHazard, DomainError, Kijima1, Minimal, Perfect,
                      PowerLawHazard, check_history, intensity_integral, ks_exp1,
                      repair_from_config, simulate_sgrp, stream_rng)
+from sgrpsim.repair import next_failure_time
 
 PL = PowerLawHazard(1.3, 40.0)
 
@@ -168,11 +169,13 @@ class TestRepairImproves:
 
 class TestSampler:
     def test_forced_exponential_constant_rate(self):
-        got = Minimal().sample_next_failure(ConstantHazard(0.1), [], exponential=0.5)
+        # a fresh component: offset 0 after no failure at 0
+        got = next_failure_time(ConstantHazard(0.1), 0.0, 0.0, 0.5)
         assert got == pytest.approx(5.0, rel=1e-15)
 
     def test_forced_exponential_replacement(self):
-        got = Perfect().sample_next_failure(PL, [40.0], exponential=1.0)
+        offset = Perfect().effective_age_offset([40.0])
+        got = next_failure_time(PL, offset, 40.0, 1.0)
         assert got == pytest.approx(80.0, rel=1e-15)
 
     def test_strictly_after_last_failure(self):
@@ -187,10 +190,6 @@ class TestSampler:
             a = model.sample_next_failure(PL, [5.0], stream_rng(99))
             b = model.sample_next_failure(PL, [5.0], stream_rng(99))
             assert a == b
-
-    def test_needs_rng_or_forced_value(self):
-        with pytest.raises(ValueError):
-            Minimal().sample_next_failure(PL, [])
 
 
 def test_sampler_time_rescaling():

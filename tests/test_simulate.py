@@ -16,7 +16,7 @@ from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, Kijima1,
                      approx_intensity, intensity_integral, ks_exp1, nhpp_sample,
                      rescaled_residuals, simulate_algorithm1, simulate_sgrp,
                      simulate_thinning, stream_rng)
-from sgrpsim.bounds import envelope_offsets
+from sgrpsim.bounds import envelope_offset_row
 from sgrpsim.rng import stream_rngs
 from sgrpsim.simulate import _merge, _squeeze
 
@@ -346,10 +346,10 @@ class TestThinning:
         # the order of close ages
         am = ApproxModel(n, delta, hazard, ARA(m, rho), Normalization.COMPONENT)
         times = np.cumsum(gaps)
-        lags = envelope_offsets(times, n, am.repair)
-        s = max(float(times[-1]) if times.size else 0.0, float(lags.max())) + start
+        row = envelope_offset_row(times, n, am.repair)
+        s = max(float(times[-1]) if times.size else 0.0, float(row.max())) + start
         t = float(np.nextafter(s, np.inf)) if step is None else s + step
-        lam_s, lam_t = am._intensity([s, t], lags)
+        lam_s, lam_t = am._intensity([s, t], row)
         assert _squeeze(n) * lam_s <= lam_t
 
     def test_one_rate_call_per_event(self, monkeypatch):

@@ -122,15 +122,15 @@ class TestIntensityIntegral:
         n, ara = 5, ARA(1, 0.4)
         times = np.cumsum(rng.exponential(2.0, size=60))
         for k in range(10, times.size):
-            lags = bounds.envelope_offsets(times[:k], n, ara)
+            row = bounds.envelope_offset_row(times[:k], n, ara)
             a, b = float(times[k - 1]), float(times[k])
             for side in (0, 1):
                 counted = CountingIntensity(
-                    lambda t: bounds.envelope_rates(hazard, t, lags)[side])
+                    lambda t: bounds.envelope_rates(hazard, t, row)[side])
                 got = intensity_integral(counted)(a, b)
                 assert counted.shapes == [(21,)]
                 assert got == quad(lambda t: float(bounds.envelope_rates(
-                    hazard, t, lags)[side]), a, b)
+                    hazard, t, row)[side]), a, b)
 
     def test_perfect_repair_from_age_zero_bisects_to_tolerance(self):
         # rate(t - 10) ~ (t - 10)**0.3 has an unbounded slope at the repair
