@@ -12,6 +12,7 @@ import numpy as np
 
 from sgrpsim import (ARA, ConstantHazard, Kijima1, Minimal, Perfect,
                      PowerLawHazard, intensity_integral, ks_exp1, stream_rng)
+from sgrpsim.repair import next_failure_time
 
 hazard = PowerLawHazard(beta=1.3, eta=40.0)
 print("Power-law hazard: rate(t) = (1.3/40) * (t/40)**0.3")
@@ -41,14 +42,19 @@ rng = stream_rng(2024)
 model = ARA(1, 0.3)
 times = []
 for _ in range(6):
-    times.append(model.sample_next_failure(hazard, times, rng))
+    # shift by the offset after the last failure, then invert one Exp(1)
+    last = times[-1] if times else 0.0
+    times.append(next_failure_time(hazard, model.effective_age_offset(times), last,
+                                   float(rng.exponential())))
 print("  first six failures:", np.round(times, 2), "\n")
 
 print("Time-rescaling check: integrated intensity between failures is Exp(1).")
 trajectory = []
 rng = stream_rng(7)
 for _ in range(500):
-    trajectory.append(model.sample_next_failure(hazard, trajectory, rng))
+    last = trajectory[-1] if trajectory else 0.0
+    trajectory.append(next_failure_time(hazard, model.effective_age_offset(trajectory),
+                                        last, float(rng.exponential())))
 residuals = np.empty(len(trajectory))
 prev = 0.0
 for k, t in enumerate(trajectory):

@@ -97,12 +97,13 @@ def envelope_offset_rows(times, n, ara):
 def envelope_offset_row(times, n, ara):
     """The lags ``W(N), .., W(N-n+1)``, then the fresh component's offset 0.
 
-    Read-only: the last row of :func:`envelope_offset_rows` over the last
-    n + m - 1 times only, with one column more, so that ``t - row`` is one
-    row of envelope ages.
+    Read-only: the last row of :func:`envelope_offset_rows` with one column
+    more, so that ``t - row`` is one row of envelope ages. The last n lags
+    read only the last n + m - 1 times.
     """
+    lags = ara.offsets_after(times[-(n + ara.m - 1):])[::-1][:n]
     row = np.zeros(n + 1)
-    row[:n] = envelope_offset_rows(times[-(n + ara.m - 1):], n, ara)[-1]
+    row[:lags.size] = lags
     row.flags.writeable = False
     return row
 

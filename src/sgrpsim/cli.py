@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from .simulate import simulate_algorithm1, simulate_thinning
 from .stats import RateCurve, rate_curve
 from .superpose import mask, simulate_sgrp, true_intensity_at_events
 
-OUTPUT_SCHEME = 4  #: manifest field: version of the arithmetic behind the output bytes
+OUTPUT_SCHEME = 5  #: manifest field: version of the arithmetic behind the output bytes
 DEFAULT_BIN_WIDTH = 1000.0
 SANDWICH_SLACK = 1e-9
 
@@ -303,7 +302,8 @@ def cmd_figures(args):
     tasks = _figure_tasks(args.which, cfg, seed, args.method)
     out = _out_dir(args)
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run needs it
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             results = list(pool.map(_run_figure_task, tasks))
     else:
         results = [_run_figure_task(t) for t in tasks]
@@ -384,6 +384,9 @@ def main(argv=None) -> int:
     except DomainError as err:
         print(f"error: domain: {err}", file=sys.stderr)
         return EXIT_DOMAIN
+    except OSError as err:  # an output path that cannot be made or written
+        print(f"error: io: {err}", file=sys.stderr)
+        return EXIT_CHECK  # the "other error" code
 
 
 if __name__ == "__main__":

@@ -16,11 +16,12 @@ one-step age reduction with ``rho = 1 - a``.
 The offset is computed incrementally. ``offset_state()`` is the state of a
 component with no failures (offset 0), its last ``m`` failure times, and
 ``offset_step(state, t)`` advances it by a failure at ``t`` in O(m),
-returning the new state and the offset after that failure.
-``effective_age_offset(times)`` is the fold of the step over a history;
-samplers carry one state per component instead of re-reading a growing
-history. ``offsets_after(times)`` is the same fold as one numpy pass,
-giving the offset after each failure of a history.
+returning the new state and the offset after that failure, which never
+passes ``t``: every age the package forms is >= 0, as the trusted hazard
+kernels assume. ``effective_age_offset(times)`` is the fold of the step
+over a history; samplers carry one state per component instead of
+re-reading a growing history. ``offsets_after(times)`` is the same fold as
+one numpy pass, giving the offset after each failure of a history.
 """
 
 from __future__ import annotations
@@ -56,14 +57,9 @@ def next_failure_time(hazard, offset, last, exponential):
     ``last`` (0 and 0 for a fresh component). Solves for the unique t past
     ``last`` whose integrated conditional intensity equals ``exponential``.
     Trusts its arguments and calls the hazard's kernels; public entry points
-    validate.
-
-    The age ``last - offset`` is clamped at 0. Under ``ARA(m, rho)`` with
-    m >= 2 and rho near 1 the float sum behind ``offset`` can round past
-    ``last`` by an ulp (with m = 1, ``rho * last <= last`` holds exactly).
+    validate, and an ``ARA`` offset never passes ``last``.
     """
-    age = last - offset
-    target = hazard.cumulative_unchecked(age if age > 0.0 else 0.0) + exponential
+    target = hazard.cumulative_unchecked(last - offset) + exponential
     t = offset + hazard.inverse_cumulative_unchecked(target)
     if t <= last:  # float underflow guard for tiny exponentials
         t = float(np.nextafter(last, np.inf))
@@ -100,7 +96,11 @@ class ARA:
         return ()  # oldest first
 
     def offset_step(self, state, t):
-        """Advance ``state`` by a failure at ``t``: (new state, offset after it)."""
+        """Advance ``state`` by a failure at ``t``: (new state, offset after it).
+
+        For m >= 2 and rho near 1 the float sum can round an ulp past ``t``,
+        so it is clamped to ``t``; for m = 1, ``fl(rho * t) <= t`` exactly.
+        """
         state = (state + (t,))[-self.m:]
         if self.rho == 0.0:
             return state, 0.0
@@ -109,6 +109,8 @@ class ARA:
         for s in reversed(state):
             acc += w * s
             w *= 1.0 - self.rho
+        if self.m > 1:
+            acc = np.minimum(acc, t)
         return state, acc
 
     def effective_age_offset(self, times) -> float:
@@ -127,7 +129,8 @@ class ARA:
         """The offset after each failure of ``times``, in one numpy pass.
 
         Entry k equals ``effective_age_offset(times[:k + 1])`` bit for bit:
-        the products of :meth:`offset_step` are added in the same order.
+        the products of :meth:`offset_step` are added in the same order and
+        clamped alike.
         """
         times = np.asarray(times, dtype=float)
         acc = np.zeros(times.size)
@@ -135,6 +138,8 @@ class ARA:
         for j in range(min(self.m, times.size)):
             acc[j:] += w * times[:times.size - j]
             w *= 1.0 - self.rho
+        if self.m > 1:
+            np.minimum(acc, times, out=acc)
         return acc
 
     def to_config(self) -> dict:
@@ -147,16 +152,8 @@ class ARA:
         t_arr = np.asarray(t, dtype=float)
         if t_arr.size and float(t_arr.min()) < last:
             raise DomainError(f"t must not precede the last failure at {last}")
-        # clamped at 0 as in next_failure_time: the offset can round past ``last``
-        out = hazard.rate(np.maximum(t_arr - self.effective_age_offset(times), 0.0))
+        out = hazard.rate(t_arr - self.effective_age_offset(times))
         return out if t_arr.ndim else float(out)
-
-    def sample_next_failure(self, hazard, times, rng):
-        """Draw the next failure time with one Exp(1) variate from ``rng``."""
-        times = check_history(times)
-        last = float(times[-1]) if times.size else 0.0
-        return next_failure_time(hazard, self.effective_age_offset(times), last,
-                                 float(rng.exponential()))
 
 
 def Perfect() -> ARA:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from math import inf, nan
+from math import inf
 
 import numpy as np
 
@@ -181,8 +181,8 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     costs the lower envelope (2n + 4) u in all; the upper envelope costs
     10u, the mix 4u more and the product with ``1 - kappa`` u: at most
     (2n + 15) u, and kappa is four times that. So every draw, decision and
-    output bit is the evaluation's. A window start before the largest
-    offset so far would take a negative age, so it gets no squeeze.
+    output bit is the evaluation's, at every window start: no offset passes
+    its failure (``ARA.offset_step``), so no age is negative.
     """
     _check_stop(n_events, horizon)
     if rng is None:
@@ -203,7 +203,6 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     # the lags one place back, dropping the oldest, and puts its
     # single-component offset W(N) in front
     state, offsets = am.repair.offset_state(), np.zeros(n + 1)
-    high = 0.0  # the largest offset so far
     t = 0.0
     window = float(am.hazard.inverse_cumulative(1.0)) / n
     # one rate call evaluates ``rows``: the window's start, then the window
@@ -215,7 +214,7 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
         if t >= cap:
             break
         if i == len(rows):
-            rows, end, w = [t if t >= high else nan], t, window
+            rows, end, w = [t], t, window
             for _ in range(CHAIN_ENDS):
                 end = end + w
                 if end >= cap:
@@ -224,7 +223,7 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
                 rows.append(end)
                 w *= 2.0
             lam = intensity(rows, offsets)
-            floor = squeeze * lam[0]  # NaN, so no squeeze, before an offset
+            floor = squeeze * lam[0]
             i = 1
         w_end, majorant = rows[i], lam[i]
         i += 1
@@ -234,7 +233,7 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
             # the window stayed empty: its end starts the next, twice as long
             t = w_end
             window *= 2.0
-            floor = squeeze * majorant if t >= high else nan
+            floor = squeeze * majorant
             continue
         t = t + gap
         rows, i = [], 0  # the next window starts at t
@@ -251,8 +250,6 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
                 window = ranked[k] if len(ranked) % 2 else (ranked[k - 1] + ranked[k]) / 2
             times.append(t)
             state, offset = step(state, t)
-            if offset > high:
-                high = offset
             offsets[1:n] = offsets[:n - 1]
             offsets[0] = offset
 

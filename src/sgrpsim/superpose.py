@@ -110,9 +110,9 @@ def _rejuvenating_streams(model, hazard, rngs):
     while True:
         block = np.column_stack([rng.exponential(size=k) for rng in rngs])
         for j in range(k):
-            # next_failure_time's guards: the age clamped at 0, and a time
-            # not past the last failure becomes the next float up
-            target = hazard.cumulative_unchecked(np.maximum(t - offset, 0.0)) + block[j]
+            # next_failure_time's guard: a time not past the last failure
+            # becomes the next float up
+            target = hazard.cumulative_unchecked(t - offset) + block[j]
             t = np.maximum(offset + hazard.inverse_cumulative_unchecked(target),
                            np.nextafter(t, np.inf))
             state, offset = model.offset_step(state, t)

@@ -32,7 +32,11 @@ from sgrpsim.repair import next_failure_time
 
 
 def offset_from_history(model, times):
-    """ARA effective-age offset after the failures ``times`` of one component."""
+    """ARA effective-age offset after the failures ``times`` of one component.
+
+    The geometric sum, taken no further than the last failure: for m >= 2 it
+    can round past it by an ulp (for m = 1 the minimum is the sum itself).
+    """
     n_fail = len(times)
     if n_fail == 0 or model.rho == 0.0:
         return 0.0
@@ -41,15 +45,14 @@ def offset_from_history(model, times):
     for j in range(min(model.m, n_fail)):
         acc += w * float(times[n_fail - 1 - j])
         w *= 1.0 - model.rho
-    return acc
+    return min(acc, float(times[n_fail - 1]))
 
 
 def next_failure_from_history(model, hazard, times, exponential):
     """Inverse-transform draw of the next failure after the history ``times``."""
     offset = offset_from_history(model, times)
     last = float(times[-1]) if len(times) else 0.0
-    # the offset can round an ulp past ``last``; the age is clamped at 0
-    target = hazard.cumulative(max(last - offset, 0.0)) + exponential
+    target = hazard.cumulative(last - offset) + exponential
     t = offset + hazard.inverse_cumulative(target)
     if t <= last:
         t = float(np.nextafter(last, np.inf))

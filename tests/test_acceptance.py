@@ -21,6 +21,7 @@ from sgrpsim import (ARA, ApproxModel, ConstantHazard, MaskedHistory,
 from history_oracle import approx_intensity_ara
 from sgrpsim.cli import main as cli_main
 from sgrpsim.io import read_rates_csv, write_rates_csv
+from sgrpsim.repair import next_failure_time
 
 SEED = 20260810
 PL = PowerLawHazard(1.3, 40.0)
@@ -203,7 +204,9 @@ def test_ac5_sampler_diagnostics():
         rng = stream_rng(derive_seed(SEED, 5, 0, s))
         times = []
         for _ in range(400):
-            times.append(model.sample_next_failure(PL, times, rng))
+            last = times[-1] if times else 0.0
+            times.append(next_failure_time(PL, model.effective_age_offset(times), last,
+                                           float(rng.exponential())))
         # the offset is constant between failures, so each interval's
         # integrated intensity is a difference of the cumulative hazard
         # (tests/test_repair.py checks this form against quadrature)

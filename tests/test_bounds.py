@@ -199,6 +199,23 @@ class TestSgrpBounds:
         with pytest.raises(DomainError):
             sgrp_bounds(mh([1.0], 2), ARA(1, -0.2), PL, 2.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_offsets_past_their_failures_gave_nan_envelopes(self):
+        # the float sums behind W for ARA(5, rho near 1) round past four of
+        # these failures; unclamped, an age at T_N was negative and the
+        # power law's pow returned NaN
+        times = [34.11336886250655, 34.11336886250718, 34.1133688625073,
+                 34.11336886250876, 34.11336886250966, 34.113368862511436]
+        ara, last = ARA(5, 0.999998756338047), times[-1]
+        masked = mh(times, 3)
+        pair = sgrp_bounds(masked, ara, PL, last)
+        assert 0.0 < pair.lower <= pair.upper < np.inf
+        am = ApproxModel(3, 0.5, PL, ara, Normalization.COMPONENT)
+        assert pair.lower <= approx_intensity(am, masked, last) <= pair.upper
+        lower, upper = bounds.envelope_cumulative(
+            PL, last, last + 1.0, bounds.envelope_offset_row(masked.times, 3, ara))
+        assert 0.0 < lower <= upper < np.inf
+
     def test_ordering_single_step_memory(self):
         # provable for m=1: the newest-time term is shared and every other
         # lag term is at most the fresh rate

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sgrpsim.cli as cli
 from sgrpsim.cli import main
 from sgrpsim.io import read_events_csv, read_manifest, read_rates_csv
 
@@ -135,7 +137,7 @@ def test_manifest_records_output_scheme(tmp_path, args):
     out = tmp_path / "out"
     assert main([*args[:1], "--config", cfg, "--out", str(out), *args[1:]]) == 0
     manifest = read_manifest(out / "manifest.json")
-    assert manifest["output_scheme"] == 4
+    assert manifest["output_scheme"] == 5
     assert manifest["versions"] == {"numpy": np.__version__}
 
 
@@ -226,7 +228,7 @@ class TestFigures:
         "fig6_sgrp_rates.csv":
             "dcb3f656ffb1430848cf6de8fae0682e206835049c7e14831c095c22a74e3094",
         "manifest.json":
-            "7ab1dfe6da5551e4cd5d9cee54016294e8b15a636b2e7862c0a97f83bc9b2a0c",
+            "9a774501b79e7a3004a216cd09fd1f5eada37928fe9b9c663e411fce846552c5",
     }
     GOLDEN_VERSIONS = {"numpy": "2.4.6"}
 
@@ -238,7 +240,7 @@ class TestFigures:
                      "--which", "all", "--method", "algorithm1"]) == 0
         manifest = out / "manifest.json"
         payload = read_manifest(manifest)
-        assert payload["output_scheme"] == 4
+        assert payload["output_scheme"] == 5
         # the manifest is written as this serialization, so pinning the
         # versions in it changes those bytes only
         assert manifest.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -256,6 +258,38 @@ class TestFigures:
         main(["figures", "--config", cfg, "--out", str(parallel),
               "--which", "fig5", "--jobs", "3"])
         assert tree_bytes(serial) == tree_bytes(parallel)
+
+    def test_jobs_cap_the_pool_at_the_task_count(self, tmp_path, monkeypatch):
+        # fig5 is three curves, so --jobs 1000 asks for three workers. The
+        # stub pool records its size and maps in this process: no worker
+        # starts, whichever module the CLI takes the executor from
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool, raising=False)
+        cfg = write_config(tmp_path, base_config(run={"n_events": 200, "seed": 5,
+                                                      "bin_width": 100.0}))
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        assert main(["figures", "--config", cfg, "--out", str(serial),
+                     "--which", "fig5", "--jobs", "1"]) == 0
+        assert sizes == []
+        assert main(["figures", "--config", cfg, "--out", str(pooled),
+                     "--which", "fig5", "--jobs", "1000"]) == 0
+        assert sizes == [3]
+        assert tree_bytes(serial) == tree_bytes(pooled)
 
 
 class TestHorizonConfigs:
@@ -328,6 +362,17 @@ class TestErrorPaths:
         code = main(["rate-curve", str(tmp_path / "ghost.csv"),
                      "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 3
+
+    @pytest.mark.parametrize("args", [["simulate-sgrp"], ["figures", "--which", "fig5"]],
+                             ids=" ".join)
+    def test_output_path_naming_a_file(self, tmp_path, capsys, args):
+        # the output directory cannot be made: one io line and exit 1
+        cfg = write_config(tmp_path, base_config())
+        code = main([args[0], "--config", cfg, "--out", cfg, *args[1:]])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: io: ")
 
     def test_stop_rule_xor(self, tmp_path, capsys):
         cfg = base_config()
@@ -435,6 +480,15 @@ def test_quadrature_runs_without_scipy():
 def test_cli_import_leaves_numpy_random_unloaded():
     # numpy.random loads with the first stream, not with the package
     code = "import sys, sgrpsim.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only figures --jobs > 1 imports the pool
+    code = "import sys, sgrpsim.cli; print('concurrent.futures.process' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

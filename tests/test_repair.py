@@ -10,11 +10,39 @@ from sgrpsim import (ARA, ConstantHazard, DomainError, Kijima1, Minimal, Perfect
 from sgrpsim.repair import next_failure_time
 
 PL = PowerLawHazard(1.3, 40.0)
+EPS = float(np.finfo(float).eps)
 
 
 def random_history(rng, max_len=12, scale=50.0):
     n = int(rng.integers(0, max_len))
     return np.sort(rng.uniform(0.0, scale, size=n))
+
+
+def unclamped_offset(model, times):
+    """The geometric sum behind the offset, added as ``ARA.offset_step`` adds it."""
+    acc = 0.0
+    w = model.rho
+    for s in reversed(list(times[-model.m:])):
+        acc += w * float(s)
+        w *= 1.0 - model.rho
+    return acc
+
+
+def short_history(start_gaps):
+    """A strictly increasing history: ``start``, then each gap ``f * 10**-k`` relative."""
+    start, gaps = start_gaps
+    times = [start]
+    for k, f in gaps:
+        t = times[-1] * (1.0 + f * 10.0 ** -k)
+        times.append(t if t > times[-1] else float(np.nextafter(times[-1], np.inf)))
+    return times
+
+
+def draw_next(model, hazard, times, rng):
+    """The next failure after ``times`` from one Exp(1) variate of ``rng``."""
+    last = times[-1] if len(times) else 0.0
+    return next_failure_time(hazard, model.effective_age_offset(times), last,
+                             float(rng.exponential()))
 
 
 class TestEffectiveAgeOffset:
@@ -52,6 +80,37 @@ class TestEffectiveAgeOffset:
             assert model.effective_age_offset(times[:k + 1]) == expect
             assert model.effective_age_offset(times[:k + 1].tolist()) == expect
 
+    #: a history whose ARA(5, rho near 1) float sums pass four of its
+    #: failures; unclamped, they made the envelopes at its last time NaN
+    NAN_HISTORY = [34.11336886250655, 34.11336886250718, 34.1133688625073,
+                   34.11336886250876, 34.11336886250966, 34.113368862511436]
+
+    @settings(max_examples=400, deadline=None)
+    @given(m=st.integers(1, 9),
+           rho=(st.floats(0.0, 1.0) | st.integers(1, 64).map(lambda k: 1.0 - k * EPS)
+                | st.just(1.0 - 1e-6)),
+           times=st.tuples(st.floats(1e-3, 1e3),
+                           st.lists(st.tuples(st.integers(0, 12), st.floats(1.0, 2.0)),
+                                    max_size=11)).map(short_history))
+    @example(m=5, rho=0.999998756338047, times=NAN_HISTORY)
+    def test_offset_never_passes_its_failure(self, m, rho, times):
+        # relative gaps down to 1e-12 and rho near 1, where the float sum
+        # for m >= 2 can round past the last failure
+        times = np.array(times)
+        model = ARA(m, rho)
+        after = model.offsets_after(times)
+        assert (after <= times).all()
+        state, fold = model.offset_state(), []
+        for t in times.tolist():
+            state, offset = model.offset_step(state, t)
+            fold.append(offset)
+        assert np.array(fold).tobytes() == after.tobytes()
+        if m == 1:
+            assert after.tobytes() == (rho * times).tobytes()
+        for k in range(times.size):
+            expect = unclamped_offset(model, times[:k + 1])
+            assert after[k] == (expect if expect <= times[k] else times[k])
+
 
 class TestConditionalIntensity:
     def test_perfect_single_replacement(self):
@@ -76,22 +135,24 @@ class TestConditionalIntensity:
         out = Minimal().conditional_intensity(PL, [10.0], t)
         assert np.allclose(out, PL.rate(t))
 
-    def test_age_clamped_at_zero_on_deep_memory_history(self):
-        # under ARA(9, 0.999999) the offset of 6 prefixes of this trajectory
-        # rounds past their last failure; the age is clamped at 0 as in the
-        # sampler's next-failure step
+    def test_offset_clamped_at_last_failure_on_deep_memory_history(self):
+        # under ARA(9, 0.999999) the float sum behind the offset of 6
+        # prefixes of this trajectory rounds past their last failure; no
+        # offset passes it, so those 6 equal it and the age there is 0
         hazard = PowerLawHazard(0.3, 1.0, allow_decreasing=True)
         model = ARA(9, 0.999999)
         times = simulate_sgrp(1, model, hazard, n_events=5000, seed=0).times
+        offsets = [model.effective_age_offset(times[:k]) for k in range(1, times.size + 1)]
+        assert all(o <= t for o, t in zip(offsets, times.tolist()))
         over = [k for k in range(1, times.size + 1)
-                if model.effective_age_offset(times[:k]) > times[k - 1]]
+                if unclamped_offset(model, times[:k]) > times[k - 1]]
         assert len(over) == 6
         for k in over:
             last = float(times[k - 1])
+            assert offsets[k - 1] == last
             assert model.conditional_intensity(hazard, times[:k], last) == hazard.rate(0.0)
             later = last + 0.5
-            expect = hazard.rate(later - model.effective_age_offset(times[:k]))
-            assert model.conditional_intensity(hazard, times[:k], later) == expect
+            assert model.conditional_intensity(hazard, times[:k], later) == hazard.rate(later - last)
 
 
 class TestEquivalences:
@@ -183,12 +244,12 @@ class TestSampler:
         for model in (ARA(2, 0.6), Perfect(), Minimal(), Kijima1(0.5)):
             hist = [3.0, 8.0, 11.0]
             for _ in range(30):
-                assert model.sample_next_failure(PL, hist, rng) > 11.0
+                assert draw_next(model, PL, hist, rng) > 11.0
 
     def test_seed_determinism(self):
         for model in (ARA(1, 0.3), Kijima1(0.7)):
-            a = model.sample_next_failure(PL, [5.0], stream_rng(99))
-            b = model.sample_next_failure(PL, [5.0], stream_rng(99))
+            a = draw_next(model, PL, [5.0], stream_rng(99))
+            b = draw_next(model, PL, [5.0], stream_rng(99))
             assert a == b
 
 
@@ -200,7 +261,7 @@ def test_sampler_time_rescaling():
     rng = stream_rng(1234)
     times = []
     for _ in range(300):
-        times.append(model.sample_next_failure(PL, times, rng))
+        times.append(draw_next(model, PL, times, rng))
     residuals = np.empty(len(times))
     prev = 0.0
     for k, t in enumerate(times):

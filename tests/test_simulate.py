@@ -17,6 +17,7 @@ from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, Kijima1,
                      rescaled_residuals, simulate_algorithm1, simulate_sgrp,
                      simulate_thinning, stream_rng)
 from sgrpsim.bounds import envelope_offset_row
+from sgrpsim.repair import next_failure_time
 from sgrpsim.rng import stream_rngs
 from sgrpsim.simulate import _merge, _squeeze
 
@@ -261,7 +262,9 @@ class TestThinning:
         rng = stream_rng(15)
         direct = []
         for _ in range(3000):
-            direct.append(model.sample_next_failure(PL, direct, rng))
+            last = direct[-1] if direct else 0.0
+            direct.append(next_failure_time(PL, model.effective_age_offset(direct), last,
+                                            float(rng.exponential())))
         res = sps.ks_2samp(np.diff(thin.times, prepend=0.0),
                            np.diff(np.asarray(direct), prepend=0.0))
         assert res.pvalue > 0.005
