@@ -9,13 +9,15 @@ itself is accepted wherever a config is.
 
 Exit codes: 0 success, 1 failed check/other error, 2 invalid usage or config,
 3 missing input file, 4 parameter domain error. Errors print one
-machine-parsable line ``error: <kind>: <reason>`` on stderr.
+machine-parsable line ``error: <kind>: <reason>`` on stderr; a command line
+argparse refuses gives ``error: usage: <reason>``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,8 +66,12 @@ def load_config(path) -> RunConfig:
     if not path.exists():
         raise FileNotFoundError(f"config file {path} does not exist")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err})") from None
+    except (ValueError, RecursionError) as err:
+        # a JSONDecodeError, an integer past the digit limit, or nesting
+        # deeper than the interpreter's recursion limit
         raise ConfigError(f"{path}: invalid JSON ({err})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
@@ -115,14 +121,14 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError("run.n_events must be >= 1")
     if horizon is not None:
         horizon = config_number("run.horizon", horizon)
-        if not horizon > 0.0:
-            raise ConfigError("run.horizon must be positive")
+        if not 0.0 < horizon < math.inf:
+            raise ConfigError(f"run.horizon must be positive and finite, got {horizon}")
     seed = config_number("run.seed", run.get("seed", 0), int)
     if seed < 0:
         raise ConfigError(f"run.seed must be a nonnegative integer, got {seed}")
     bin_width = config_number("run.bin_width", run.get("bin_width", DEFAULT_BIN_WIDTH))
-    if not bin_width > 0.0:
-        raise ConfigError("run.bin_width must be positive")
+    if not 0.0 < bin_width < math.inf:
+        raise ConfigError(f"run.bin_width must be positive and finite, got {bin_width}")
     return RunConfig(hazard=hazard, repair=repair, n=n, delta=delta,
                      normalization=normalization, n_events=n_events,
                      horizon=horizon, seed=seed, bin_width=bin_width, raw=doc)
@@ -321,8 +327,15 @@ def cmd_figures(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one ``error: usage:`` line."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"error: usage: {' '.join(message.split())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sgrpsim",
         description="Simulation, masked-data intensity envelopes and the "
                     "weighted envelope-combination model for superposed "

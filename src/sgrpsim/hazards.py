@@ -99,8 +99,11 @@ class PowerLawHazard(Hazard):
     def scaled(self, factor):
         if not factor > 0.0:
             raise DomainError(f"scale factor must be positive, got {factor}")
-        return PowerLawHazard(self.beta, self.eta * factor ** (-1.0 / self.beta),
-                              allow_decreasing=self.allow_decreasing)
+        try:
+            eta = self.eta * factor ** (-1.0 / self.beta)
+        except OverflowError:  # a tiny factor, such as delta = 1e-100 with beta < 1
+            raise DomainError(f"scale factor {factor} puts eta past the float range") from None
+        return PowerLawHazard(self.beta, eta, allow_decreasing=self.allow_decreasing)
 
     def to_config(self):
         cfg = {"family": "power_law", "beta": self.beta, "eta": self.eta}

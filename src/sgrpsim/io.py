@@ -61,18 +61,21 @@ def write_events_csv(path, times, labels=None):
 def read_events_csv(path):
     """Read an event log; returns (times, labels) with labels None when masked."""
     times, labels = [], []
-    with Path(path).open(newline="") as fh:
+    with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:2] != ["index", "time"]:
-            raise ConfigError(f"{path}: not an event log (header {header!r})")
-        for row in reader:
-            try:
-                times.append(float(row[1]))
-                labels.append(int(row[2]) if len(row) > 2 and row[2] != "" else None)
-            except (IndexError, ValueError):
-                raise ConfigError(f"{path}: line {reader.line_num}: "
-                                  f"malformed event row {row!r}") from None
+        try:
+            header = next(reader, [])
+            if header[:2] != ["index", "time"]:
+                raise ConfigError(f"{path}: not an event log (header {header!r})")
+            for row in reader:
+                try:
+                    times.append(float(row[1]))
+                    labels.append(int(row[2]) if len(row) > 2 and row[2] != "" else None)
+                except (IndexError, ValueError):
+                    raise ConfigError(f"{path}: line {reader.line_num}: "
+                                      f"malformed event row {row!r}") from None
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: not UTF-8 text ({err})") from None
     times = np.asarray(times, dtype=float)
     if any(lab is None for lab in labels):
         return times, None

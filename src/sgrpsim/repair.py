@@ -83,8 +83,8 @@ class ARA:
         if int(self.m) != self.m or self.m < 1:
             raise DomainError(f"memory order m must be a positive integer, got {self.m}")
         object.__setattr__(self, "m", int(self.m))
-        if not self.rho <= 1.0:
-            raise DomainError(f"effectiveness rho must be <= 1, got {self.rho}")
+        if not -np.inf < self.rho <= 1.0:
+            raise DomainError(f"effectiveness rho must be finite and <= 1, got {self.rho}")
 
     @property
     def is_improving(self) -> bool:
@@ -100,15 +100,20 @@ class ARA:
 
         For m >= 2 and rho near 1 the float sum can round an ulp past ``t``,
         so it is clamped to ``t``; for m = 1, ``fl(rho * t) <= t`` exactly.
+        The sum starts from its first product, as :meth:`offsets_after`
+        does, which saves the addition to ``0.0``: ``0.0 + x`` is x bit for
+        bit unless x is -0.0, and ``rho * t`` with ``t > 0`` is -0.0 only by
+        underflow under a harmful ``rho < 0``. ``t`` is a float, or an
+        array with one entry per lock-step stream.
         """
         state = (state + (t,))[-self.m:]
         if self.rho == 0.0:
             return state, 0.0
-        acc = 0.0
         w = self.rho
-        for s in reversed(state):
-            acc += w * s
+        acc = w * t
+        for s in reversed(state[:-1]):
             w *= 1.0 - self.rho
+            acc += w * s
         if self.m > 1:
             acc = np.minimum(acc, t)
         return state, acc
@@ -129,15 +134,15 @@ class ARA:
         """The offset after each failure of ``times``, in one numpy pass.
 
         Entry k equals ``effective_age_offset(times[:k + 1])`` bit for bit:
-        the products of :meth:`offset_step` are added in the same order and
-        clamped alike.
+        the sum starts from the same first product, the products of
+        :meth:`offset_step` are added in the same order and clamped alike.
         """
         times = np.asarray(times, dtype=float)
-        acc = np.zeros(times.size)
         w = self.rho
-        for j in range(min(self.m, times.size)):
-            acc[j:] += w * times[:times.size - j]
+        acc = w * times
+        for j in range(1, min(self.m, times.size)):
             w *= 1.0 - self.rho
+            acc[j:] += w * times[:times.size - j]
         if self.m > 1:
             np.minimum(acc, times, out=acc)
         return acc

@@ -12,7 +12,8 @@ component keys ``(seed, 0) ... (seed, k-1)`` in one pass over all k children
 of ``SeedSequence(seed)``: each key equals the child's
 ``generate_state(2, np.uint64)``, so its generators draw what
 ``stream_rng(seed, i)`` draws. Their ``seed_seq`` holds the key alone and does
-not spawn.
+not spawn, and each ``Philox`` gets the default counter 0 as one shared zero
+array, which skips numpy's conversion of a Python int.
 """
 
 from __future__ import annotations
@@ -45,13 +46,19 @@ def stream_rng(seed: int, *stream: int) -> np.random.Generator:
 def stream_rngs(seed: int, k: int) -> list:
     """The generators ``stream_rng(seed, i)`` for ``i < k``.
 
-    The k keys come from :func:`_philox_keys` in one pass, which sets up a
-    generator in under half the time :func:`stream_rng` takes and gives the
-    same draws. Each generator's ``seed_seq`` holds its key and does not
-    spawn.
+    The k keys come from :func:`_philox_keys` in one pass, and every
+    ``Philox`` gets its counter as one shared ``np.zeros(4, np.uint64)``,
+    the documented equal of the default 0: an array counter is copied, while
+    an int one is converted word by word, which took about 40% of a
+    construction. The generators hold the same state and give the same draws
+    as :func:`stream_rng`, in about a quarter of its time
+    (``stream_rngs(3, 100)``: 3.7 µs per generator against 15 µs, median of
+    15 runs on a 2-core x86-64 host, numpy 2.4). Each generator's
+    ``seed_seq`` holds its key and does not spawn.
     """
     key_seed = _philox_key_class()
-    return [np.random.Generator(np.random.Philox(key_seed(key)))
+    counter = np.zeros(4, np.uint64)
+    return [np.random.Generator(np.random.Philox(key_seed(key), counter=counter))
             for key in _philox_keys(seed, k)]
 
 
@@ -128,7 +135,9 @@ def _philox_key_class():
             self.key = key
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 2 or np.dtype(dtype) != np.uint64:
+            # Philox asks with the np.uint64 type itself, which the
+            # identity test answers before the dtype comparison
+            if n_words != 2 or not (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
                 raise ValueError("a Philox key answers generate_state(2, np.uint64) "
                                  f"only, not ({n_words!r}, {dtype!r})")
             return self.key

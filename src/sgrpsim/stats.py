@@ -54,8 +54,8 @@ def rate_curve(times, bin_width, horizon=None) -> RateCurve:
     With a horizon only bins fully inside [0, horizon] are kept, dropping the
     partially observed tail bin whose rate would be biased low.
     """
-    if not bin_width > 0.0:
-        raise DomainError("bin_width must be positive")
+    if not 0.0 < bin_width < np.inf:
+        raise DomainError("bin_width must be positive and finite")
     times = np.asarray(times, dtype=float)
     # written so that a NaN, which fails every comparison, is refused
     if times.size and not (times[0] >= 0.0 and np.all(np.diff(times) >= 0.0)):

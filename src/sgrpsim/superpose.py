@@ -87,6 +87,14 @@ def _rejuvenating_streams(model, hazard, rngs):
     applied elementwise, and a block draw from a generator equals that many
     scalar draws, so each column is bit for bit the stream drawn one failure
     at a time.
+
+    From three streams on, each stream's block of standard exponentials
+    (``exponential()`` is ``1.0 *`` one, so the same bits) is drawn into its
+    row of one stream-major ``(streams, k)`` buffer, and the block is that
+    buffer's transpose. Each step overwrites its row of draws with its
+    times (``out=``), so ``state`` holds views of earlier rows, of this
+    block or earlier ones; that is safe because a row is written once and
+    no block changes after it is yielded.
     """
     k = yield
     if len(rngs) <= 2:
@@ -108,15 +116,17 @@ def _rejuvenating_streams(model, hazard, rngs):
             k = yield block
     state, offset, t = model.offset_state(), 0.0, 0.0
     while True:
-        block = np.column_stack([rng.exponential(size=k) for rng in rngs])
-        for j in range(k):
+        draws = np.empty((len(rngs), k))
+        for rng, row in zip(rngs, draws):
+            rng.standard_exponential(size=k, out=row)
+        block = draws.T
+        for row in block:
             # next_failure_time's guard: a time not past the last failure
             # becomes the next float up
-            target = hazard.cumulative_unchecked(t - offset) + block[j]
+            target = hazard.cumulative_unchecked(t - offset) + row
             t = np.maximum(offset + hazard.inverse_cumulative_unchecked(target),
-                           np.nextafter(t, np.inf))
+                           np.nextafter(t, np.inf), out=row)
             state, offset = model.offset_step(state, t)
-            block[j] = t
         k = yield block
 
 
@@ -163,13 +173,13 @@ def _advance_streams(groups, *, count=None, horizon=None):
 
 
 def _check_stop(n_events, horizon):
-    """The samplers' stop rule: exactly one of ``n_events`` >= 1 or ``horizon`` > 0."""
+    """The samplers' stop rule: exactly one of ``n_events`` >= 1 or ``horizon`` > 0, finite."""
     if (n_events is None) == (horizon is None):
         raise ValueError("provide exactly one of n_events or horizon")
     if n_events is not None and n_events < 1:
         raise DomainError("n_events must be >= 1")
-    if horizon is not None and not horizon > 0.0:
-        raise DomainError("horizon must be positive")
+    if horizon is not None and not 0.0 < horizon < math.inf:
+        raise DomainError("horizon must be positive and finite")
 
 
 def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None, seed) -> FullHistory:
@@ -185,7 +195,13 @@ def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None, seed) -> Ful
     _check_stop(n_events, horizon)
 
     streams = _rejuvenating_streams(model, hazard, stream_rngs(seed, n))
-    (block,) = _advance_streams([(streams, 1.0 / n)], count=n_events, horizon=horizon)
+    # a harmful repair (rho < 0) can push an age past the float range. A
+    # stream's times stay inf or NaN from then on and stop the blocks, so
+    # the last step shows it, and the run raises instead of warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        (block,) = _advance_streams([(streams, 1.0 / n)], count=n_events, horizon=horizon)
+    if not np.isfinite(block[-1]).all():
+        raise DomainError("a component's age left the float range (harmful repair)")
     columns = np.ascontiguousarray(block.T)
     flat = columns.ravel()
     # component-major, so the stable sort puts the lowest component first

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -292,6 +293,43 @@ class TestFigures:
         assert tree_bytes(serial) == tree_bytes(pooled)
 
 
+class TestNarrowGolden:
+    """Golden bytes of the five-stream lock step; ``TestFigures.GOLDEN`` pins 100 streams.
+
+    sha256 of the CSVs of the README hazard at n = 5 and seed 3. The CSVs
+    hold no version, so no field is pinned.
+    """
+
+    GOLDEN = {
+        # bounds-check, Kijima a = 0.7, 1,500 events
+        "bounds.csv": "1e8baf71208e10dbf2a2426121c75036177108a9fb3f7ba5fc53436a591bfb48",
+        # simulate-sgrp, ARA(3, 0.5), horizon 2500
+        "events.csv": "14c43d506fd2a406e972803fe23b5095473e2517445985b73bb1d5e85c74c49a",
+        "events_masked.csv":
+            "d76aa92a5825bde5f0fce1c2442f54ff4a40016ef4ee0371c04e6449bce30942",
+    }
+
+    def run(self, tmp_path, command, **overrides):
+        cfg = write_config(tmp_path, base_config(system={"n": 5}, **overrides))
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in out.iterdir() if f.suffix == ".csv"}
+
+    def test_kijima_bounds_check(self, tmp_path):
+        digests = self.run(tmp_path, "bounds-check",
+                           repair={"model": "kijima1", "a": 0.7},
+                           run={"n_events": 1500, "seed": 3})
+        assert digests == {"bounds.csv": self.GOLDEN["bounds.csv"]}
+
+    def test_deep_memory_simulate_sgrp_to_a_horizon(self, tmp_path):
+        digests = self.run(tmp_path, "simulate-sgrp",
+                           repair={"model": "ara", "m": 3, "rho": 0.5},
+                           run={"horizon": 2500.0, "seed": 3})
+        assert digests == {name: self.GOLDEN[name]
+                           for name in ("events.csv", "events_masked.csv")}
+
+
 class TestHorizonConfigs:
     HORIZON = {"horizon": 2500.0, "seed": 3, "bin_width": 1000.0}
 
@@ -380,6 +418,82 @@ class TestErrorPaths:
         code = main(["simulate-sgrp", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def assert_one_line(self, capsys, code, expected_code, kind):
+        assert code == expected_code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"error: {kind}: ")
+        return lines[0]
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe" + json.dumps(base_config()).encode("utf-16-le"))
+        code = main(["simulate-sgrp", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert "UTF-8" in self.assert_one_line(capsys, code, 2, "config")
+
+    def test_event_log_not_utf8(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        events = tmp_path / "events.csv"
+        events.write_bytes(b"\xff\xfe" + "index,time,component\n1,0.5,\n".encode("utf-16-le"))
+        code = main(["rate-curve", str(events), "--config", cfg, "--out", str(tmp_path / "o")])
+        assert "UTF-8" in self.assert_one_line(capsys, code, 2, "config")
+
+    def test_config_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code = main(["simulate-sgrp", "--config", str(deep), "--out", str(tmp_path / "o")])
+        self.assert_one_line(capsys, code, 2, "config")
+
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # Python's int parser refuses over 4,300 digits with a ValueError
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config()).replace('"seed": 11', '"seed": 1' + "0" * 5000))
+        code = main(["simulate-sgrp", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        self.assert_one_line(capsys, code, 2, "config")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate-sgrp", "--config", "c.json", "--out", "o", "--seed", "abc"],
+        ["simulate-sgrp", "--config", "c.json"],
+        ["frobnicate"],
+        ["figures", "--config", "c.json", "--out", "o", "--which", "fig9"],
+        [],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_usage_error_is_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        self.assert_one_line(capsys, stop.value.code, 2, "usage")
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as stop:
+            main([flag])
+        assert stop.value.code == 0
+        out, err = capsys.readouterr()
+        assert out and not err
+
+    @pytest.mark.parametrize("key", ["horizon", "bin_width"])
+    def test_infinite_run_value(self, tmp_path, capsys, key):
+        # an infinite horizon never stops a sampler and an infinite bin has
+        # no start, so both are config errors. rate-curve reads both and
+        # simulates nothing, so the test ends even where the horizon passes
+        cfg = write_config(tmp_path, base_config(run={"horizon": 500.0, "seed": 1,
+                                                      key: math.inf}))
+        events = tmp_path / "events.csv"
+        events.write_text("index,time,component\n1,0.5,\n")
+        code = main(["rate-curve", str(events), "--config", cfg, "--out", str(tmp_path / "o")])
+        assert f"run.{key}" in self.assert_one_line(capsys, code, 2, "config")
+
+    @pytest.mark.parametrize("rho", [-math.inf, -1e300])
+    def test_harmful_repair_past_the_float_range(self, tmp_path, rho):
+        # an age that overflows is one domain error line, without numpy's
+        # warnings
+        cfg = write_config(tmp_path, base_config(repair={"model": "ara", "m": 1, "rho": rho}))
+        proc = run_cli(["simulate-sgrp", "--config", cfg, "--out", "out"], tmp_path)
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: domain: ")
 
 
 def with_value(section, key, value):

@@ -148,6 +148,12 @@ class TestScaled:
         with pytest.raises(DomainError):
             ConstantHazard(1.0).scaled(-1.0)
 
+    @pytest.mark.parametrize("beta,factor", [(1.0, 2.225073858507e-311), (0.3, 1e-100)])
+    def test_factor_past_the_float_range_rejected(self, beta, factor):
+        # eta * factor ** (-1 / beta) overflows: a domain error, not an OverflowError
+        with pytest.raises(DomainError, match="float range"):
+            PowerLawHazard(beta, 5.0, allow_decreasing=True).scaled(factor)
+
 
 class TestConfig:
     def test_power_law_literal(self):

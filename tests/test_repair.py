@@ -344,7 +344,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("a", [float("nan"), float("inf"), -float("inf"), -1e-300])
     def test_kijima_refuses_nonfinite_and_negative(self, a):
-        # ARA(1, 1 - inf) = ARA(1, -inf) would be accepted, so Kijima1 checks a itself
+        # Kijima1 checks a itself, so that its message names a
         with pytest.raises(DomainError, match="age accumulation factor"):
             Kijima1(a)
 

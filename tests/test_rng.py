@@ -57,3 +57,25 @@ def test_pickled_generator_draws_on():
     rng.random(7)
     back = pickle.loads(pickle.dumps(rng))
     assert np.array_equal(back.random(20), rng.random(20))
+
+
+def philox_state(rng):
+    """A Philox generator's whole state as comparable lists."""
+    state = rng.bit_generator.state
+    return (state["bit_generator"], state["state"]["key"].tolist(),
+            state["state"]["counter"].tolist(), state["buffer"].tolist(),
+            state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**160 - 1)),
+       k=st.integers(1, 12), data=st.data())
+def test_generators_start_in_the_reference_state(seed, k, data):
+    # key, counter and buffer: the shared counter array is the default 0
+    rngs = stream_rngs(seed, k)
+    i = data.draw(st.integers(0, k - 1), label="i")
+    assert philox_state(rngs[i]) == philox_state(stream_rng(seed, i))
+    # drawing from one generator leaves the shared counter of the others at 0
+    rngs[i].random(9)
+    for j in {0, k - 1} - {i}:
+        assert philox_state(rngs[j]) == philox_state(stream_rng(seed, j))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -243,9 +245,23 @@ def test_simulate_matches_history_sampler_bitwise(case, n):
 def test_simulate_does_not_depend_on_block_size(cap, n, monkeypatch):
     # the streams hand back at most ``cap`` steps per request; the engine
     # takes what it gets, and the run is the one of uncapped blocks
-    model, seed = Kijima1(0.7), 23
-    count = simulate_sgrp(n, model, PL, n_events=600, seed=seed)
-    horizon = simulate_sgrp(n, model, PL, horizon=0.5 * float(count.times[-1]), seed=seed)
+    assert_block_size_free(n, Kijima1(0.7), PL, cap, monkeypatch)
+
+
+@pytest.mark.parametrize("cap", [1, 7, 64])
+@pytest.mark.parametrize("case", ["ara3", "clamp"])
+def test_deep_memory_does_not_depend_on_block_size(case, cap, monkeypatch):
+    # five streams step as arrays written into their block in place; with
+    # m >= 2 the offset state holds rows of earlier steps, and at cap 1 rows
+    # of earlier blocks, which must stay as they were written
+    model, hazard = CLAMP if case == "clamp" else CASES[case]
+    assert_block_size_free(5, model, hazard, cap, monkeypatch)
+
+
+def assert_block_size_free(n, model, hazard, cap, monkeypatch, seed=23):
+    count = simulate_sgrp(n, model, hazard, n_events=600, seed=seed)
+    horizon = simulate_sgrp(n, model, hazard, horizon=0.5 * float(count.times[-1]),
+                            seed=seed)
     make = superpose._rejuvenating_streams
 
     def capped(*args):
@@ -258,7 +274,7 @@ def test_simulate_does_not_depend_on_block_size(cap, n, monkeypatch):
     for whole in (count, horizon):
         stop = (dict(n_events=len(whole)) if whole is count
                 else dict(horizon=whole.horizon))
-        got = simulate_sgrp(n, model, PL, seed=seed, **stop)
+        got = simulate_sgrp(n, model, hazard, seed=seed, **stop)
         assert np.array_equal(got.times, whole.times)
         assert np.array_equal(got.labels, whole.labels)
 
@@ -281,6 +297,24 @@ def test_trajectory_does_not_depend_on_block_size(block_rows, monkeypatch):
     whole = true_intensity_at_events(full, model, PL)
     monkeypatch.setattr(superpose, "BLOCK_ROWS", block_rows)
     assert np.array_equal(true_intensity_at_events(full, model, PL), whole)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_age_past_the_float_range_raises(n):
+    # a harmful repair this strong overflows an age within a few failures;
+    # Python floats and arrays alike stop on it, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stop in (dict(n_events=50), dict(horizon=300.0)):
+            with pytest.raises(DomainError, match="float range"):
+                simulate_sgrp(n, ARA(2, -1e300), PL, seed=1, **stop)
+
+
+def test_horizon_must_be_finite():
+    # both samplers check their stop rule here; an infinite horizon would
+    # never stop the blocks
+    with pytest.raises(DomainError, match="finite"):
+        superpose._check_stop(None, np.inf)
 
 
 def test_trajectory_of_an_empty_history():
