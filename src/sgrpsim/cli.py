@@ -2,15 +2,18 @@
 
 One JSON config document serves every subcommand, with sections ``hazard``,
 ``repair``, ``system`` ({"n": ...}), ``approx`` ({"delta", "normalization"})
-and ``run`` ({"n_events" | "horizon", "seed", "bin_width"}). Every run writes
-a ``manifest.json`` (config echo, seed, numpy version) next to its
-outputs; rerunning with the same inputs is byte-identical, and a manifest
-itself is accepted wherever a config is.
+and ``run`` ({"n_events" | "horizon", "seed", "bin_width"}). :func:`main` is
+every run's envelope: it loads the config, resolves the seed (``--seed``,
+else ``run.seed``), makes ``--out``, runs ``cmd_*(args, cfg, seed, out)`` for
+its ``(files, fields, failure)`` and writes ``manifest.json`` (config echo,
+seed, numpy version, files, fields). Rerunning with the same inputs is
+byte-identical, and a manifest itself is accepted wherever a config is.
 
 Exit codes: 0 success, 1 failed check/other error, 2 invalid usage or config,
 3 missing input file, 4 parameter domain error. Errors print one
-machine-parsable line ``error: <kind>: <reason>`` on stderr; a command line
-argparse refuses gives ``error: usage: <reason>``.
+machine-parsable line ``error: <kind>: <reason>`` on stderr; a failure
+returned by a subcommand is ``error: check:``, and a command line argparse
+refuses (``--seed -1`` and ``--jobs 0`` too) is ``error: usage:``.
 """
 
 from __future__ import annotations
@@ -134,14 +137,6 @@ def parse_config(doc: dict) -> RunConfig:
                      horizon=horizon, seed=seed, bin_width=bin_width, raw=doc)
 
 
-def _resolve_seed(cfg: RunConfig, args) -> int:
-    if args.seed is None:
-        return cfg.seed
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
-    return args.seed
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -173,10 +168,7 @@ def _approx_model(cfg: RunConfig, delta=None, repair=None) -> ApproxModel:
     )
 
 
-def cmd_simulate_sgrp(args):
-    cfg = load_config(args.config)
-    seed = _resolve_seed(cfg, args)
-    out = _out_dir(args)
+def cmd_simulate_sgrp(args, cfg: RunConfig, seed, out):
     full = simulate_sgrp(cfg.n, cfg.repair, cfg.hazard,
                          n_events=cfg.n_events, horizon=cfg.horizon, seed=seed)
     masked = mask(full)
@@ -184,16 +176,10 @@ def cmd_simulate_sgrp(args):
         write_events_csv(out / "events.csv", full.times, full.labels),
         write_events_csv(out / "events_masked.csv", masked.times),
     ]
-    write_manifest(out / "manifest.json",
-                   _manifest_payload(cfg, "simulate-sgrp", seed, files,
-                                     events=len(full)))
-    return 0
+    return files, {"events": len(full)}, None
 
 
-def cmd_simulate_approx(args):
-    cfg = load_config(args.config)
-    seed = _resolve_seed(cfg, args)
-    out = _out_dir(args)
+def cmd_simulate_approx(args, cfg: RunConfig, seed, out):
     am = _approx_model(cfg)
     if args.method == "algorithm1":
         masked = simulate_algorithm1(am, cfg.n_events, seed, horizon=cfg.horizon)
@@ -201,16 +187,10 @@ def cmd_simulate_approx(args):
         masked = simulate_thinning(am, n_events=cfg.n_events,
                                    horizon=cfg.horizon, seed=seed)
     files = [write_events_csv(out / "events.csv", masked.times)]
-    write_manifest(out / "manifest.json",
-                   _manifest_payload(cfg, "simulate-approx", seed, files,
-                                     method=args.method, events=len(masked)))
-    return 0
+    return files, {"method": args.method, "events": len(masked)}, None
 
 
-def cmd_bounds_check(args):
-    cfg = load_config(args.config)
-    seed = _resolve_seed(cfg, args)
-    out = _out_dir(args)
+def cmd_bounds_check(args, cfg: RunConfig, seed, out):
     full = simulate_sgrp(cfg.n, cfg.repair, cfg.hazard,
                          n_events=cfg.n_events, horizon=cfg.horizon, seed=seed)
     lower, upper = sgrp_bounds_at_events(full.times, cfg.n, cfg.repair, cfg.hazard)
@@ -218,20 +198,12 @@ def cmd_bounds_check(args):
     violations = int(np.sum((true < lower - SANDWICH_SLACK)
                             | (true > upper + SANDWICH_SLACK)))
     files = [write_bounds_csv(out / "bounds.csv", full.times, lower, upper, true)]
-    write_manifest(out / "manifest.json",
-                   _manifest_payload(cfg, "bounds-check", seed, files,
-                                     events=len(full), violations=violations))
     print(f"events={len(full)} violations={violations}")
-    if violations:
-        print(f"error: check: {violations} envelope violations", file=sys.stderr)
-        return EXIT_CHECK
-    return 0
+    failure = f"{violations} envelope violations" if violations else None
+    return files, {"events": len(full), "violations": violations}, failure
 
 
-def cmd_rate_curve(args):
-    cfg = load_config(args.config)
-    seed = _resolve_seed(cfg, args)
-    out = _out_dir(args)
+def cmd_rate_curve(args, cfg: RunConfig, seed, out):
     events_path = Path(args.events)
     if not events_path.exists():
         raise FileNotFoundError(f"event log {events_path} does not exist")
@@ -239,10 +211,7 @@ def cmd_rate_curve(args):
     curve = rate_curve(times, cfg.bin_width, horizon=cfg.horizon)
     files = [write_rates_csv(out / "rates.csv", curve,
                              note=f"source={events_path.name}")]
-    write_manifest(out / "manifest.json",
-                   _manifest_payload(cfg, "rate-curve", seed, files,
-                                     source=str(events_path), bins=len(curve)))
-    return 0
+    return files, {"source": str(events_path), "bins": len(curve)}, None
 
 
 FIGURE_DELTAS = {"fig4": (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)}
@@ -300,13 +269,8 @@ def _run_figure_task(task):
     return (task["name"], curve.starts, curve.counts, int(times.size))
 
 
-def cmd_figures(args):
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    cfg = load_config(args.config)
-    seed = _resolve_seed(cfg, args)
+def cmd_figures(args, cfg: RunConfig, seed, out):
     tasks = _figure_tasks(args.which, cfg, seed, args.method)
-    out = _out_dir(args)
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run needs it
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
@@ -320,11 +284,7 @@ def cmd_figures(args):
         curve = RateCurve(cfg.bin_width, starts, counts)
         files.append(write_rates_csv(out / f"{name}_rates.csv", curve, note=name))
         curve_meta[name] = {"events": n_ev, "bins": len(curve)}
-    write_manifest(out / "manifest.json",
-                   _manifest_payload(cfg, "figures", seed, files,
-                                     which=args.which, method=args.method,
-                                     curves=curve_meta))
-    return 0
+    return files, {"which": args.which, "method": args.method, "curves": curve_meta}, None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -332,6 +292,17 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(EXIT_CONFIG, f"error: usage: {' '.join(message.split())}\n")
+
+
+def _int_at_least(flag, low):
+    """An argparse type for ``flag``: an int >= ``low``, else a usage error."""
+    def convert(text):
+        value = int(text)  # argparse reports a ValueError as "invalid int value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{flag} must be >= {low}, got {value}")
+        return value
+    convert.__name__ = "int"  # the type name argparse's message gives
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,12 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, needs_out=True):
+    def add_common(p):
         p.add_argument("--config", required=True, help="JSON config (or manifest) path")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_int_at_least("--seed", 0), default=None,
                        help="override run.seed from the config")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("simulate-sgrp",
                        help="exact labeled superposition run plus masked export")
@@ -378,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--method", choices=("algorithm1", "thinning"),
                    default="algorithm1")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_int_at_least("--jobs", 1), default=1,
                    help="parallel curve workers (outputs identical for any value)")
     p.set_defaults(func=cmd_figures)
     return parser
@@ -387,7 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return int(args.func(args) or 0)
+        cfg = load_config(args.config)
+        seed = cfg.seed if args.seed is None else args.seed
+        out = _out_dir(args)
+        files, fields, failure = args.func(args, cfg, seed, out)
+        write_manifest(out / "manifest.json",
+                       _manifest_payload(cfg, args.subcommand, seed, files, **fields))
     except ConfigError as err:
         print(f"error: config: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -400,6 +375,10 @@ def main(argv=None) -> int:
     except OSError as err:  # an output path that cannot be made or written
         print(f"error: io: {err}", file=sys.stderr)
         return EXIT_CHECK  # the "other error" code
+    if failure:
+        print(f"error: check: {failure}", file=sys.stderr)
+        return EXIT_CHECK
+    return 0
 
 
 if __name__ == "__main__":

@@ -70,17 +70,17 @@ def _poisson_stream(hazard, rng):
         k = yield hazard.inverse_cumulative_unchecked(taus[1:])[:, None]
 
 
-def _merge(times, count):
-    """The ``count`` smallest ``times`` in increasing order, ties nudged apart.
+def _merge(times):
+    """``times`` in increasing order, ties nudged apart.
 
     Equal times are interchangeable, so the order of a heap merge that breaks
     ties by stream index is the sorted order. A time not above the one before
     it (or not above 0 for the first) becomes the next float up, sequentially
     from the first such tie.
     """
-    out = np.sort(times)[:count]
+    out = np.sort(times)
     ties = np.flatnonzero(out <= np.concatenate(([0.0], out[:-1])))
-    for k in range(ties[0] if ties.size else count, count):
+    for k in range(ties[0] if ties.size else out.size, out.size):
         prev = out[k - 1] if k else 0.0
         if out[k] <= prev:  # float coincidence across streams
             out[k] = np.nextafter(prev, np.inf)
@@ -132,14 +132,13 @@ def simulate_algorithm1(am: ApproxModel, n_events=None, seed=None, *,
 
     if n_events is not None:
         n_events = int(n_events)
-    times = np.concatenate([b.ravel() for b in
-                            _advance_streams(groups, count=n_events, horizon=horizon)])
+    blocks, cut = _advance_streams(groups, count=n_events, horizon=horizon)
+    times = np.concatenate([b.ravel() for b in blocks])
+    out = _merge(times[times <= cut])[:n_events]
     if n_events is None:
         # nudged ties move times up, so the merge is cut at the horizon again
-        out = _merge(times, int(np.count_nonzero(times <= horizon)))
         out = out[:np.searchsorted(out, horizon, side="right")]
         return MaskedHistory(times=out, n=n, t_obs=float(horizon))
-    out = _merge(times, n_events)
     return MaskedHistory(times=out, n=n, t_obs=float(out[-1]))
 
 

@@ -30,6 +30,11 @@ __all__ = ["RateCurve", "rate_curve", "rescaled_residuals", "ks_exp1",
 #: Asymptotic one-sample KS critical multipliers: D_alpha = c(alpha) / sqrt(n).
 KS_CRITICAL = {0.01: 1.628, 0.05: 1.358}
 
+#: The most bins one rate curve may hold. A curve is written one CSV row per
+#: bin, so a bin width far below the time span asks for an absurd table
+#: (a width of 1e-12 over 1,000 time units is 1e15 rows) and its arrays.
+MAX_BINS = 10**7
+
 
 @dataclass(frozen=True)
 class RateCurve:
@@ -52,7 +57,8 @@ def rate_curve(times, bin_width, horizon=None) -> RateCurve:
 
     Without a horizon the curve runs through the bin holding the last event.
     With a horizon only bins fully inside [0, horizon] are kept, dropping the
-    partially observed tail bin whose rate would be biased low.
+    partially observed tail bin whose rate would be biased low. More than
+    ``MAX_BINS`` bins is a DomainError, checked before anything is allocated.
     """
     if not 0.0 < bin_width < np.inf:
         raise DomainError("bin_width must be positive and finite")
@@ -61,15 +67,18 @@ def rate_curve(times, bin_width, horizon=None) -> RateCurve:
     if times.size and not (times[0] >= 0.0 and np.all(np.diff(times) >= 0.0)):
         raise DomainError("times must be sorted and nonnegative")
     if horizon is None:
-        if times.size == 0:
-            return RateCurve(float(bin_width), np.empty(0), np.empty(0, dtype=int))
-        n_bins = int(times[-1] // bin_width) + 1
+        bins = times[-1] // bin_width + 1.0 if times.size else 0.0
+    elif horizon >= 0.0:
+        bins = horizon // bin_width
     else:
-        if horizon < 0.0:
-            raise DomainError("horizon must be nonnegative")
-        n_bins = int(horizon // bin_width)
-        if n_bins == 0:
-            return RateCurve(float(bin_width), np.empty(0), np.empty(0, dtype=int))
+        raise DomainError("horizon must be nonnegative")
+    # compared before int(), since a tiny width's count can be inf
+    if bins > MAX_BINS:
+        raise DomainError(f"bin_width {bin_width:g} makes {bins:.3g} bins, "
+                          f"more than the {MAX_BINS} a rate curve holds")
+    n_bins = int(bins)
+    if n_bins == 0:
+        return RateCurve(float(bin_width), np.empty(0), np.empty(0, dtype=int))
     idx = (times // bin_width).astype(int)
     counts = np.bincount(idx[idx < n_bins], minlength=n_bins)
     starts = np.arange(n_bins) * float(bin_width)

@@ -137,7 +137,7 @@ def _advance_streams(groups, *, count=None, horizon=None):
     ``_rejuvenating_streams``, not yet started, and each of its streams'
     share of the initial event rate (the shares of all streams sum to 1).
     The cut is the ``count``-th smallest time generated (count mode) or the
-    ``horizon``. Returns, per group, its stream times as one
+    ``horizon``. Returns the cut and, per group, its stream times as one
     ``(steps, streams)`` array; every time up to the cut is in them.
 
     In count mode the first blocks hold at least ``count`` times; in horizon
@@ -169,7 +169,7 @@ def _advance_streams(groups, *, count=None, horizon=None):
         for g in pending:
             done = sum(len(b) for b in blocks[g])
             steps[g] = math.ceil(min(done * (cut / slowest[g] - 1.0), done - 1)) + 1
-    return [np.concatenate(bs) for bs in blocks]
+    return [np.concatenate(bs) for bs in blocks], cut
 
 
 def _check_stop(n_events, horizon):
@@ -199,18 +199,16 @@ def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None, seed) -> Ful
     # stream's times stay inf or NaN from then on and stop the blocks, so
     # the last step shows it, and the run raises instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        (block,) = _advance_streams([(streams, 1.0 / n)], count=n_events, horizon=horizon)
+        (block,), cut = _advance_streams([(streams, 1.0 / n)], count=n_events,
+                                         horizon=horizon)
     if not np.isfinite(block[-1]).all():
         raise DomainError("a component's age left the float range (harmful repair)")
     columns = np.ascontiguousarray(block.T)
     flat = columns.ravel()
     # component-major, so the stable sort puts the lowest component first
-    # among equal times
-    order = np.argsort(flat, kind="stable")
-    if n_events is None:
-        order = order[:np.searchsorted(flat[order], horizon, side="right")]
-    else:
-        order = order[:n_events]
+    # among equal times; only the times up to the cut are sorted
+    kept = np.flatnonzero(flat <= cut)
+    order = kept[np.argsort(flat[kept], kind="stable")][:n_events]
     times = flat[order]
     comps = order // columns.shape[1]
     counts = np.bincount(comps, minlength=n)

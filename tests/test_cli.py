@@ -38,6 +38,23 @@ def tree_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(Path(root).iterdir())}
 
 
+#: the numpy the golden digests were recorded with
+GOLDEN_VERSIONS = {"numpy": "2.4.6"}
+
+
+def tree_digests(root):
+    """sha256 of every file under ``root``, the manifest's with its
+    ``versions`` set to GOLDEN_VERSIONS (rewritten in place)."""
+    manifest = Path(root) / "manifest.json"
+    payload = read_manifest(manifest)
+    # the manifest is written as this serialization, so pinning the
+    # versions in it changes those bytes only
+    assert manifest.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    payload["versions"] = GOLDEN_VERSIONS
+    manifest.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in Path(root).iterdir()}
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -112,6 +129,28 @@ class TestBoundsCheck:
         assert manifest["violations"] == 0
         header = (out / "bounds.csv").read_text().splitlines()[0]
         assert header == "t,lower,upper,true"
+
+    def test_violations_fail_the_check(self, tmp_path, capsys, monkeypatch):
+        # a true intensity forced below the lower envelope at three events:
+        # the table and the manifest are still written, then one check line
+        real = cli.true_intensity_at_events
+
+        def below_at_three(*args):
+            true = real(*args)
+            true[:3] = -1.0
+            return true
+
+        monkeypatch.setattr(cli, "true_intensity_at_events", below_at_three)
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["bounds-check", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "events=400 violations=3\n"
+        assert captured.err.splitlines() == ["error: check: 3 envelope violations"]
+        assert (out / "bounds.csv").read_text().splitlines()[1].endswith(",-1")
+        manifest = read_manifest(out / "manifest.json")
+        assert manifest["violations"] == 3
+        assert manifest["outputs"] == ["bounds.csv"]
 
     def test_kijima1_config_equals_its_ara_config_bytewise(self, tmp_path):
         # Kijima1(a) is ARA(1, 1 - a): same trajectory, envelopes and true intensity
@@ -231,7 +270,6 @@ class TestFigures:
         "manifest.json":
             "9a774501b79e7a3004a216cd09fd1f5eada37928fe9b9c663e411fce846552c5",
     }
-    GOLDEN_VERSIONS = {"numpy": "2.4.6"}
 
     def test_all_curves_match_golden_digests(self, tmp_path):
         cfg = write_config(tmp_path, base_config(
@@ -239,16 +277,8 @@ class TestFigures:
         out = tmp_path / "figs"
         assert main(["figures", "--config", cfg, "--out", str(out),
                      "--which", "all", "--method", "algorithm1"]) == 0
-        manifest = out / "manifest.json"
-        payload = read_manifest(manifest)
-        assert payload["output_scheme"] == 5
-        # the manifest is written as this serialization, so pinning the
-        # versions in it changes those bytes only
-        assert manifest.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        payload["versions"] = self.GOLDEN_VERSIONS
-        manifest.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
-        assert digests == self.GOLDEN
+        assert read_manifest(out / "manifest.json")["output_scheme"] == 5
+        assert tree_digests(out) == self.GOLDEN
 
     def test_jobs_do_not_change_outputs(self, tmp_path):
         cfg = write_config(tmp_path, base_config(run={"n_events": 800, "seed": 5,
@@ -291,6 +321,52 @@ class TestFigures:
                      "--which", "fig5", "--jobs", "1000"]) == 0
         assert sizes == [3]
         assert tree_bytes(serial) == tree_bytes(pooled)
+
+
+class TestManifestGolden:
+    """Golden bytes of every other subcommand; ``TestFigures.GOLDEN`` pins ``figures``.
+
+    sha256 of every file each subcommand writes for ``base_config()`` (five
+    streams, 400 events, seed 11), its manifest's taken by ``tree_digests``.
+    ``rate-curve`` bins the ``simulate-sgrp`` log by a relative path, which
+    its manifest records as ``source``.
+    """
+
+    GOLDEN = {
+        "simulate-sgrp": {
+            "events.csv": "47ed8e73a5fb58a10db6c12d2de952b07c29c9d3bb60411a69328221f1844f03",
+            "events_masked.csv":
+                "d92f313181688180ecfc64670327bebd92dd50c05ceaf07c203e274ca5f441f2",
+            "manifest.json": "4b9d2afb66c9a7f34bab7b0ed20d40397a3efe3b7d2444ea9a60a10232025457",
+        },
+        "simulate-approx --method algorithm1": {
+            "events.csv": "1137a9f33a3dc342f790fadf9a015ef1c9e16cd9e2b0849dbf74d2ed494bb2d6",
+            "manifest.json": "7a9619d2f6693e35c13ac22ecad2580e5da71408992d67012695b5f630590ae2",
+        },
+        "simulate-approx --method thinning": {
+            "events.csv": "a7fe32bcce03b1b643b2020d1d44288ab9a334bf326bc86daf3607b549f2588f",
+            "manifest.json": "ff5f19615cda21afabf79fccdbfb7c525f06ed3f3c465927a7c4bb07e7e24fd7",
+        },
+        "bounds-check": {
+            "bounds.csv": "c21489f223636d07f1e9d9fabb186563d6f00faa8c8edade80b6e7c26846d6fe",
+            "manifest.json": "9c53c273b55c0270f0adbb91c7750e32a089448862b7e11a19bc6e9f28ad2974",
+        },
+        "rate-curve": {
+            "rates.csv": "bc8c54598b3a4bcc008bb75571348073b6ad42463ca2773c17891a4f21c2ea79",
+            "manifest.json": "7c9033ad78663ef515a12645033d7eb4fe673f607ecf0de42d919bb31b79947c",
+        },
+    }
+
+    @pytest.mark.parametrize("command", list(GOLDEN))
+    def test_outputs_match_golden_digests(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, base_config())
+        args = command.split()
+        if args == ["rate-curve"]:
+            assert main(["simulate-sgrp", "--config", cfg, "--out", "sim"]) == 0
+            args.append(str(Path("sim", "events.csv")))
+        assert main([args[0], "--config", cfg, "--out", "out", *args[1:]]) == 0
+        assert tree_digests(tmp_path / "out") == self.GOLDEN[command]
 
 
 class TestNarrowGolden:
@@ -484,6 +560,18 @@ class TestErrorPaths:
         code = main(["rate-curve", str(events), "--config", cfg, "--out", str(tmp_path / "o")])
         assert f"run.{key}" in self.assert_one_line(capsys, code, 2, "config")
 
+    @pytest.mark.parametrize("run,last", [
+        ({"n_events": 10, "bin_width": 1e-12}, 1000.0),
+        ({"horizon": 1e300, "bin_width": 1e-300}, 0.5)], ids=["tiny-width", "inf-bins"])
+    def test_rate_curve_refuses_an_absurd_bin_count(self, tmp_path, capsys, run, last):
+        # one CSV row per bin: 1e15 rows (8 PB of counts), or a count past
+        # the float range, is a domain error before anything is allocated
+        cfg = write_config(tmp_path, base_config(run=dict(run, seed=1)))
+        events = tmp_path / "events.csv"
+        events.write_text(f"index,time,component\n1,0.5,\n2,{last!r},\n")
+        code = main(["rate-curve", str(events), "--config", cfg, "--out", str(tmp_path / "o")])
+        assert "bins" in self.assert_one_line(capsys, code, 4, "domain")
+
     @pytest.mark.parametrize("rho", [-math.inf, -1e300])
     def test_harmful_repair_past_the_float_range(self, tmp_path, rho):
         # an age that overflows is one domain error line, without numpy's
@@ -503,14 +591,17 @@ def with_value(section, key, value):
 
 
 class TestConfigContract:
-    """A bad input gives one ``error: config:`` line and exit 2, never a traceback."""
+    """A bad input gives one ``error: config:`` line and exit 2, never a traceback.
 
-    def assert_config_error(self, proc, mentions):
+    A bad command-line value is refused by the parser, as ``error: usage:``.
+    """
+
+    def assert_config_error(self, proc, mentions, kind="config"):
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: config: ")
+        assert lines[0].startswith(f"error: {kind}: ")
         assert mentions in lines[0]
 
     @pytest.mark.parametrize("section,key,value,mentions", [
@@ -538,7 +629,7 @@ class TestConfigContract:
         cfg = write_config(tmp_path, base_config())
         proc = run_cli(["simulate-sgrp", "--config", cfg, "--out", "out",
                         "--seed", "-5"], tmp_path)
-        self.assert_config_error(proc, "--seed")
+        self.assert_config_error(proc, "--seed", kind="usage")
 
     def test_negative_seed_override_of_rate_curve(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -546,14 +637,14 @@ class TestConfigContract:
         events.write_text("index,time,component\n1,0.5,\n")
         proc = run_cli(["rate-curve", str(events), "--config", cfg, "--out", "rc",
                         "--seed", "-1"], tmp_path)
-        self.assert_config_error(proc, "--seed")
+        self.assert_config_error(proc, "--seed", kind="usage")
         assert not (tmp_path / "rc").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_nonpositive_jobs(self, tmp_path, jobs):
         cfg = write_config(tmp_path, base_config())
         proc = run_cli(["figures", "--config", cfg, "--out", "out", "--jobs", jobs], tmp_path)
-        self.assert_config_error(proc, f"--jobs must be >= 1, got {jobs}")
+        self.assert_config_error(proc, f"--jobs must be >= 1, got {jobs}", kind="usage")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("log,mentions", [

@@ -196,6 +196,7 @@ def small_config(section, key, value):
 @example(doc=small_config("repair", "rho", -math.inf), command=["simulate-sgrp"])
 @example(doc=small_config("repair", "rho", -1e300), command=["bounds-check"])
 @example(doc=small_config("run", "bin_width", math.inf), command=["figures", "--which", "fig5"])
+@example(doc=small_config("run", "bin_width", 1e-12), command=["figures", "--which", "fig5"])
 @example(doc=dict(small_config("system", "n", 1), approx={"delta": 2.225073858507e-311}),
          command=["simulate-approx"])
 def test_generated_configs_keep_the_error_contract(doc, command):

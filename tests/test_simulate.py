@@ -219,13 +219,15 @@ class TestAlgorithm1:
         pytest.param([[0.5, 1.0, 3.0], [2.0]], id="no-ties")])
     def test_merge_nudges_ties_as_the_heap_does(self, streams):
         # each stream is nondecreasing; the heap breaks ties by stream index
-        # and moves a time not above the previous one to the next float up
-        total = sum(len(s) for s in streams)
-        for count in range(1, total + 1):
+        # and moves a time not above the previous one to the next float up.
+        # A nudge depends only on the times before it, so every prefix of
+        # the merge is the heap's merge of that many times
+        merged = _merge(np.concatenate([np.asarray(s, dtype=float) for s in streams]))
+        assert merged.size == sum(len(s) for s in streams)
+        for count in range(1, merged.size + 1):
             heads = [itertools.chain(s, itertools.repeat(np.inf)) for s in streams]
             expect = heap_merge(heads, count)
-            got = _merge(np.concatenate([np.asarray(s, dtype=float) for s in streams]),
-                         count)
+            got = merged[:count]
             assert np.array_equal(got, expect)
             assert np.all(np.diff(got, prepend=0.0) > 0.0)
 

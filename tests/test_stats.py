@@ -4,6 +4,7 @@ from scipy import integrate
 from scipy import stats as sps
 
 import sgrpsim.bounds as bounds
+import sgrpsim.stats as stats
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, MaskedHistory,
                      Perfect, PowerLawHazard, approx_intensity, intensity_integral,
                      ks_exp1, mean_rate, rate_curve, rescaled_residuals,
@@ -54,6 +55,23 @@ class TestRateCurve:
     def test_nan_time_rejected(self, times):
         with pytest.raises(DomainError, match="sorted and nonnegative"):
             rate_curve(times, 1.0)
+
+    @pytest.mark.parametrize("times,bin_width,horizon", [
+        ([1000.0], 1e-12, None), ([1.0], 1e-300, 1e300)], ids=["petabytes", "inf-bins"])
+    def test_absurd_bin_count_rejected(self, times, bin_width, horizon):
+        # 1e15 bins would ask numpy for petabytes; 1e300 / 1e-300 is inf,
+        # which int() cannot take
+        with pytest.raises(DomainError, match="bins"):
+            rate_curve(times, bin_width, horizon=horizon)
+
+    def test_bin_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(stats, "MAX_BINS", 10)
+        assert len(rate_curve([9.5], 1.0)) == 10
+        assert len(rate_curve([], 1.0, horizon=10.5)) == 10
+        with pytest.raises(DomainError, match="11 bins"):
+            rate_curve([10.0], 1.0)
+        with pytest.raises(DomainError, match="11 bins"):
+            rate_curve([], 1.0, horizon=11.0)
 
 
 class TestRescaledResiduals:
