@@ -117,17 +117,17 @@ def simulate_algorithm1(am: ApproxModel, n_events=None, seed=None, *,
         raise DomainError("delta=1 with n=1 is degenerate (a single bare stream)")
     base = am.component_hazard()
 
-    # (lock-step streams, each stream's share of the initial system rate)
+    # (lock-step streams, how many, each stream's share of the initial system rate)
     groups = []
     if d > 0.0:
         rngs = stream_rngs(seed, n)
-        groups.append((_rejuvenating_streams(am.repair, base.scaled(d), rngs), d / n))
+        groups.append((_rejuvenating_streams(am.repair, base.scaled(d), rngs), n, d / n))
     if (1.0 - d) * (n - 1) > 0.0:
         share = (1.0 - d) * (n - 1)
-        groups.append((_poisson_stream(base.scaled(share), stream_rng(seed, n)), share / n))
+        groups.append((_poisson_stream(base.scaled(share), stream_rng(seed, n)), 1, share / n))
     if d < 1.0:
         rngs = [stream_rng(seed, n + 1)]
-        groups.append((_rejuvenating_streams(am.repair, base.scaled(1.0 - d), rngs),
+        groups.append((_rejuvenating_streams(am.repair, base.scaled(1.0 - d), rngs), 1,
                        (1.0 - d) / n))
 
     if n_events is not None:

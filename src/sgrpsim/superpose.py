@@ -6,10 +6,13 @@ independently, so each one is drawn from its own random stream under its
 own repair rule, and the system's failures are the merged component times.
 The n streams advance together, one vector step per failure of each, in
 blocks that run until every stream has passed the last system time needed
-(the ``n_events``-th smallest, or the horizon); one stable sort then merges
-them. Simultaneous float times (probability zero) resolve to the lowest
-component index. The same engine drives the stream sampler of
-``simulate.simulate_algorithm1``.
+(the ``n_events``-th smallest, or the horizon). The first block is sized for
+the slowest stream and later ones extrapolate from the frontier, so a
+typical run takes one block; block sizes never change the output. One sort
+then merges the streams, the default argsort unless the times hold an exact
+tie, when the stable one runs: simultaneous float times (probability zero)
+resolve to the lowest component index. The same engine drives the stream
+sampler of ``simulate.simulate_algorithm1``.
 """
 
 from __future__ import annotations
@@ -133,43 +136,77 @@ def _rejuvenating_streams(model, hazard, rngs):
 def _advance_streams(groups, *, count=None, horizon=None):
     """Advance groups of lock-step streams until every stream passes the cut.
 
-    ``groups`` holds ``(streams, share)`` pairs: a stream generator such as
-    ``_rejuvenating_streams``, not yet started, and each of its streams'
-    share of the initial event rate (the shares of all streams sum to 1).
-    The cut is the ``count``-th smallest time generated (count mode) or the
-    ``horizon``. Returns the cut and, per group, its stream times as one
-    ``(steps, streams)`` array; every time up to the cut is in them.
+    ``groups`` holds ``(streams, width, share)`` triples: a stream generator
+    such as ``_rejuvenating_streams``, not yet started, its number of
+    streams, and each of its streams' share of the initial event rate (the
+    shares of all streams sum to 1). The cut is the ``count``-th smallest
+    time generated (count mode) or the ``horizon``. Returns the cut and, per
+    group, its stream times as one ``(steps, width)`` array; every time up to
+    the cut is in them.
 
-    In count mode the first blocks hold at least ``count`` times; in horizon
-    mode they are one step. Later blocks take as many steps again as the
-    group's slowest stream's pace extrapolates to the cut, at most as many as
-    the group has taken, so a block at most doubles a stream. A stream
-    holding ``count`` times has reached the ``count``-th smallest, so in
-    count mode a stream takes fewer than ``2 * count`` steps. The result does
-    not depend on the block sizes.
+    A block costs one draw call per stream and a step one vector step, so
+    blocks aim to end at the cut. In count mode a group's first block is
+    sized for its slowest stream: ``mu + 3 sqrt(mu)`` steps for
+    ``mu = count * share``, the extra capped at ``width / 4`` (a second block
+    costs a narrow group little) and the block at ``count`` (a stream holding
+    ``count`` times has reached the cut). Later blocks aim at the frontier,
+    the earliest last time over all groups, scaled by ``count`` over the
+    times up to it: every time below the frontier is drawn, so this estimates
+    the ``count``-th time, while the ``count``-th smallest of the times drawn
+    so far only bounds it from above and decides which groups go on. In
+    horizon mode the first blocks are one step and later ones aim at the
+    horizon. A later block takes the steps its group's slowest stream's pace
+    extrapolates to the aim, at least one and at most as many as the group
+    has taken.
+
+    The result does not depend on the block sizes: each stream's times are
+    its draws in order however they are blocked, and the cut is the
+    ``count``-th smallest time or the horizon however far past it the
+    streams ran.
     """
     if count is not None:
-        steps = [math.ceil(count * share) for _, share in groups]
+        steps = []
+        for _, width, share in groups:
+            mu = count * share
+            steps.append(min(count, math.ceil(mu + min(3.0 * math.sqrt(mu), width / 4.0))))
     else:
         steps = [1] * len(groups)
     blocks = [[] for _ in groups]
-    for streams, _ in groups:
+    for streams, _, _ in groups:
         next(streams)  # run each generator to its first send
-    cut = horizon
+    cut = target = horizon
     pending = range(len(groups))
     while pending:
         for g in pending:
             blocks[g].append(groups[g][0].send(steps[g]))
+        slowest = [bs[-1][-1].min() for bs in blocks]  # each group's earliest last time
         if count is not None:
             times = np.concatenate([b.ravel() for bs in blocks for b in bs])
             # a generator may hand back fewer steps than asked for
             cut = np.partition(times, count - 1)[count - 1] if times.size >= count else np.inf
-        slowest = [bs[-1][-1].min() for bs in blocks]  # each group's earliest last time
+            frontier = min(slowest)
+            drawn = np.count_nonzero(times <= frontier)  # none when it is NaN
+            target = min(cut, frontier * (count / drawn)) if drawn else cut
         pending = [g for g, t in enumerate(slowest) if t < cut]
         for g in pending:
             done = sum(len(b) for b in blocks[g])
-            steps[g] = math.ceil(min(done * (cut / slowest[g] - 1.0), done - 1)) + 1
+            ahead = max(done * (target / slowest[g] - 1.0), 0.0)
+            steps[g] = math.ceil(min(ahead, done - 1)) + 1
     return [np.concatenate(bs) for bs in blocks], cut
+
+
+def _stable_order(values):
+    """``np.argsort(values, kind="stable")`` for NaN-free ``values``.
+
+    Without exact ties every sort gives the same order, so the default
+    (vectorised) kind is used, and the stable one only when the sorted
+    values hold a tie (``0.0 == -0.0`` is one).
+    """
+    order = np.argsort(values)
+    ranked = values[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        return np.argsort(values, kind="stable")
+    return order
 
 
 def _check_stop(n_events, horizon):
@@ -199,16 +236,16 @@ def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None, seed) -> Ful
     # stream's times stay inf or NaN from then on and stop the blocks, so
     # the last step shows it, and the run raises instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        (block,), cut = _advance_streams([(streams, 1.0 / n)], count=n_events,
+        (block,), cut = _advance_streams([(streams, n, 1.0 / n)], count=n_events,
                                          horizon=horizon)
     if not np.isfinite(block[-1]).all():
         raise DomainError("a component's age left the float range (harmful repair)")
     columns = np.ascontiguousarray(block.T)
     flat = columns.ravel()
-    # component-major, so the stable sort puts the lowest component first
+    # component-major, so the stable order puts the lowest component first
     # among equal times; only the times up to the cut are sorted
     kept = np.flatnonzero(flat <= cut)
-    order = kept[np.argsort(flat[kept], kind="stable")][:n_events]
+    order = kept[_stable_order(flat[kept])][:n_events]
     times = flat[order]
     comps = order // columns.shape[1]
     counts = np.bincount(comps, minlength=n)

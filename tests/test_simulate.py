@@ -169,6 +169,34 @@ class TestAlgorithm1:
         with pytest.raises(ValueError):
             simulate_algorithm1(self.am(), 10, seed=1, horizon=5.0)
 
+    @pytest.mark.parametrize("cap", [1, 7, 64])
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
+    def test_run_does_not_depend_on_block_size(self, delta, cap, monkeypatch):
+        # every stream hands back at most ``cap`` steps per request, so the
+        # engine's schedule across the n-stream, Poisson and single-stream
+        # groups changes; the run is the one of uncapped blocks, in both
+        # stop modes
+        am = ApproxModel(5, delta, PL, ARA(2, 0.4))
+        count = simulate_algorithm1(am, 600, seed=21)
+        horizon = simulate_algorithm1(am, seed=21, horizon=0.5 * count.t_obs)
+
+        def capped(make):
+            def wrapper(*args):
+                streams = make(*args)
+                k = yield next(streams)
+                while True:
+                    k = yield streams.send(min(k, cap))
+            return wrapper
+
+        monkeypatch.setattr(simulate, "_rejuvenating_streams",
+                            capped(simulate._rejuvenating_streams))
+        monkeypatch.setattr(simulate, "_poisson_stream", capped(simulate._poisson_stream))
+        got = simulate_algorithm1(am, 600, seed=21)
+        assert np.array_equal(got.times, count.times)
+        got = simulate_algorithm1(am, seed=21, horizon=horizon.t_obs)
+        assert np.array_equal(got.times, horizon.times)
+        assert got.t_obs == horizon.t_obs
+
     @staticmethod
     def assert_matches_heap_merge(am, count):
         got = simulate_algorithm1(am, count, seed=12)

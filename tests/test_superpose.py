@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 import sgrpsim.superpose as superpose
@@ -277,6 +279,65 @@ def assert_block_size_free(n, model, hazard, cap, monkeypatch, seed=23):
         got = simulate_sgrp(n, model, hazard, seed=seed, **stop)
         assert np.array_equal(got.times, whole.times)
         assert np.array_equal(got.labels, whole.labels)
+
+
+def engine_work(monkeypatch, run):
+    """Lock-step steps and blocks of the rejuvenating streams ``run()`` takes."""
+    work = {"steps": 0, "blocks": 0}
+    make = superpose._rejuvenating_streams
+
+    def counted(*args):
+        streams = make(*args)
+        k = yield next(streams)
+        while True:
+            block = streams.send(k)
+            work["steps"] += len(block)
+            work["blocks"] += 1
+            k = yield block
+
+    monkeypatch.setattr(superpose, "_rejuvenating_streams", counted)
+    run()
+    return work
+
+
+def test_wide_group_steps_end_near_the_cut(monkeypatch):
+    # the slowest of 100 streams reaches the 6,000th time in about 80 steps;
+    # a first block sized for it ends there, where sizing it for the mean
+    # stream and extrapolating from the cut of the times drawn took 101
+    work = engine_work(monkeypatch, lambda: simulate_sgrp(
+        100, ARA(1, 0.3), PL.scaled(0.01), n_events=6000, seed=5))
+    assert work["steps"] <= 85
+    assert work["blocks"] == 1
+
+
+@pytest.mark.parametrize("seed,steps", [(1, 1251), (31, 1258), (73, 1283)])
+def test_narrow_group_steps_do_not_grow(seed, steps, monkeypatch):
+    # the bounds-kijima config: five streams take no more steps than when
+    # later blocks extrapolated from the cut of the times drawn so far
+    work = engine_work(monkeypatch, lambda: simulate_sgrp(
+        5, Kijima1(0.7), PL, n_events=6000, seed=seed))
+    assert work["steps"] <= steps
+
+
+@st.composite
+def tied_floats(draw):
+    """Float arrays, NaN-free, with some values copied onto others."""
+    values = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=60))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, len(values) - 1),
+                                            st.integers(0, len(values) - 1)), max_size=20)):
+        values[dst] = values[src]
+    return np.array(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=tied_floats())
+@example(values=np.array([3.0, 1.0, 7.5, 2.0, 7.5]))  # a tie at the cut
+@example(values=np.array([1.0, -0.0, 2.0, 0.0, -0.0]))  # 0.0 == -0.0
+@example(values=np.full(9, 4.25))
+@example(values=np.array([2.0, 1.0, 3.0]))  # no tie
+def test_stable_order_is_the_stable_argsort(values):
+    assert np.array_equal(superpose._stable_order(values),
+                          np.argsort(values, kind="stable"))
 
 
 @pytest.mark.parametrize("n", sorted(EVENTS))
