@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .bounds import _eval_time, envelope_offset_row, envelope_rates
-from .errors import DomainError
+from .errors import DomainError, positive_int
 from .hazards import Hazard
 from .repair import ARA
 from .superpose import MaskedHistory
@@ -51,8 +51,7 @@ class ApproxModel:
     normalization: Normalization = Normalization.SYSTEM_SPLIT
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
+        object.__setattr__(self, "n", positive_int("n", self.n))
         if not 0.0 <= self.delta <= 1.0:
             raise DomainError(f"delta must lie in [0, 1], got {self.delta}")
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, positive_int
 from .hazards import ConstantHazard, PowerLawHazard
 from .repair import check_history
 from .superpose import BLOCK_ROWS, MaskedHistory
@@ -191,6 +191,7 @@ def sgrp_bounds_at_events(times, n, model, hazard):
     with one rate call per block, over one block of offset rows whose last
     column stays 0. Returns (lower, upper) arrays.
     """
+    n = positive_int("component count n", n)
     _require_nondecreasing(hazard)
     _require_improving(model)
     times = check_history(times)

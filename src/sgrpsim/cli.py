@@ -22,7 +22,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .io import (read_events_csv, write_bounds_csv, write_events_csv,
 from .repair import ARA, repair_from_config
 from .rng import derive_seed
 from .simulate import simulate_algorithm1, simulate_thinning
-from .stats import RateCurve, rate_curve
+from .stats import rate_curve
 from .superpose import mask, simulate_sgrp, true_intensity_at_events
 
 OUTPUT_SCHEME = 5  #: manifest field: version of the arithmetic behind the output bytes
@@ -137,62 +138,42 @@ def parse_config(doc: dict) -> RunConfig:
                      horizon=horizon, seed=seed, bin_width=bin_width, raw=doc)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _approx_model(cfg: RunConfig) -> ApproxModel:
+    return ApproxModel(n=cfg.n, delta=cfg.delta, hazard=cfg.hazard,
+                       repair=cfg.repair, normalization=cfg.normalization)
 
 
-def _manifest_payload(cfg: RunConfig, subcommand, seed, outputs, **extra):
-    payload = {
-        "tool": "sgrpsim",
-        "version": __version__,
-        "subcommand": subcommand,
-        "seed": seed,
-        "config": cfg.raw,
-        "outputs": sorted(Path(o).name for o in outputs),
-        "versions": {"numpy": np.__version__},
-        "output_scheme": OUTPUT_SCHEME,
-    }
-    payload.update(extra)
-    return payload
+def _exact_run(cfg: RunConfig, seed, hazard=None):
+    """The exact SGRP of ``cfg``, with ``hazard`` per component if given."""
+    return simulate_sgrp(cfg.n, cfg.repair, cfg.hazard if hazard is None else hazard,
+                         n_events=cfg.n_events, horizon=cfg.horizon, seed=seed)
 
 
-def _approx_model(cfg: RunConfig, delta=None, repair=None) -> ApproxModel:
-    return ApproxModel(
-        n=cfg.n,
-        delta=cfg.delta if delta is None else delta,
-        hazard=cfg.hazard,
-        repair=cfg.repair if repair is None else repair,
-        normalization=cfg.normalization,
-    )
+def _model_run(cfg: RunConfig, method, seed):
+    """A masked trajectory of ``cfg``'s model from the ``method`` sampler."""
+    am = _approx_model(cfg)
+    if method == "algorithm1":
+        return simulate_algorithm1(am, cfg.n_events, seed, horizon=cfg.horizon)
+    return simulate_thinning(am, n_events=cfg.n_events, horizon=cfg.horizon, seed=seed)
 
 
 def cmd_simulate_sgrp(args, cfg: RunConfig, seed, out):
-    full = simulate_sgrp(cfg.n, cfg.repair, cfg.hazard,
-                         n_events=cfg.n_events, horizon=cfg.horizon, seed=seed)
-    masked = mask(full)
+    full = _exact_run(cfg, seed)
     files = [
         write_events_csv(out / "events.csv", full.times, full.labels),
-        write_events_csv(out / "events_masked.csv", masked.times),
+        write_events_csv(out / "events_masked.csv", mask(full).times),
     ]
     return files, {"events": len(full)}, None
 
 
 def cmd_simulate_approx(args, cfg: RunConfig, seed, out):
-    am = _approx_model(cfg)
-    if args.method == "algorithm1":
-        masked = simulate_algorithm1(am, cfg.n_events, seed, horizon=cfg.horizon)
-    else:
-        masked = simulate_thinning(am, n_events=cfg.n_events,
-                                   horizon=cfg.horizon, seed=seed)
+    masked = _model_run(cfg, args.method, seed)
     files = [write_events_csv(out / "events.csv", masked.times)]
     return files, {"method": args.method, "events": len(masked)}, None
 
 
 def cmd_bounds_check(args, cfg: RunConfig, seed, out):
-    full = simulate_sgrp(cfg.n, cfg.repair, cfg.hazard,
-                         n_events=cfg.n_events, horizon=cfg.horizon, seed=seed)
+    full = _exact_run(cfg, seed)
     lower, upper = sgrp_bounds_at_events(full.times, cfg.n, cfg.repair, cfg.hazard)
     true = true_intensity_at_events(full, cfg.repair, cfg.hazard)
     violations = int(np.sum((true < lower - SANDWICH_SLACK)
@@ -214,76 +195,49 @@ def cmd_rate_curve(args, cfg: RunConfig, seed, out):
     return files, {"source": str(events_path), "bins": len(curve)}, None
 
 
-FIGURE_DELTAS = {"fig4": (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)}
-FIGURE_RHOS = {"fig3": (0.3, 0.6, 0.9), "fig5": 0.3, "fig6": 0.6}
+#: figure k's curves ``(name, kind, rho, delta)``; curve i draws from
+#: ``derive_seed(seed, k, i)``. ``rho`` None keeps the config's repair; an
+#: ``sgrp`` curve is the exact process, which has no delta.
+FIGURES = {
+    3: [(f"fig3_rho{rho:g}", "sgrp", rho, None) for rho in (0.3, 0.6, 0.9)],
+    4: [(f"fig4_delta{delta:g}", "approx", None, delta)
+        for delta in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)],
+    # the model at delta 0 and 1 against the exact process, at one rho
+    **{k: [(f"fig{k}_delta0", "approx", rho, 0.0),
+           (f"fig{k}_delta1", "approx", rho, 1.0),
+           (f"fig{k}_sgrp", "sgrp", rho, None)] for k, rho in ((5, 0.3), (6, 0.6))},
+}
 
 
-def _figure_tasks(which, cfg: RunConfig, seed, method):
-    """One task dict per curve; each is picklable for the process pool."""
-    base = {
-        "raw": cfg.raw,
-        "method": method,
-    }
-    tasks = []
-    if which in ("fig3", "all"):
-        for idx, rho in enumerate(FIGURE_RHOS["fig3"]):
-            tasks.append(dict(base, name=f"fig3_rho{rho:g}", kind="sgrp", rho=rho,
-                              seed=derive_seed(seed, 3, idx)))
-    if which in ("fig4", "all"):
-        for idx, delta in enumerate(FIGURE_DELTAS["fig4"]):
-            tasks.append(dict(base, name=f"fig4_delta{delta:g}", kind="approx",
-                              delta=delta, seed=derive_seed(seed, 4, idx)))
-    for fig, tag in (("fig5", 5), ("fig6", 6)):
-        if which in (fig, "all"):
-            rho = FIGURE_RHOS[fig]
-            tasks.append(dict(base, name=f"{fig}_delta0", kind="approx", delta=0.0,
-                              rho=rho, seed=derive_seed(seed, tag, 0)))
-            tasks.append(dict(base, name=f"{fig}_delta1", kind="approx", delta=1.0,
-                              rho=rho, seed=derive_seed(seed, tag, 1)))
-            tasks.append(dict(base, name=f"{fig}_sgrp", kind="sgrp", rho=rho,
-                              seed=derive_seed(seed, tag, 2)))
-    return tasks
-
-
-def _run_figure_task(task):
-    """Simulate one curve and return (name, starts, counts, rates, events)."""
-    cfg = parse_config(task["raw"])
-    rho = task.get("rho")
-    repair = cfg.repair if rho is None else ARA(1, rho)
-    if task["kind"] == "sgrp":
+def _figure_curve(cfg: RunConfig, method, curve):
+    """Simulate one ``(name, kind, rho, delta, seed)`` curve: (name, RateCurve, events)."""
+    name, kind, rho, delta, seed = curve
+    if rho is not None:
+        cfg = replace(cfg, repair=ARA(1, rho))
+    if kind == "sgrp":
         # the model's per-component hazard, so exact and model curves share a scale
-        hc = _approx_model(cfg).component_hazard()
-        full = simulate_sgrp(cfg.n, repair, hc, n_events=cfg.n_events,
-                             horizon=cfg.horizon, seed=task["seed"])
-        times = full.times
+        times = _exact_run(cfg, seed, _approx_model(cfg).component_hazard()).times
     else:
-        am = _approx_model(cfg, delta=task["delta"], repair=repair)
-        if task["method"] == "algorithm1":
-            masked = simulate_algorithm1(am, cfg.n_events, task["seed"],
-                                         horizon=cfg.horizon)
-        else:
-            masked = simulate_thinning(am, n_events=cfg.n_events,
-                                       horizon=cfg.horizon, seed=task["seed"])
-        times = masked.times
-    curve = rate_curve(times, cfg.bin_width, horizon=cfg.horizon)
-    return (task["name"], curve.starts, curve.counts, int(times.size))
+        times = _model_run(replace(cfg, delta=delta), method, seed).times
+    return name, rate_curve(times, cfg.bin_width, horizon=cfg.horizon), int(times.size)
 
 
 def cmd_figures(args, cfg: RunConfig, seed, out):
-    tasks = _figure_tasks(args.which, cfg, seed, args.method)
+    curves = [(*curve, derive_seed(seed, k, i)) for k, figure in FIGURES.items()
+              if args.which in (f"fig{k}", "all") for i, curve in enumerate(figure)]
+    run = partial(_figure_curve, cfg, args.method)
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run needs it
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-            results = list(pool.map(_run_figure_task, tasks))
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(curves))) as pool:
+            results = list(pool.map(run, curves))
     else:
-        results = [_run_figure_task(t) for t in tasks]
+        results = list(map(run, curves))
 
     files = []
     curve_meta = {}
-    for name, starts, counts, n_ev in results:
-        curve = RateCurve(cfg.bin_width, starts, counts)
+    for name, curve, events in results:
         files.append(write_rates_csv(out / f"{name}_rates.csv", curve, note=name))
-        curve_meta[name] = {"events": n_ev, "bins": len(curve)}
+        curve_meta[name] = {"events": events, "bins": len(curve)}
     return files, {"which": args.which, "method": args.method, "curves": curve_meta}, None
 
 
@@ -344,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="run the benchmark scenarios, one CSV per curve")
     add_common(p)
-    p.add_argument("--which", choices=("fig3", "fig4", "fig5", "fig6", "all"),
+    p.add_argument("--which", choices=[f"fig{k}" for k in FIGURES] + ["all"],
                    default="all")
     p.add_argument("--method", choices=("algorithm1", "thinning"),
                    default="algorithm1")
@@ -359,10 +313,20 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         seed = cfg.seed if args.seed is None else args.seed
-        out = _out_dir(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         files, fields, failure = args.func(args, cfg, seed, out)
-        write_manifest(out / "manifest.json",
-                       _manifest_payload(cfg, args.subcommand, seed, files, **fields))
+        write_manifest(out / "manifest.json", {
+            "tool": "sgrpsim",
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "seed": seed,
+            "config": cfg.raw,
+            "outputs": sorted(Path(f).name for f in files),
+            "versions": {"numpy": np.__version__},
+            "output_scheme": OUTPUT_SCHEME,
+            **fields,
+        })
     except ConfigError as err:
         print(f"error: config: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
@@ -25,3 +27,14 @@ def config_number(where, value, kind=float):
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be {what}, got {value!r}") from None
     return out
+
+
+def positive_int(name, value) -> int:
+    """``int(value)``; a DomainError naming ``name`` unless it is an integer >= 1.
+
+    An integral float counts (``2.0`` is 2), so every count, order and
+    component number in the package follows one rule.
+    """
+    if not (1 <= value < math.inf and int(value) == value):
+        raise DomainError(f"{name} must be a positive integer, got {value}")
+    return int(value)

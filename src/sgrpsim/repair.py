@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, config_number
+from .errors import ConfigError, DomainError, config_number, positive_int
 
 __all__ = ["ARA", "Kijima1", "Perfect", "Minimal", "check_history",
            "next_failure_time", "repair_from_config"]
@@ -80,9 +80,7 @@ class ARA:
     rho: float
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise DomainError(f"memory order m must be a positive integer, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", positive_int("memory order m", self.m))
         if not -np.inf < self.rho <= 1.0:
             raise DomainError(f"effectiveness rho must be finite and <= 1, got {self.rho}")
 

@@ -107,7 +107,7 @@ def simulate_algorithm1(am: ApproxModel, n_events=None, seed=None, *,
     (``superpose._advance_streams``): memory is O(n_events + n) at a steady
     pace and O(n_events * n) at worst.
     """
-    _check_stop(n_events, horizon)
+    n_events = _check_stop(n_events, horizon)
     if seed is None:
         raise ValueError("provide seed")
     if not am.repair.is_improving:
@@ -130,8 +130,6 @@ def simulate_algorithm1(am: ApproxModel, n_events=None, seed=None, *,
         groups.append((_rejuvenating_streams(am.repair, base.scaled(1.0 - d), rngs), 1,
                        (1.0 - d) / n))
 
-    if n_events is not None:
-        n_events = int(n_events)
     blocks, cut = _advance_streams(groups, count=n_events, horizon=horizon)
     times = np.concatenate([b.ravel() for b in blocks])
     out = _merge(times[times <= cut])[:n_events]
@@ -183,7 +181,7 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     output bit is the evaluation's, at every window start: no offset passes
     its failure (``ARA.offset_step``), so no age is negative.
     """
-    _check_stop(n_events, horizon)
+    n_events = _check_stop(n_events, horizon)
     if rng is None:
         if seed is None:
             raise ValueError("provide seed or rng")

@@ -57,23 +57,25 @@ def rate_curve(times, bin_width, horizon=None) -> RateCurve:
 
     Without a horizon the curve runs through the bin holding the last event.
     With a horizon only bins fully inside [0, horizon] are kept, dropping the
-    partially observed tail bin whose rate would be biased low. More than
-    ``MAX_BINS`` bins is a DomainError, checked before anything is allocated.
+    partially observed tail bin whose rate would be biased low. An infinite
+    time or horizon, or more than ``MAX_BINS`` bins, is a DomainError,
+    checked before anything is allocated.
     """
     if not 0.0 < bin_width < np.inf:
         raise DomainError("bin_width must be positive and finite")
     times = np.asarray(times, dtype=float)
     # written so that a NaN, which fails every comparison, is refused
-    if times.size and not (times[0] >= 0.0 and np.all(np.diff(times) >= 0.0)):
-        raise DomainError("times must be sorted and nonnegative")
+    if times.size and not (times[0] >= 0.0 and np.all(np.diff(times) >= 0.0)
+                           and times[-1] < np.inf):
+        raise DomainError("times must be finite, sorted and nonnegative")
     if horizon is None:
         bins = times[-1] // bin_width + 1.0 if times.size else 0.0
-    elif horizon >= 0.0:
+    elif 0.0 <= horizon < np.inf:
         bins = horizon // bin_width
     else:
-        raise DomainError("horizon must be nonnegative")
+        raise DomainError("horizon must be nonnegative and finite")
     # compared before int(), since a tiny width's count can be inf
-    if bins > MAX_BINS:
+    if not bins <= MAX_BINS:
         raise DomainError(f"bin_width {bin_width:g} makes {bins:.3g} bins, "
                           f"more than the {MAX_BINS} a rate curve holds")
     n_bins = int(bins)
@@ -115,11 +117,16 @@ class KsExp1Result:
 
 
 def ks_exp1(residuals) -> KsExp1Result:
-    """One-sample Kolmogorov-Smirnov distance to Exp(1) with asymptotic gates."""
+    """One-sample Kolmogorov-Smirnov distance to Exp(1) with asymptotic gates.
+
+    A NaN residual, which has no place in the empirical CDF, is a DomainError.
+    """
     x = np.sort(np.asarray(residuals, dtype=float))
     n = int(x.size)
     if n < 20:
         raise DomainError(f"need at least 20 residuals, got {n}")
+    if np.isnan(x[-1]):  # np.sort puts NaN last
+        raise DomainError("residuals must not be NaN")
     cdf = 1.0 - np.exp(-x)
     hi = np.arange(1, n + 1) / n
     lo = np.arange(n) / n

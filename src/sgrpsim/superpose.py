@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, positive_int
 from .repair import check_history, next_failure_time
 from .rng import stream_rngs
 
@@ -49,8 +49,7 @@ class MaskedHistory:
         times = check_history(np.array(self.times, dtype=float))
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
-        if self.n < 1:
-            raise DomainError("component count n must be >= 1")
+        object.__setattr__(self, "n", positive_int("component count n", self.n))
         last = float(self.times[-1]) if self.times.size else 0.0
         if not self.t_obs >= last:
             raise DomainError("observation horizon precedes the last failure")
@@ -210,13 +209,12 @@ def _stable_order(values):
 
 
 def _check_stop(n_events, horizon):
-    """The samplers' stop rule: exactly one of ``n_events`` >= 1 or ``horizon`` > 0, finite."""
+    """The stop rule: ``n_events`` >= 1, returned as an int, or a finite ``horizon`` > 0."""
     if (n_events is None) == (horizon is None):
         raise ValueError("provide exactly one of n_events or horizon")
-    if n_events is not None and n_events < 1:
-        raise DomainError("n_events must be >= 1")
     if horizon is not None and not 0.0 < horizon < math.inf:
         raise DomainError("horizon must be positive and finite")
+    return None if n_events is None else positive_int("n_events", n_events)
 
 
 def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None, seed) -> FullHistory:
@@ -227,9 +225,8 @@ def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None, seed) -> Ful
     components advance in lock step (:func:`_advance_streams`). Output is
     reproducible given ``(seed, n, model, hazard, stop)``.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    _check_stop(n_events, horizon)
+    n = positive_int("n", n)
+    n_events = _check_stop(n_events, horizon)
 
     streams = _rejuvenating_streams(model, hazard, stream_rngs(seed, n))
     # a harmful repair (rho < 0) can push an age past the float range. A

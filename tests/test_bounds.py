@@ -199,6 +199,12 @@ class TestSgrpBounds:
         with pytest.raises(DomainError):
             sgrp_bounds(mh([1.0], 2), ARA(1, -0.2), PL, 2.0)
 
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_at_events_needs_a_positive_integer_n(self, n):
+        # refused before the offset rows are built from it
+        with pytest.raises(DomainError, match="positive integer"):
+            sgrp_bounds_at_events([1.0, 2.0], n, ARA(1, 0.5), PL)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_offsets_past_their_failures_gave_nan_envelopes(self):
         # the float sums behind W for ARA(5, rho near 1) round past four of

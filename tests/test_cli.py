@@ -280,6 +280,91 @@ class TestFigures:
         assert read_manifest(out / "manifest.json")["output_scheme"] == 5
         assert tree_digests(out) == self.GOLDEN
 
+    #: sha256 of every file ``figures --which all`` writes for ``base_config()``
+    #: (five streams, seed 11) with the thinning sampler, and for the same
+    #: config run to a horizon with algorithm1; manifests as in GOLDEN
+    GOLDEN_BY_RUN = {
+        "thinning": {
+            "fig3_rho0.3_rates.csv":
+                "bc7a15b64c4cefd25b3e540021cad0b693140f369fd08867c5428e8d1533798c",
+            "fig3_rho0.6_rates.csv":
+                "b790a3ec531f0c7f9c105cf1ba341bb051926462c2cb98f5a405e0e50c732eeb",
+            "fig3_rho0.9_rates.csv":
+                "e3d3cd67934e45d6521a30383b73e616f17f6b2986eae450e8be5028403575d3",
+            "fig4_delta0.2_rates.csv":
+                "f7c1231024337daf54dc8ff46ab702a387f085b442913c4faa665475aef10576",
+            "fig4_delta0.4_rates.csv":
+                "9205a1a36541e93003cf21cd123b50c033e8000d4ce2c09011eadbbd09af73d6",
+            "fig4_delta0.6_rates.csv":
+                "cb321729f12f0af28c2be6252fdd60d881797a2ad46d837c53fed17743a90610",
+            "fig4_delta0.8_rates.csv":
+                "3639d9fe87a7f33e07865d182a6a32eafadde9ce9e1be0f727177df41b873393",
+            "fig4_delta0_rates.csv":
+                "7910f3cc43332da75e72e8c06168db9c6dab3ab4705f60998085a3b3f3bf0e32",
+            "fig4_delta1_rates.csv":
+                "4312c3e8883a000d94416223e03182af1bbcde9dc54837cb8b89ed45f9e48265",
+            "fig5_delta0_rates.csv":
+                "d5ae7bc7a9f025467bdabc59851fa23399b43f7ea291039be24d37e8004d48a3",
+            "fig5_delta1_rates.csv":
+                "8e0dcf02b1d5b151b11f9631dc757129d242795e50712857eae70a029abe866f",
+            "fig5_sgrp_rates.csv":
+                "da34088e0882386f0386d495fb19a3b02b99749619f712997660dfa963305175",
+            "fig6_delta0_rates.csv":
+                "33f8907df28c24be87ea4383aef692e89abbabe0d1c7fa422828409a77962341",
+            "fig6_delta1_rates.csv":
+                "141987519d9cd3d61724214ce737692a888bbdebb2c1528aba866e8d135740e0",
+            "fig6_sgrp_rates.csv":
+                "a22ac58378c6ee654d6f70985d873e4ea6eae1058801e50b97a7bf2fc7360113",
+            "manifest.json":
+                "dfb22bd308c483ec536e6625e294fd8e43d8170549e91fcad97079a62ce1616d",
+        },
+        "horizon": {
+            "fig3_rho0.3_rates.csv":
+                "673aa60b3aa0f479363fd86674d3fd3ba75c3405313c7caabfa718baadbc8546",
+            "fig3_rho0.6_rates.csv":
+                "9b55d36bb011c643632a3b701a27f8edbbeb528c8f3d3132795b18d5158d7af9",
+            "fig3_rho0.9_rates.csv":
+                "c9dc6b9e09e91c5edd70ac7affb0062cfa81cca6b4afdea01f2358fecd59ecc7",
+            "fig4_delta0.2_rates.csv":
+                "4dbc48d1c83eeee14fe2d6119ba60ea7ae8a7b56f9476c2d32ed5d1d2eb4a073",
+            "fig4_delta0.4_rates.csv":
+                "82c5bda24fd7e7f1dbcf183355f524c24517fe7f17c36fdad45ab19d87a9abb7",
+            "fig4_delta0.6_rates.csv":
+                "9efaaf300af0e5dd39b28873bfc0949c84eaa05945bd2b151004fc7fb9076983",
+            "fig4_delta0.8_rates.csv":
+                "e52fad71faf4764066b4f91c4f10e76e892b8dd133161f1e7e59e063b6eaba2e",
+            "fig4_delta0_rates.csv":
+                "b486d3e563bb36e5bd56a0dc439751c7fbe458804722ab06a628e0d671e958ba",
+            "fig4_delta1_rates.csv":
+                "8d022d0e0f74319a2c231a9c58a88514f9dd3a7f96a8fbaffc7626a0f140a15c",
+            "fig5_delta0_rates.csv":
+                "7f4f965d07ed80d5d90a61b9cbc76683b5cb4fd8a107af5659da31498006ec38",
+            "fig5_delta1_rates.csv":
+                "6c6d143f468fc9c8b47f9b6acce24a6b614c1d49adfd9199e7f82caa788946e6",
+            "fig5_sgrp_rates.csv":
+                "f4eb5e892c3f322d2711fe023ea0c4df876edfda18019bbc7317314364c330c9",
+            "fig6_delta0_rates.csv":
+                "2ca83e7c045d9b60924c0e8f4c342b0fc82a41a2f7a6aeb63cf1a6d665c7f750",
+            "fig6_delta1_rates.csv":
+                "9481b4b401c29908c148510260dd5121b388d8af5c6c46421ee44613363aa34e",
+            "fig6_sgrp_rates.csv":
+                "66d946b4c46c26967dbe2f937c79bbfca873c69faacb1e62b70c81621d4de9b1",
+            "manifest.json":
+                "87579b2b537353ed65229db04a85dbb6411885060967b6c75144f0ff04deaba0",
+        },
+    }
+
+    @pytest.mark.parametrize("label,method,run", [
+        ("thinning", "thinning", None),
+        ("horizon", "algorithm1", {"horizon": 2500.0, "seed": 3, "bin_width": 1000.0})])
+    def test_thinning_and_horizon_curves_match_golden_digests(self, tmp_path, label,
+                                                              method, run):
+        cfg = write_config(tmp_path, base_config(**({"run": run} if run else {})))
+        out = tmp_path / "figs"
+        assert main(["figures", "--config", cfg, "--out", str(out),
+                     "--which", "all", "--method", method]) == 0
+        assert tree_digests(out) == self.GOLDEN_BY_RUN[label]
+
     def test_jobs_do_not_change_outputs(self, tmp_path):
         cfg = write_config(tmp_path, base_config(run={"n_events": 800, "seed": 5,
                                                       "bin_width": 500.0}))
@@ -571,6 +656,16 @@ class TestErrorPaths:
         events.write_text(f"index,time,component\n1,0.5,\n2,{last!r},\n")
         code = main(["rate-curve", str(events), "--config", cfg, "--out", str(tmp_path / "o")])
         assert "bins" in self.assert_one_line(capsys, code, 4, "domain")
+
+    def test_rate_curve_refuses_an_infinite_event_time(self, tmp_path):
+        # one domain error line, without numpy's warnings or a traceback
+        cfg = write_config(tmp_path, base_config())
+        (tmp_path / "events.csv").write_text("index,time,component\n1,0.5,\n2,inf,\n")
+        proc = run_cli(["rate-curve", "events.csv", "--config", cfg, "--out", "out"], tmp_path)
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: domain: ")
 
     @pytest.mark.parametrize("rho", [-math.inf, -1e300])
     def test_harmful_repair_past_the_float_range(self, tmp_path, rho):

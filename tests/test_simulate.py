@@ -407,3 +407,16 @@ def test_rescaled_residuals_recover_nhpp_exponentials():
     draws = stream_rng(19).exponential(size=200)
     res = rescaled_residuals(times, lambda a, b: PL.cumulative(b) - PL.cumulative(a))
     assert np.allclose(res, draws, rtol=1e-9)
+
+
+@pytest.mark.parametrize("sample", [
+    lambda am, count: simulate_algorithm1(am, count, seed=1),
+    lambda am, count: simulate_thinning(am, n_events=count, seed=1),
+    lambda am, count: simulate_sgrp(am.n, am.repair, am.hazard, n_events=count, seed=1)],
+    ids=["algorithm1", "thinning", "sgrp"])
+def test_one_integer_count_rule(sample):
+    # one rule for every sampler: 2.0 events is 2, and 2.5 is refused
+    am = ApproxModel(5, 0.5, PL, ARA(1, 0.3))
+    assert len(sample(am, 2.0)) == 2
+    with pytest.raises(DomainError, match="n_events must be a positive integer"):
+        sample(am, 2.5)

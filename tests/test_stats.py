@@ -56,6 +56,14 @@ class TestRateCurve:
         with pytest.raises(DomainError, match="sorted and nonnegative"):
             rate_curve(times, 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("times,horizon", [
+        ([0.5, np.inf], None), ([0.5, np.inf], 10.0), ([0.5], np.inf), ([0.5], np.nan)])
+    def test_infinite_time_or_horizon_rejected(self, times, horizon):
+        # inf // bin_width is NaN, which no bin-count check may let through
+        with pytest.raises(DomainError, match="finite"):
+            rate_curve(times, 1.0, horizon=horizon)
+
     @pytest.mark.parametrize("times,bin_width,horizon", [
         ([1000.0], 1e-12, None), ([1.0], 1e-300, 1e300)], ids=["petabytes", "inf-bins"])
     def test_absurd_bin_count_rejected(self, times, bin_width, horizon):
@@ -206,6 +214,14 @@ class TestKsExp1:
                 rejections[alpha] += result.rejects[alpha]
         assert rejections[0.01] <= 8          # binomial(200, .01): 4 sd above mean
         assert 1 <= rejections[0.05] <= 23    # binomial(200, .05): ~4 sd band
+
+    @pytest.mark.parametrize("nans", [30, 1])
+    def test_nan_residuals_rejected(self, nans):
+        # a NaN has no place in the empirical CDF, all of them or one
+        sample = np.concatenate((stream_rng(77).exponential(size=30 - nans),
+                                 np.full(nans, np.nan)))
+        with pytest.raises(DomainError, match="NaN"):
+            ks_exp1(sample)
 
     def test_degenerate_sample_rejected(self):
         result = ks_exp1(np.ones(100))

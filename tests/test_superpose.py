@@ -79,6 +79,9 @@ class TestHistories:
             MaskedHistory(np.array([1.0, 2.0]), 2, 1.5)
         with pytest.raises(DomainError):
             MaskedHistory(np.array([1.0]), 0, 2.0)
+        with pytest.raises(DomainError, match="positive integer"):
+            MaskedHistory(np.array([1.0]), 2.5, 2.0)
+        assert MaskedHistory(np.array([1.0]), 2.0, 2.0).n == 2
 
     def test_nan_history_rejected(self):
         for times in ([1.0, np.nan, 3.0], [np.nan], [1.0, np.nan]):
