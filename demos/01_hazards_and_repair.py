@@ -32,7 +32,7 @@ models = [
     ("perfect (replacement)", Perfect()),
 ]
 for name, model in models:
-    offset = model.effective_age_offset(history)
+    offset = model.offsets_after(history)[-1]  # after the last failure
     lam = model.conditional_intensity(hazard, history, 50.0)
     print(f"  {name:<26} effective age 50 - {offset:5.2f} -> rate {lam:.5f}")
 print("Stronger repair shifts the effective age further back, lowering the rate.\n")
@@ -41,20 +41,23 @@ print("Exact next-failure sampling (shift-and-invert, no root finding):")
 rng = stream_rng(2024)
 model = ARA(1, 0.3)
 times = []
+state, offset = model.offset_state(), 0.0
 for _ in range(6):
-    # shift by the offset after the last failure, then invert one Exp(1)
+    # shift by the offset after the last failure, then invert one Exp(1);
+    # the offset is stepped by each failure, not rebuilt from the history
     last = times[-1] if times else 0.0
-    times.append(next_failure_time(hazard, model.effective_age_offset(times), last,
-                                   float(rng.exponential())))
+    times.append(next_failure_time(hazard, offset, last, float(rng.exponential())))
+    state, offset = model.offset_step(state, times[-1])
 print("  first six failures:", np.round(times, 2), "\n")
 
 print("Time-rescaling check: integrated intensity between failures is Exp(1).")
 trajectory = []
 rng = stream_rng(7)
+state, offset = model.offset_state(), 0.0
 for _ in range(500):
     last = trajectory[-1] if trajectory else 0.0
-    trajectory.append(next_failure_time(hazard, model.effective_age_offset(trajectory),
-                                        last, float(rng.exponential())))
+    trajectory.append(next_failure_time(hazard, offset, last, float(rng.exponential())))
+    state, offset = model.offset_step(state, trajectory[-1])
 residuals = np.empty(len(trajectory))
 prev = 0.0
 for k, t in enumerate(trajectory):

@@ -22,6 +22,10 @@ lower <= upper. Both require a nondecreasing rate and effectiveness in
 component's offset 0 (:func:`envelope_offset_row`), so ``t - row`` gives all
 n + 1 ages in one subtraction.
 
+With a different hazard per component, :func:`heterogeneous_upper` takes
+the largest over c of the upper envelope's labelling on component c: every
+failure there, the other components fresh, so its offset is lag 0 too.
+
 Evaluation at a failure time uses the left limit: the history handed in must
 exclude an event exactly at ``t``.
 """
@@ -33,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, positive_int
-from .hazards import ConstantHazard, PowerLawHazard
 from .repair import check_history
 from .superpose import BLOCK_ROWS, MaskedHistory
 
@@ -207,26 +210,16 @@ def sgrp_bounds_at_events(times, n, model, hazard):
     return lower, upper
 
 
-def _power_law_shape(hazard):
-    """beta of a power-law hazard, 1 for a constant one; other families are refused."""
-    if isinstance(hazard, PowerLawHazard):
-        return hazard.beta
-    if isinstance(hazard, ConstantHazard):
-        return 1.0
-    raise DomainError(f"heterogeneous envelope needs power-law or constant hazards, "
-                      f"got {type(hazard).__name__}")
-
-
 def heterogeneous_upper(mh: MaskedHistory, hazards, model, t) -> float:
-    """Upper envelope for components with ordered heterogeneous hazards.
+    """Upper envelope for components with different hazards, one per component.
 
-    ``hazards`` must be sorted weakest-first on (0, t]. The rates of two
-    power laws have the ratio ``c x^(beta2 - beta1)``, a constant being the
-    power law with beta = 1, so one rate stays at or below the next on
-    (0, t] exactly when the next's beta is at most its own and its rate at
-    t is at most the next's. Other families are refused. All masked failures
-    are attributed to the weakest component, which all share the same
-    repair model.
+    The largest over c of ``sum_{c' != c} rate_c'(t) + rate_c(t - W(N))``:
+    every masked failure on component c, the others fresh. For m = 1 the
+    component that failed at ``T_N`` carries offset ``W(N)`` and every other
+    rate is at most its fresh rate, so this is the least upper bound over all
+    labellings, for nondecreasing hazards in any order; for m >= 2 it is
+    checked, not proven. All components share the repair model, and ties
+    keep the first maximiser in list order.
     """
     if len(hazards) != mh.n:
         raise DomainError(f"need one hazard per component: {len(hazards)} != n={mh.n}")
@@ -234,10 +227,7 @@ def heterogeneous_upper(mh: MaskedHistory, hazards, model, t) -> float:
     for h in hazards:
         _require_nondecreasing(h)
     t = _one_time(mh, t)
-    betas = [_power_law_shape(h) for h in hazards]
+    age = t - envelope_offset_row(mh.times, 1, model)[0]
     rates = [float(h.rate(t)) for h in hazards]
-    for i in range(len(hazards) - 1):
-        if betas[i + 1] > betas[i] or rates[i] > rates[i + 1]:
-            raise DomainError(f"initial intensities of components {i + 1} and {i + 2} "
-                              f"are not ordered on (0, {t}]")
-    return sum(rates[1:]) + float(model.conditional_intensity(hazards[0], mh.times, t))
+    return max(sum(rates[:c] + rates[c + 1:]) + float(h.rate(age))
+               for c, h in enumerate(hazards))

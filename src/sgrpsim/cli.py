@@ -6,8 +6,10 @@ and ``run`` ({"n_events" | "horizon", "seed", "bin_width"}). :func:`main` is
 every run's envelope: it loads the config, resolves the seed (``--seed``,
 else ``run.seed``), makes ``--out``, runs ``cmd_*(args, cfg, seed, out)`` for
 its ``(files, fields, failure)`` and writes ``manifest.json`` (config echo,
-seed, numpy version, files, fields). Rerunning with the same inputs is
-byte-identical, and a manifest itself is accepted wherever a config is.
+seed, numpy version, files, fields). A run the subcommand refuses removes the
+directories it made for ``--out`` while they are still empty. Rerunning with
+the same inputs is byte-identical, and a manifest itself is accepted wherever
+a config is.
 
 Exit codes: 0 success, 1 failed check/other error, 2 invalid usage or config,
 3 missing input file, 4 parameter domain error. Errors print one
@@ -22,8 +24,10 @@ import argparse
 import json
 import math
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -314,8 +318,15 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         seed = cfg.seed if args.seed is None else args.seed
         out = Path(args.out)
+        made = list(takewhile(lambda d: not d.exists(), (out, *out.parents)))
         out.mkdir(parents=True, exist_ok=True)
-        files, fields, failure = args.func(args, cfg, seed, out)
+        try:
+            files, fields, failure = args.func(args, cfg, seed, out)
+        except BaseException:
+            with suppress(OSError):  # a refused run removes what it made, if still empty
+                for d in made:
+                    d.rmdir()
+            raise
         write_manifest(out / "manifest.json", {
             "tool": "sgrpsim",
             "version": __version__,

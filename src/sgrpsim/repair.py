@@ -18,10 +18,11 @@ component with no failures (offset 0), its last ``m`` failure times, and
 ``offset_step(state, t)`` advances it by a failure at ``t`` in O(m),
 returning the new state and the offset after that failure, which never
 passes ``t``: every age the package forms is >= 0, as the trusted hazard
-kernels assume. ``effective_age_offset(times)`` is the fold of the step
-over a history; samplers carry one state per component instead of
+kernels assume. Samplers carry one state per component instead of
 re-reading a growing history. ``offsets_after(times)`` is the same fold as
-one numpy pass, giving the offset after each failure of a history.
+one numpy pass, giving the offset after each failure of a history; the
+offset after a whole history is ``offsets_after(times[-m:])[-1]``, and 0
+for no failures.
 """
 
 from __future__ import annotations
@@ -116,24 +117,12 @@ class ARA:
             acc = np.minimum(acc, t)
         return state, acc
 
-    def effective_age_offset(self, times) -> float:
-        """Offset o with post-repair intensity rate(t - o).
-
-        The fold of :meth:`offset_step` over the last ``m`` failures. Assumes
-        a valid (strictly increasing) history; returns 0 for an empty one.
-        Accepts a list or array.
-        """
-        state, offset = self.offset_state(), 0.0
-        for t in times[max(len(times) - self.m, 0):]:
-            state, offset = self.offset_step(state, float(t))
-        return offset
-
     def offsets_after(self, times) -> np.ndarray:
         """The offset after each failure of ``times``, in one numpy pass.
 
-        Entry k equals ``effective_age_offset(times[:k + 1])`` bit for bit:
-        the sum starts from the same first product, the products of
-        :meth:`offset_step` are added in the same order and clamped alike.
+        Entry k equals the fold of :meth:`offset_step` over
+        ``times[:k + 1]`` bit for bit: the sum starts from the same first
+        product, the products are added in the same order and clamped alike.
         """
         times = np.asarray(times, dtype=float)
         w = self.rho
@@ -155,7 +144,8 @@ class ARA:
         t_arr = np.asarray(t, dtype=float)
         if t_arr.size and float(t_arr.min()) < last:
             raise DomainError(f"t must not precede the last failure at {last}")
-        out = hazard.rate(t_arr - self.effective_age_offset(times))
+        offset = self.offsets_after(times[-self.m:])[-1] if times.size else 0.0
+        out = hazard.rate(t_arr - offset)
         return out if t_arr.ndim else float(out)
 
 

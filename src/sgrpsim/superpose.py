@@ -272,9 +272,11 @@ def true_system_intensity(full, model, hazard, t) -> float:
         raise DomainError("t must be nonnegative")
     if t > full.horizon:
         raise DomainError(f"t={t} is beyond the simulated horizon {full.horizon}")
-    offsets = np.array([
-        model.effective_age_offset(comp[:int(np.searchsorted(comp, t, side="left"))])
-        for comp in full.per_component])
+    offsets = np.zeros(full.n)
+    for c, comp in enumerate(full.per_component):
+        k = int(np.searchsorted(comp, t, side="left"))
+        if k:
+            offsets[c] = model.offsets_after(comp[max(k - model.m, 0):k])[-1]
     return float(np.sum(hazard.rate(t - offsets)))
 
 

@@ -170,7 +170,7 @@ def envelope_offsets_from_history(model, hist, n):
     prefix ``hist[:N - i]`` (0 once that prefix is empty), newest first; the
     upper envelope's single-component offset is lag 0.
     """
-    return np.array([model.effective_age_offset(hist[:max(len(hist) - i, 0)])
+    return np.array([offset_from_history(model, hist[:max(len(hist) - i, 0)])
                      for i in range(n)])
 
 

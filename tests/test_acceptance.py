@@ -205,15 +205,16 @@ def test_ac5_sampler_diagnostics():
         times = []
         for _ in range(400):
             last = times[-1] if times else 0.0
-            times.append(next_failure_time(PL, model.effective_age_offset(times), last,
-                                           float(rng.exponential())))
+            offset = model.offsets_after(times[-model.m:])[-1] if times else 0.0
+            times.append(next_failure_time(PL, offset, last, float(rng.exponential())))
         # the offset is constant between failures, so each interval's
         # integrated intensity is a difference of the cumulative hazard
         # (tests/test_repair.py checks this form against quadrature)
         residuals = np.empty(len(times))
         prev = 0.0
+        after = model.offsets_after(times).tolist()
         for k, t in enumerate(times):
-            o = model.effective_age_offset(times[:k])
+            o = after[k - 1] if k else 0.0
             residuals[k] = PL.cumulative(t - o) - PL.cumulative(prev - o)
             prev = t
         fails_a += ks_exp1(residuals).rejects[0.01]

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import sgrpsim.bounds as bounds
 from history_oracle import (RampHazard, envelope_cumulative_columns,
                             envelope_offsets_from_history, envelope_rates_columns,
-                            model_intensity_columns)
+                            model_intensity_columns, offset_from_history)
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, Kijima1,
                      MaskedHistory, Minimal, Normalization, Perfect, PowerLawHazard,
                      approx_intensity, heterogeneous_upper, intensity_integral, mask,
@@ -369,7 +370,8 @@ class TestBatchedRows:
         for k in range(times.size + 1):
             row = bounds.envelope_offset_row(times[:k], n, model)[:n]
             assert np.array_equal(lags[k], row)
-            assert lags[k][0] == model.effective_age_offset(times[:k])
+            last_m = times[max(k - m, 0):k]
+            assert lags[k][0] == (model.offsets_after(last_m)[-1] if k else 0.0)
             assert np.array_equal(row, envelope_offsets_from_history(model, times[:k], n))
 
     @pytest.mark.parametrize("block_rows", [1, 5, 64])
@@ -565,61 +567,99 @@ class TestHeterogeneousUpper:
         got = heterogeneous_upper(mh([1.0, 3.0], 2), hazards, ARA(1, 0.5), 4.0)
         assert got == pytest.approx(0.3, rel=1e-12)
 
-    def test_ordering_violation_reports_first_t(self):
-        hazards = [ConstantHazard(0.2), ConstantHazard(0.1)]
-        with pytest.raises(DomainError, match="not ordered"):
-            heterogeneous_upper(mh([1.0], 2), hazards, Perfect(), 4.0)
+    @staticmethod
+    def true_intensities(hazards, model, times, t):
+        """The true intensity at ``t`` under every labelling of ``times``.
 
-    def test_steeper_next_hazard_is_refused(self):
-        # ordered at t = 100, but the steeper power law is the smaller rate
-        # near 0: at x = 0.01 the rates are 0.00270 against 0.00054
+        Component c carries the offset of its own failures, rebuilt from
+        its history by the oracle.
+        """
+        times = np.asarray(times, dtype=float)
+        return [sum(float(h.rate(t - offset_from_history(model, times[np.array(owner) == c])))
+                    for c, h in enumerate(hazards))
+                for owner in itertools.product(range(len(hazards)), repeat=times.size)]
+
+    def test_order_of_the_hazards_does_not_matter(self):
+        # the max over the last-failing component needs no weakest-first order
+        for hazards in ([ConstantHazard(0.2), ConstantHazard(0.1)],
+                        [PowerLawHazard(2.0, 6.0937), PL]):
+            masked = mh([1.0, 3.0], 2)
+            got = heterogeneous_upper(masked, hazards, ARA(1, 0.5), 4.0)
+            assert got == heterogeneous_upper(masked, hazards[::-1], ARA(1, 0.5), 4.0)
+        assert heterogeneous_upper(mh([1.0], 2), [ConstantHazard(0.2), ConstantHazard(0.1)],
+                                   Perfect(), 4.0) == pytest.approx(0.3, rel=1e-15)
+
+    def test_steeper_next_hazard_is_accepted(self):
+        # the rates cross on (0, 100]: at x = 0.01 they are 0.00270 against
+        # 0.00054, at 100 the steeper one is the larger
         first, second = PowerLawHazard(1.3, 40.0), PowerLawHazard(2.0, 6.0937)
-        assert first.rate(100.0) <= second.rate(100.0)
-        assert first.rate(0.01) == pytest.approx(0.00270, abs=5e-6)
-        assert second.rate(0.01) == pytest.approx(0.00054, abs=5e-6)
-        with pytest.raises(DomainError, match="not ordered"):
-            heterogeneous_upper(mh([1.0], 2), [first, second], Perfect(), 100.0)
+        assert first.rate(0.01) > second.rate(0.01) and first.rate(100.0) <= second.rate(100.0)
+        got = heterogeneous_upper(mh([1.0], 2), [first, second], Perfect(), 100.0)
+        truths = self.true_intensities([first, second], Perfect(), [1.0], 100.0)
+        assert got == pytest.approx(max(truths), rel=1e-14)
 
-    def test_falling_beta_is_ordered_up_to_the_crossing(self):
-        # the rate ratio PL(1.3, 40) / PL(2, 100) falls in x: ordered while
-        # the steeper rate is still the smaller one at t
+    def test_late_failure_on_the_steeper_component(self):
+        # a counterexample to the weakest-first rule, which took PL(1.8, 60)
+        # as the weaker at t = 300 and attributed the failure at 250 to it:
+        # the failure on PL(1.3, 25) gives the larger true intensity
+        hazards = [PowerLawHazard(1.8, 60.0), PowerLawHazard(1.3, 25.0)]
+        got = heterogeneous_upper(mh([250.0], 2), hazards, Perfect(), 300.0)
+        on_second = hazards[0].rate(300.0) + hazards[1].rate(50.0)
+        assert on_second > hazards[1].rate(300.0) + hazards[0].rate(50.0)
+        assert got == on_second
+
+    def test_falling_beta_takes_the_larger_labelling(self):
+        # the rate ratio PL(1.3, 40) / PL(2, 100) falls in x; at t = 100 the
+        # masked failures at 20 and 60 on PL(1.3, 40) give the larger
+        # intensity, 0.058441, where the weakest-first rule gave 0.05678
         first, second = PowerLawHazard(2.0, 100.0), PL
-        masked = mh([20.0, 60.0], 2)
-        got = heterogeneous_upper(masked, [first, second], ARA(1, 0.5), 100.0)
-        expect = second.rate(100.0) + ARA(1, 0.5).conditional_intensity(
-            first, masked.times, 100.0)
-        assert got == expect
-        with pytest.raises(DomainError, match="not ordered"):
-            heterogeneous_upper(masked, [first, second], ARA(1, 0.5), 1000.0)
+        masked, model = mh([20.0, 60.0], 2), ARA(1, 0.5)
+        got = heterogeneous_upper(masked, [first, second], model, 100.0)
+        assert got == first.rate(100.0) + second.rate(70.0)
+        assert got == pytest.approx(0.058441, abs=5e-7)
+        assert got == pytest.approx(max(self.true_intensities(
+            [first, second], model, masked.times, 100.0)), rel=1e-14)
+        late = heterogeneous_upper(masked, [first, second], model, 1000.0)
+        assert late == first.rate(1000.0) + second.rate(970.0)
 
     def test_constant_beside_a_power_law(self):
-        # a constant is the power law with beta = 1: it may follow a steeper
-        # power law whose rate at t is no larger, never precede one
-        masked = mh([1.0], 2)
+        # one failure at 90 on the constant component leaves the power law
+        # fresh, 17.6% above the weakest-first rule's value, which put the
+        # failure on the power law
+        masked = mh([90.0], 2)
         got = heterogeneous_upper(masked, [PL, ConstantHazard(0.1)], Perfect(), 100.0)
-        assert got == 0.1 + Perfect().conditional_intensity(PL, masked.times, 100.0)
-        with pytest.raises(DomainError, match="not ordered"):
-            heterogeneous_upper(masked, [PL, ConstantHazard(0.01)], Perfect(), 100.0)
-        with pytest.raises(DomainError, match="not ordered"):
-            heterogeneous_upper(masked, [ConstantHazard(1e-9), PL], Perfect(), 100.0)
+        assert got == PL.rate(100.0) + 0.1
+        assert got == pytest.approx(1.176 * (0.1 + PL.rate(10.0)), rel=1e-3)
+        assert got == heterogeneous_upper(masked, [ConstantHazard(0.1), PL], Perfect(), 100.0)
 
-    def test_other_families_are_refused(self):
-        with pytest.raises(DomainError, match="RampHazard"):
-            heterogeneous_upper(mh([1.0], 2), [RampHazard(0.1, 5.0), PL], Perfect(), 4.0)
+    def test_other_families_are_accepted(self):
+        # any nondecreasing hazard: the ramp's failure at 1 on itself wins
+        hazards = [RampHazard(0.1, 5.0), PL]
+        got = heterogeneous_upper(mh([1.0], 2), hazards, Perfect(), 4.0)
+        assert got == 0.1 * 4.0 + PL.rate(3.0)
+        assert got == pytest.approx(max(self.true_intensities(hazards, Perfect(), [1.0], 4.0)),
+                                    rel=1e-14)
+        falling = PowerLawHazard(0.8, 10.0, allow_decreasing=True)
+        with pytest.raises(DomainError, match="nondecreasing"):
+            heterogeneous_upper(mh([1.0], 2), [PL, falling], Perfect(), 4.0)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(hazards=st.lists(st.one_of(
                st.builds(PowerLawHazard, st.floats(1.0, 4.0), st.floats(1.0, 80.0)),
-               st.builds(ConstantHazard, st.floats(0.01, 10.0))), min_size=2, max_size=2),
-           t=st.floats(0.5, 500.0))
-    def test_accepted_pairs_are_ordered_on_a_grid(self, hazards, t):
-        try:
-            heterogeneous_upper(mh([], 2), hazards, Perfect(), t)
-        except DomainError:
-            return
-        grid = t * np.geomspace(1e-12, 1.0, 400)
-        first, second = (h.rate(grid) for h in hazards)
-        assert np.all(first <= second * (1 + 1e-12))
+               st.builds(ConstantHazard, st.floats(0.01, 10.0))), min_size=2, max_size=3),
+           m=st.integers(1, 3), rho=st.floats(0.0, 1.0),
+           gaps=st.lists(st.floats(0.01, 50.0), min_size=1, max_size=5),
+           after=st.sampled_from([0.0]) | st.floats(0.0, 50.0))
+    def test_no_labelling_exceeds_it(self, hazards, m, rho, gaps, after):
+        # every labelling of the masked times stays under the envelope; for
+        # m = 1 the envelope is attained, so it is the least upper bound
+        model, times = ARA(m, rho), np.cumsum(gaps)
+        t = float(times[-1]) + after
+        got = heterogeneous_upper(mh(times, len(hazards)), hazards, model, t)
+        truths = self.true_intensities(hazards, model, times, t)
+        assert max(truths) <= got + SANDWICH_SLACK
+        if m == 1:
+            assert got == pytest.approx(max(truths), rel=1e-13)
 
     def test_wrong_component_count(self):
         with pytest.raises(DomainError):

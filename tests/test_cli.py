@@ -667,6 +667,29 @@ class TestErrorPaths:
         assert len(lines) == 1, lines
         assert lines[0].startswith("error: domain: ")
 
+    @pytest.mark.parametrize("case", ["inf-event", "harmful-repair", "missing-log"])
+    def test_refused_run_leaves_no_out_it_made(self, tmp_path, capsys, case):
+        # the directories made for --out go again while empty; one that was
+        # there before the run stays as found
+        cfg = base_config(repair={"model": "ara", "m": 1, "rho": -5.0}) \
+            if case == "harmful-repair" else base_config()
+        cfg = write_config(tmp_path, cfg)
+        (tmp_path / "events.csv").write_text("index,time,component\n1,0.5,\n2,inf,\n")
+        args = {"inf-event": ["rate-curve", str(tmp_path / "events.csv")],
+                "harmful-repair": ["bounds-check"],
+                "missing-log": ["rate-curve", str(tmp_path / "ghost.csv")]}[case]
+        code = 3 if case == "missing-log" else 4
+        kind = "missing-file" if case == "missing-log" else "domain"
+        for out in (tmp_path / "o", tmp_path / "new" / "nested" / "o"):
+            got = main([*args, "--config", cfg, "--out", str(out)])
+            self.assert_one_line(capsys, got, code, kind)
+            assert not out.exists()
+        assert not (tmp_path / "new").exists()
+        found = tmp_path / "found"
+        found.mkdir()
+        assert main([*args, "--config", cfg, "--out", str(found)]) == code
+        assert found.is_dir() and not any(found.iterdir())
+
     @pytest.mark.parametrize("rho", [-math.inf, -1e300])
     def test_harmful_repair_past_the_float_range(self, tmp_path, rho):
         # an age that overflows is one domain error line, without numpy's

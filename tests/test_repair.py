@@ -41,24 +41,26 @@ def short_history(start_gaps):
 def draw_next(model, hazard, times, rng):
     """The next failure after ``times`` from one Exp(1) variate of ``rng``."""
     last = times[-1] if len(times) else 0.0
-    return next_failure_time(hazard, model.effective_age_offset(times), last,
-                             float(rng.exponential()))
+    offset = model.offsets_after(times[-model.m:])[-1] if len(times) else 0.0
+    return next_failure_time(hazard, offset, last, float(rng.exponential()))
 
 
 class TestEffectiveAgeOffset:
     def test_two_step_memory(self):
         # rho * (T2 + (1-rho) * T1) with rho = 0.5
-        assert ARA(2, 0.5).effective_age_offset([2.0, 5.0]) == 3.0
+        assert ARA(2, 0.5).offsets_after([2.0, 5.0])[-1] == 3.0
 
     def test_replacement_resets_to_last_time(self):
-        assert ARA(1, 1.0).effective_age_offset([7.2]) == 7.2
+        assert ARA(1, 1.0).offsets_after([7.2])[-1] == 7.2
 
     def test_zero_effectiveness(self):
-        assert ARA(3, 0.0).effective_age_offset([1.0, 4.0, 9.0]) == 0.0
+        assert ARA(3, 0.0).offsets_after([1.0, 4.0, 9.0])[-1] == 0.0
 
     def test_empty_history(self):
+        # no failures, no offsets: the intensity is the fresh rate
         for model in (ARA(2, 0.5), Perfect(), Minimal(), Kijima1(0.3)):
-            assert model.effective_age_offset([]) == 0.0
+            assert model.offsets_after([]).size == 0
+            assert model.conditional_intensity(PL, [], 5.0) == PL.rate(5.0)
 
     @pytest.mark.parametrize("model", [pytest.param(Kijima1(0.7), id="Kijima1(a=0.7)"),
                                        pytest.param(Kijima1(1.4), id="Kijima1(a=1.4)"),
@@ -69,16 +71,20 @@ class TestEffectiveAgeOffset:
                              ids=repr)
     def test_steps_match_history_recomputation_bitwise(self, model):
         # after every failure, the carried offset equals the offset rebuilt
-        # from the whole history, and so does the fold over the history
+        # from the whole history, and so do the one-pass offsets, over the
+        # whole history and over its last m failures alone
         rng = np.random.default_rng(71)
         times = np.cumsum(rng.exponential(7.0, size=400))
+        after = model.offsets_after(times)
         state = model.offset_state()
         for k, t in enumerate(times.tolist()):
             state, offset = model.offset_step(state, t)
             expect = offset_from_history(model, times[:k + 1])
             assert offset == expect
-            assert model.effective_age_offset(times[:k + 1]) == expect
-            assert model.effective_age_offset(times[:k + 1].tolist()) == expect
+            assert after[k] == expect
+            last_m = times[max(k + 1 - model.m, 0):k + 1]
+            assert model.offsets_after(last_m)[-1] == expect
+            assert model.offsets_after(last_m.tolist())[-1] == expect
 
     #: a history whose ARA(5, rho near 1) float sums pass four of its
     #: failures; unclamped, they made the envelopes at its last time NaN
@@ -142,7 +148,7 @@ class TestConditionalIntensity:
         hazard = PowerLawHazard(0.3, 1.0, allow_decreasing=True)
         model = ARA(9, 0.999999)
         times = simulate_sgrp(1, model, hazard, n_events=5000, seed=0).times
-        offsets = [model.effective_age_offset(times[:k]) for k in range(1, times.size + 1)]
+        offsets = model.offsets_after(times).tolist()
         assert all(o <= t for o, t in zip(offsets, times.tolist()))
         over = [k for k in range(1, times.size + 1)
                 if unclamped_offset(model, times[:k]) > times[k - 1]]
@@ -192,7 +198,8 @@ class TestEquivalences:
                 for s in hist.tolist():
                     v += a * (s - prev)
                     prev = s
-                assert kij.effective_age_offset(hist) == pytest.approx(
+                offset = kij.offsets_after(hist)[-1] if hist.size else 0.0
+                assert offset == pytest.approx(
                     prev - v, rel=1e-12, abs=1e-12)
 
     def test_constructors_return_ara(self):
@@ -235,7 +242,7 @@ class TestSampler:
         assert got == pytest.approx(5.0, rel=1e-15)
 
     def test_forced_exponential_replacement(self):
-        offset = Perfect().effective_age_offset([40.0])
+        offset = Perfect().offsets_after([40.0])[-1]
         got = next_failure_time(PL, offset, 40.0, 1.0)
         assert got == pytest.approx(80.0, rel=1e-15)
 
@@ -270,7 +277,7 @@ def test_sampler_time_rescaling():
             lambda u: model.conditional_intensity(PL, hist, u))
         residuals[k] = integral(prev, t)
         # the closed form the acceptance gate uses agrees to quad's tolerance
-        o = model.effective_age_offset(hist)
+        o = model.offsets_after(hist[-model.m:])[-1] if hist else 0.0
         closed = PL.cumulative(t - o) - PL.cumulative(prev - o)
         assert closed == pytest.approx(residuals[k], rel=1e-7)
         prev = t

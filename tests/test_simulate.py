@@ -293,8 +293,8 @@ class TestThinning:
         direct = []
         for _ in range(3000):
             last = direct[-1] if direct else 0.0
-            direct.append(next_failure_time(PL, model.effective_age_offset(direct), last,
-                                            float(rng.exponential())))
+            offset = model.offsets_after(direct[-model.m:])[-1] if direct else 0.0
+            direct.append(next_failure_time(PL, offset, last, float(rng.exponential())))
         res = sps.ks_2samp(np.diff(thin.times, prepend=0.0),
                            np.diff(np.asarray(direct), prepend=0.0))
         assert res.pvalue > 0.005
