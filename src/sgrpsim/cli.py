@@ -45,7 +45,7 @@ from .simulate import simulate_algorithm1, simulate_thinning
 from .stats import rate_curve
 from .superpose import mask, simulate_sgrp, true_intensity_at_events
 
-OUTPUT_SCHEME = 5  #: manifest field: version of the arithmetic behind the output bytes
+OUTPUT_SCHEME = 6  #: manifest field: version of the arithmetic behind the output bytes
 DEFAULT_BIN_WIDTH = 1000.0
 SANDWICH_SLACK = 1e-9
 

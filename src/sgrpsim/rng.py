@@ -2,34 +2,16 @@
 
 Samplers take an integer seed; ``simulate_thinning`` also accepts a ready
 ``numpy.random.Generator``. When several independent streams are needed (per
-component, per replication, per curve) they are derived here from
+lock-step group, per replication, per curve) they are derived here from
 ``(seed, stream-id...)`` through a counter-based bit generator, so draws are
 identical on every platform and independent of scheduling order.
-
-:func:`stream_rng` and :func:`derive_seed` key each stream with its own
-``SeedSequence`` and are the reference. :func:`stream_rngs` derives the k
-component keys ``(seed, 0) ... (seed, k-1)`` in one pass over all k children
-of ``SeedSequence(seed)``: each key equals the child's
-``generate_state(2, np.uint64)``, so its generators draw what
-``stream_rng(seed, i)`` draws. Their ``seed_seq`` holds the key alone and does
-not spawn, and each ``Philox`` gets the default counter 0 as one shared zero
-array, which skips numpy's conversion of a Python int.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-__all__ = ["stream_rng", "stream_rngs", "derive_seed"]
-
-# SeedSequence's 32-bit hash constants (numpy.random.bit_generator)
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
+__all__ = ["stream_rng", "derive_seed"]
 
 
 def stream_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -41,115 +23,6 @@ def stream_rng(seed: int, *stream: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed),
                                 spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def stream_rngs(seed: int, k: int) -> list:
-    """The generators ``stream_rng(seed, i)`` for ``i < k``.
-
-    The k keys come from :func:`_philox_keys` in one pass, and every
-    ``Philox`` gets its counter as one shared ``np.zeros(4, np.uint64)``,
-    the documented equal of the default 0: an array counter is copied, while
-    an int one is converted word by word, which took about 40% of a
-    construction. The generators hold the same state and give the same draws
-    as :func:`stream_rng`, in about a quarter of its time
-    (``stream_rngs(3, 100)``: 3.7 µs per generator against 15 µs, median of
-    15 runs on a 2-core x86-64 host, numpy 2.4). Each generator's
-    ``seed_seq`` holds its key and does not spawn.
-    """
-    key_seed = _philox_key_class()
-    counter = np.zeros(4, np.uint64)
-    return [np.random.Generator(np.random.Philox(key_seed(key), counter=counter))
-            for key in _philox_keys(seed, k)]
-
-
-def _hash(value, const, mult):
-    """One SeedSequence hash step of ``value``: (hash, next constant).
-
-    ``value`` is a word below 2**32 or a uint32 array, which wraps as the
-    masked Python arithmetic does.
-    """
-    nxt = const * mult & _M32
-    value = (value ^ const) * nxt & _M32
-    return value ^ value >> 16, nxt
-
-
-def _mix(x, y):
-    out = ((_MIX_L * x & _M32) - _MIX_R * y) & _M32
-    return out ^ out >> 16
-
-
-def _philox_keys(seed: int, k: int) -> np.ndarray:
-    """``SeedSequence(seed).spawn(k)[i].generate_state(2, np.uint64)``, as (k, 2).
-
-    Every child hashes the same run-entropy words (the seed's, zero-padded to
-    the pool size) and then its spawn key, the index i; the hash constants do
-    not depend on the data. So the pool before the last word is one
-    computation on Python ints, and only the last mixing stage and the state
-    words run per child, as uint32 arithmetic over ``arange(k)``.
-    """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"expected non-negative integer, got {seed}")
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL - len(words))
-    const = _INIT_A
-    pool = []
-    for w in words[:_POOL]:
-        h, const = _hash(w, const, _MULT_A)
-        pool.append(h)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                h, const = _hash(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], h)
-    for w in (*words[_POOL:], np.arange(k, dtype=np.uint32)):
-        for dst in range(_POOL):
-            h, const = _hash(w, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], h)
-    state = np.empty((k, _POOL), dtype="<u4")
-    const = _INIT_B
-    for dst in range(_POOL):
-        state[:, dst], const = _hash(pool[dst], const, _MULT_B)
-    return state.view("<u8").astype(np.uint64, copy=False)
-
-
-@functools.cache
-def _philox_key_class():
-    # built on first use, so that importing this module leaves
-    # numpy.random unloaded
-    from numpy.random.bit_generator import ISeedSequence
-
-    class _PhiloxKey(ISeedSequence):
-        """A precomputed Philox key standing in for a ``SeedSequence``.
-
-        It answers the one request ``Philox`` makes of its seed,
-        ``generate_state(2, np.uint64)``, with the key and refuses any
-        other. It does not spawn: ``spawn`` on its generator raises
-        ``TypeError``.
-        """
-
-        __slots__ = ("key",)
-        __qualname__ = "_PhiloxKey"
-
-        def __init__(self, key):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            # Philox asks with the np.uint64 type itself, which the
-            # identity test answers before the dtype comparison
-            if n_words != 2 or not (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
-                raise ValueError("a Philox key answers generate_state(2, np.uint64) "
-                                 f"only, not ({n_words!r}, {dtype!r})")
-            return self.key
-
-    return _PhiloxKey
-
-
-def __getattr__(name):
-    # pickle finds the key class of a pickled generator by this name
-    if name == "_PhiloxKey":
-        return _philox_key_class()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def derive_seed(seed: int, *stream: int) -> int:

@@ -7,10 +7,10 @@ the weighted envelope combination:
   rejuvenating component streams carrying the weighted lower-envelope mass,
   one inhomogeneous Poisson stream carrying the fresh-component mass, and one
   extra rejuvenating stream for the single-component term — then emits the
-  earliest times across streams. Every stream draws from its own derived
-  seed, so streams sharing a hazard advance together, block by block, one
-  vector step per failure of each; the result does not depend on the block
-  sizes, and memory is O(n_events + n) at a steady pace.
+  earliest times across streams. Each group of streams sharing a hazard
+  draws from its own derived generator and advances together, block by
+  block, one vector step per failure of each; the result does not depend on
+  the block sizes, and memory is O(n_events + n) at a steady pace.
 * ``simulate_thinning`` samples directly from the exact model intensity by
   window thinning and serves as the oracle for the stream decomposition,
   whose faithfulness to the model is reported rather than assumed.
@@ -31,8 +31,9 @@ import numpy as np
 
 from .approx import ApproxModel
 from .errors import DomainError
-from .rng import stream_rng, stream_rngs
-from .superpose import MaskedHistory, _advance_streams, _check_stop, _rejuvenating_streams
+from .rng import stream_rng
+from .superpose import (COMPONENTS, POISSON, SINGLE, MaskedHistory, _advance_streams,
+                        _check_stop, _rejuvenating_streams)
 
 __all__ = ["nhpp_sample", "simulate_algorithm1", "simulate_thinning"]
 
@@ -101,9 +102,12 @@ def simulate_algorithm1(am: ApproxModel, n_events=None, seed=None, *,
       cumulative hazard (absent when it vanishes),
     * one rejuvenating stream at ``(1-delta) * base`` (absent when delta = 1).
 
-    Deterministic given ``seed``: every stream draws from its own derived
-    generator keyed by (seed, stream-index). Streams sharing a hazard advance
-    together in blocks until every stream has passed the last time needed
+    Deterministic given ``seed``: each group draws from its own generator
+    ``stream_rng(seed, role)``, role ``superpose.COMPONENTS`` (as
+    ``simulate_sgrp`` keys its components, so delta = 1 is the exact
+    superposition), ``POISSON`` or ``SINGLE``; stream i of the n component
+    streams takes its group's draws ``i, n + i, 2n + i, ...``. The groups
+    advance in blocks until every stream has passed the last time needed
     (``superpose._advance_streams``): memory is O(n_events + n) at a steady
     pace and O(n_events * n) at worst.
     """
@@ -117,18 +121,22 @@ def simulate_algorithm1(am: ApproxModel, n_events=None, seed=None, *,
         raise DomainError("delta=1 with n=1 is degenerate (a single bare stream)")
     base = am.component_hazard()
 
-    # (lock-step streams, how many, each stream's share of the initial system rate)
+    # (lock-step streams, how many, each stream's share of the initial
+    # system rate, their hazard)
     groups = []
     if d > 0.0:
-        rngs = stream_rngs(seed, n)
-        groups.append((_rejuvenating_streams(am.repair, base.scaled(d), rngs), n, d / n))
-    if (1.0 - d) * (n - 1) > 0.0:
-        share = (1.0 - d) * (n - 1)
-        groups.append((_poisson_stream(base.scaled(share), stream_rng(seed, n)), 1, share / n))
+        hazard = base.scaled(d)
+        streams = _rejuvenating_streams(am.repair, hazard, stream_rng(seed, COMPONENTS), n)
+        groups.append((streams, n, d / n, hazard))
+    share = (1.0 - d) * (n - 1)
+    if share > 0.0:
+        hazard = base.scaled(share)
+        streams = _poisson_stream(hazard, stream_rng(seed, POISSON))
+        groups.append((streams, 1, share / n, hazard))
     if d < 1.0:
-        rngs = [stream_rng(seed, n + 1)]
-        groups.append((_rejuvenating_streams(am.repair, base.scaled(1.0 - d), rngs), 1,
-                       (1.0 - d) / n))
+        hazard = base.scaled(1.0 - d)
+        streams = _rejuvenating_streams(am.repair, hazard, stream_rng(seed, SINGLE), 1)
+        groups.append((streams, 1, (1.0 - d) / n, hazard))
 
     blocks, cut = _advance_streams(groups, count=n_events, horizon=horizon)
     times = np.concatenate([b.ravel() for b in blocks])

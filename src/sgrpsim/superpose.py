@@ -2,8 +2,10 @@
 
 The system fails whenever any component fails; the failed component is
 repaired in negligible time and operation resumes. Components fail
-independently, so each one is drawn from its own random stream under its
-own repair rule, and the system's failures are the merged component times.
+independently, so each one takes its own unit exponentials (component c's
+j-th failure takes draw number ``j * n + c`` of one counter-based generator)
+under its own repair rule, and the system's failures are the merged
+component times.
 The n streams advance together, one vector step per failure of each, in
 blocks that run until every stream has passed the last system time needed
 (the ``n_events``-th smallest, or the horizon). The first block is sized for
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, positive_int
 from .repair import check_history, next_failure_time
-from .rng import stream_rngs
+from .rng import stream_rng
 
 __all__ = ["FullHistory", "MaskedHistory", "simulate_sgrp", "mask",
            "true_system_intensity", "true_intensity_at_events"]
@@ -32,6 +34,16 @@ __all__ = ["FullHistory", "MaskedHistory", "simulate_sgrp", "mask",
 #: Events per block of the batched trajectory evaluations; a block holds
 #: a few arrays of ``BLOCK_ROWS`` x n floats.
 BLOCK_ROWS = 4096
+
+#: Most times a lock-step group's first block holds in horizon mode (8 MB).
+FIRST_BLOCK_TIMES = 1 << 20
+
+#: Role ids of the generators ``stream_rng(seed, role)`` the lock-step groups
+#: draw from: the n components of ``simulate_sgrp``, which the stream
+#: sampler's component group shares so that delta = 1 is the exact
+#: superposition, then the stream sampler's Poisson and single-component
+#: streams. ``simulate_thinning`` draws from ``stream_rng(seed)``.
+COMPONENTS, POISSON, SINGLE = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -80,36 +92,34 @@ class FullHistory:
         return np.array([arr.size for arr in self.per_component], dtype=int)
 
 
-def _rejuvenating_streams(model, hazard, rngs):
-    """Rejuvenating streams sharing ``hazard``, advanced in lock step.
+def _rejuvenating_streams(model, hazard, rng, width):
+    """``width`` rejuvenating streams sharing ``hazard``, advanced in lock step.
 
     A generator: each ``send(k)`` returns the next ``k`` failure times of
-    every stream as a ``(k, len(rngs))`` array, column i drawn from
-    ``rngs[i]``. A step is ``next_failure_time`` and ``ARA.offset_step``
-    applied elementwise, and a block draw from a generator equals that many
-    scalar draws, so each column is bit for bit the stream drawn one failure
-    at a time.
+    every stream as a ``(k, width)`` array. Its unit exponentials are one
+    row-major ``(k, width)`` draw from ``rng``, so stream i's j-th failure
+    takes the generator's draw number ``j * width + i`` however the steps
+    are blocked. A step is ``next_failure_time`` and ``ARA.offset_step``
+    applied elementwise, so each column is bit for bit the stream stepped one
+    failure at a time on those draws.
 
-    From three streams on, each stream's block of standard exponentials
-    (``exponential()`` is ``1.0 *`` one, so the same bits) is drawn into its
-    row of one stream-major ``(streams, k)`` buffer, and the block is that
-    buffer's transpose. Each step overwrites its row of draws with its
-    times (``out=``), so ``state`` holds views of earlier rows, of this
-    block or earlier ones; that is safe because a row is written once and
-    no block changes after it is yielded.
+    Each step overwrites its row of draws with its times (``out=``), so
+    ``state`` holds views of earlier rows, of this block or earlier ones;
+    that is safe because a row is written once and no block changes after
+    it is yielded.
     """
     k = yield
-    if len(rngs) <= 2:
+    if width <= 2:
         # one or two streams step column by column on Python floats, which
         # cost less than 1- or 2-element arrays (at five streams the arrays
         # are the cheaper)
-        columns = [(model.offset_state(), 0.0, 0.0) for _ in rngs]
+        columns = [(model.offset_state(), 0.0, 0.0) for _ in range(width)]
         while True:
-            block = np.empty((k, len(rngs)))
-            for i, rng in enumerate(rngs):
+            block = rng.standard_exponential(size=(k, width))
+            for i in range(width):
                 state, offset, t = columns[i]
                 times = []
-                for e in rng.exponential(size=k).tolist():
+                for e in block[:, i].tolist():
                     t = next_failure_time(hazard, offset, t, e)
                     state, offset = model.offset_step(state, t)
                     times.append(t)
@@ -118,10 +128,7 @@ def _rejuvenating_streams(model, hazard, rngs):
             k = yield block
     state, offset, t = model.offset_state(), 0.0, 0.0
     while True:
-        draws = np.empty((len(rngs), k))
-        for rng, row in zip(rngs, draws):
-            rng.standard_exponential(size=k, out=row)
-        block = draws.T
+        block = rng.standard_exponential(size=(k, width))
         for row in block:
             # next_failure_time's guard: a time not past the last failure
             # becomes the next float up
@@ -135,43 +142,48 @@ def _rejuvenating_streams(model, hazard, rngs):
 def _advance_streams(groups, *, count=None, horizon=None):
     """Advance groups of lock-step streams until every stream passes the cut.
 
-    ``groups`` holds ``(streams, width, share)`` triples: a stream generator
+    ``groups`` holds ``(streams, width, share, hazard)``: a stream generator
     such as ``_rejuvenating_streams``, not yet started, its number of
-    streams, and each of its streams' share of the initial event rate (the
-    shares of all streams sum to 1). The cut is the ``count``-th smallest
-    time generated (count mode) or the ``horizon``. Returns the cut and, per
-    group, its stream times as one ``(steps, width)`` array; every time up to
-    the cut is in them.
+    streams, each of its streams' share of the initial event rate (the
+    shares of all streams sum to 1) and the hazard its streams share. The
+    cut is the ``count``-th smallest time generated (count mode) or the
+    ``horizon``. Returns the cut and, per group, its stream times as one
+    ``(steps, width)`` array; every time up to the cut is in them.
 
-    A block costs one draw call per stream and a step one vector step, so
-    blocks aim to end at the cut. In count mode a group's first block is
-    sized for its slowest stream: ``mu + 3 sqrt(mu)`` steps for
-    ``mu = count * share``, the extra capped at ``width / 4`` (a second block
-    costs a narrow group little) and the block at ``count`` (a stream holding
-    ``count`` times has reached the cut). Later blocks aim at the frontier,
-    the earliest last time over all groups, scaled by ``count`` over the
-    times up to it: every time below the frontier is drawn, so this estimates
-    the ``count``-th time, while the ``count``-th smallest of the times drawn
-    so far only bounds it from above and decides which groups go on. In
-    horizon mode the first blocks are one step and later ones aim at the
-    horizon. A later block takes the steps its group's slowest stream's pace
-    extrapolates to the aim, at least one and at most as many as the group
-    has taken.
+    A block costs one draw call and a step one vector step, so blocks aim to
+    end at the cut. A group's first block is sized for its slowest stream:
+    ``mu + 3 sqrt(mu)`` steps for a stream's expected count ``mu`` up to the
+    cut, the extra capped at ``width / 4`` (a second block costs a narrow
+    group little). In count mode ``mu = count * share`` and the block is
+    capped at ``count`` (a stream holding ``count`` times has reached the
+    cut). In horizon mode ``mu`` is ``hazard.cumulative(horizon)``, which
+    bounds the expected count from above while every age stays at or below
+    the clock (a nondecreasing hazard under an improving repair), and the
+    block holds at most ``FIRST_BLOCK_TIMES`` times. Later blocks aim at the
+    horizon, or in count mode at the frontier, the earliest last time over
+    all groups, scaled by ``count`` over the times up to it: every time
+    below the frontier is drawn, so this estimates the ``count``-th time,
+    while the ``count``-th smallest of the times drawn so far only bounds it
+    from above and decides which groups go on. A later block takes the
+    steps its group's slowest stream's pace extrapolates to the aim, at
+    least one and at most as many as the group has taken.
 
     The result does not depend on the block sizes: each stream's times are
     its draws in order however they are blocked, and the cut is the
     ``count``-th smallest time or the horizon however far past it the
     streams ran.
     """
-    if count is not None:
-        steps = []
-        for _, width, share in groups:
-            mu = count * share
-            steps.append(min(count, math.ceil(mu + min(3.0 * math.sqrt(mu), width / 4.0))))
-    else:
-        steps = [1] * len(groups)
+    steps = []
+    for _, width, share, hazard in groups:
+        if count is not None:
+            mu, cap = count * share, count
+        else:
+            cap = max(FIRST_BLOCK_TIMES // width, 1)
+            mu = min(float(hazard.cumulative(horizon)), cap)
+        # at least one step: the cumulative hazard underflows to 0 at a tiny horizon
+        steps.append(max(1, min(cap, math.ceil(mu + min(3.0 * math.sqrt(mu), width / 4.0)))))
     blocks = [[] for _ in groups]
-    for streams, _, _ in groups:
+    for streams, *_ in groups:
         next(streams)  # run each generator to its first send
     cut = target = horizon
     pending = range(len(groups))
@@ -221,19 +233,21 @@ def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None, seed) -> Ful
     """Simulate the superposed failure process of ``n`` identical components.
 
     Exactly one stopping rule is required: a total event count or a time
-    horizon. Component c draws from ``stream_rng(seed, c)``, and the n
-    components advance in lock step (:func:`_advance_streams`). Output is
-    reproducible given ``(seed, n, model, hazard, stop)``.
+    horizon. The n components advance in lock step
+    (:func:`_advance_streams`) on one generator, ``stream_rng(seed,
+    COMPONENTS)``: component c's j-th failure takes its draw number
+    ``j * n + c``. Output is reproducible given ``(seed, n, model, hazard,
+    stop)``.
     """
     n = positive_int("n", n)
     n_events = _check_stop(n_events, horizon)
 
-    streams = _rejuvenating_streams(model, hazard, stream_rngs(seed, n))
+    streams = _rejuvenating_streams(model, hazard, stream_rng(seed, COMPONENTS), n)
     # a harmful repair (rho < 0) can push an age past the float range. A
     # stream's times stay inf or NaN from then on and stop the blocks, so
     # the last step shows it, and the run raises instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        (block,), cut = _advance_streams([(streams, n, 1.0 / n)], count=n_events,
+        (block,), cut = _advance_streams([(streams, n, 1.0 / n, hazard)], count=n_events,
                                          horizon=horizon)
     if not np.isfinite(block[-1]).all():
         raise DomainError("a component's age left the float range (harmful repair)")

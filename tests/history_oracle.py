@@ -5,8 +5,9 @@ incremental: every offset is rebuilt from a component's full failure history
 at every event. The thinning loop likewise rebuilds its envelope offsets from
 the whole masked history after every accepted event, one prefix at a time,
 and evaluates each envelope term with its own rate call. The references for
-the stream sampler and the exact superposition draw one failure at a time
-from per-stream generators and merge them through a heap. The tests compare
+the stream sampler and the exact superposition step one failure at a time,
+each stream reading its own scalar draws of its group's generator
+(``group_draws``), and merge the streams through a heap. The tests compare
 the package's incremental and lock-step paths to them bit for bit.
 
 ``approx_intensity_ara`` writes the model intensity out in closed form, as a
@@ -20,6 +21,7 @@ outside the shipped ones.
 """
 
 import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ from sgrpsim.approx import _check_history_n
 from sgrpsim.bounds import _eval_time
 from sgrpsim.hazards import Hazard, PowerLawHazard
 from sgrpsim.repair import next_failure_time
+from sgrpsim.superpose import COMPONENTS, POISSON, SINGLE
 
 
 def offset_from_history(model, times):
@@ -59,18 +62,36 @@ def next_failure_from_history(model, hazard, times, exponential):
     return float(t)
 
 
+def group_draws(rng, width):
+    """Per-stream iterators over ``rng``'s scalar unit exponentials.
+
+    The draws are taken one scalar at a time in (step, stream) order: step
+    j's ``width`` draws, stream 0 first, when a stream first asks for its
+    j-th. So stream i's j-th draw is the generator's draw number
+    ``j * width + i``, in whatever order the streams are read.
+    """
+    rows = []
+
+    def column(i):
+        for j in itertools.count():
+            if j == len(rows):
+                rows.append([float(rng.standard_exponential()) for _ in range(width)])
+            yield rows[j][i]
+
+    return [column(i) for i in range(width)]
+
+
 def simulate_sgrp_from_history(n, model, hazard, *, n_events=None, horizon=None, seed):
     """The exact superposition, merged one event at a time through a heap.
 
-    Component c draws from ``stream_rng(seed, c)`` and re-reads its whole
-    history per failure; equal times go to the lower component index.
-    Returns the merged times, their 1-based labels and the per-component
-    times.
+    Component c reads its draws from ``group_draws(stream_rng(seed,
+    COMPONENTS), n)`` and re-reads its whole history per failure; equal
+    times go to the lower component index. Returns the merged times, their
+    1-based labels and the per-component times.
     """
-    rngs = [stream_rng(seed, c) for c in range(n)]
+    draws = group_draws(stream_rng(seed, COMPONENTS), n)
     comp_times = [[] for _ in range(n)]
-    heap = [(next_failure_from_history(model, hazard, comp_times[c],
-                                       float(rngs[c].exponential())), c)
+    heap = [(next_failure_from_history(model, hazard, comp_times[c], next(draws[c])), c)
             for c in range(n)]
     heapq.heapify(heap)
     times, labels = [], []
@@ -84,27 +105,32 @@ def simulate_sgrp_from_history(n, model, hazard, *, n_events=None, horizon=None,
         labels.append(c + 1)
         if n_events is not None and len(times) >= n_events:
             break
-        nxt = next_failure_from_history(model, hazard, comp_times[c],
-                                        float(rngs[c].exponential()))
+        nxt = next_failure_from_history(model, hazard, comp_times[c], next(draws[c]))
         heapq.heappush(heap, (nxt, c))
     return (np.asarray(times, dtype=float), np.asarray(labels, dtype=int),
             [np.asarray(ts, dtype=float) for ts in comp_times])
 
 
-def grp_stream_from_history(model, hazard, rng):
-    """A rejuvenating stream that re-reads its whole history at every event."""
+def grp_stream_from_history(model, hazard, draws):
+    """A rejuvenating stream that re-reads its whole history at every event.
+
+    Its failures take the unit exponentials ``draws`` in order.
+    """
     times = []
-    while True:
-        t = next_failure_from_history(model, hazard, times, float(rng.exponential()))
+    for e in draws:
+        t = next_failure_from_history(model, hazard, times, e)
         times.append(t)
         yield t
 
 
-def grp_stream(model, hazard, rng):
-    """A rejuvenating stream drawn one failure at a time, its offset stepped."""
+def grp_stream(model, hazard, draws):
+    """A rejuvenating stream stepped one failure at a time, its offset stepped.
+
+    Its failures take the unit exponentials ``draws`` in order.
+    """
     state, offset, t = model.offset_state(), 0.0, 0.0
-    while True:
-        t = next_failure_time(hazard, offset, t, float(rng.exponential()))
+    for e in draws:
+        t = next_failure_time(hazard, offset, t, e)
         state, offset = model.offset_step(state, t)
         yield t
 
@@ -138,9 +164,11 @@ def heap_merge(streams, count):
 
 
 def simulate_algorithm1_heap(am, count, seed, grp=grp_stream):
-    """The stream sampler with one generator per stream and a heap merge.
+    """The stream sampler stepped one failure at a time, merged by a heap.
 
-    ``grp`` builds each rejuvenating stream from (model, hazard, rng).
+    Each group reads its generator ``stream_rng(seed, role)`` through
+    ``group_draws``; ``grp`` builds each rejuvenating stream from (model,
+    hazard, draws).
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -153,12 +181,14 @@ def simulate_algorithm1_heap(am, count, seed, grp=grp_stream):
 
     streams = []
     if d > 0.0:
-        for i in range(n):
-            streams.append(grp(am.repair, base.scaled(d), stream_rng(seed, i)))
+        for draws in group_draws(stream_rng(seed, COMPONENTS), n):
+            streams.append(grp(am.repair, base.scaled(d), draws))
     if (1.0 - d) * (n - 1) > 0.0:
-        streams.append(nhpp_stream(base.scaled((1.0 - d) * (n - 1)), stream_rng(seed, n)))
+        streams.append(nhpp_stream(base.scaled((1.0 - d) * (n - 1)),
+                                   stream_rng(seed, POISSON)))
     if d < 1.0:
-        streams.append(grp(am.repair, base.scaled(1.0 - d), stream_rng(seed, n + 1)))
+        (draws,) = group_draws(stream_rng(seed, SINGLE), 1)
+        streams.append(grp(am.repair, base.scaled(1.0 - d), draws))
     out = heap_merge(streams, count)
     return MaskedHistory(times=out, n=n, t_obs=float(out[-1]))
 

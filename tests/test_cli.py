@@ -177,7 +177,7 @@ def test_manifest_records_output_scheme(tmp_path, args):
     out = tmp_path / "out"
     assert main([*args[:1], "--config", cfg, "--out", str(out), *args[1:]]) == 0
     manifest = read_manifest(out / "manifest.json")
-    assert manifest["output_scheme"] == 5
+    assert manifest["output_scheme"] == 6
     assert manifest["versions"] == {"numpy": np.__version__}
 
 
@@ -238,37 +238,37 @@ class TestFigures:
     #: numpy the digests were recorded with
     GOLDEN = {
         "fig3_rho0.3_rates.csv":
-            "bfa8b79b084b591126e9fd20f45486e0e007f27f84dc188ec359a8d6c1c2fc49",
+            "6d6c116080f05271719d81349afb49e3c8b99e48dd8ee856f2151f34010cef6a",
         "fig3_rho0.6_rates.csv":
-            "a1ecb8bbdc7c01b040aa32ba5b51977cfa144e589afb9f78907ccd158b1a7ed3",
+            "10f03e52773780813ea3f1f3811970c18f67652a76378b14400ae3618f373c3b",
         "fig3_rho0.9_rates.csv":
-            "c23e327eb3056455d234e0cf2204d815e5ecb5e89e318dd2a2158415afebf30b",
+            "2575fee6b2c60f6a09cb3a769997ca1e9245c2662108e363add416d1d6614974",
         "fig4_delta0.2_rates.csv":
-            "88c2ded807d7832a39e61a9c1deb8734ffaa5c33f8e397667b7e4a92bb3bae40",
+            "70ab8bbcb72b88f15a3301aba5501247d901bc070f8fa35ab34fdb5d8ece218b",
         "fig4_delta0.4_rates.csv":
-            "ddd725698c570d63999dc8fffb9202784af5b22a767272349baf154e0d27e1be",
+            "2441d886f06ddfb1b7ebf5ff7d969aea3e3de8a744bc0ae3eea5c55e0ac39373",
         "fig4_delta0.6_rates.csv":
-            "d305fd36b29379d5e8a840f36770d5bc8dfc9805d2e2fdb1eb257427d6bf168c",
+            "ab82a0f1cf2c6f3114fbeebb89bf644cead0fe93fcd08ac3ebb2b56d1b485b05",
         "fig4_delta0.8_rates.csv":
-            "99bb643bb64466523abde89d345ac269e95f3820fad539fef9a197436cbfad18",
+            "77aca062cec9041f3f61f5a729e1113822865e5e7b20991b50ee939aad43bba9",
         "fig4_delta0_rates.csv":
-            "3bbf458afa03cfeb5245dbfa0fb82c5b3c5d79282204dba0a846be499fe0b13b",
+            "c146493ef9aea5df22eefb7d126026aed195171887b4e736fdf02fcf01616405",
         "fig4_delta1_rates.csv":
-            "0d23a30206e3bb96f777f753260695b6ec8849c7f68cb5f8a9b063c345e0d6a9",
+            "15b84dc4afd0869626504356dbc8edb26fccd59c139ee18702823aefad8ecdf9",
         "fig5_delta0_rates.csv":
-            "95b125ca899a52dab4236ec6a3f622d0c600372e9b63ed336e8c221b227fa34d",
+            "fc8f33129ebe666310f76b0795605eb0d5012001fd8daf5834f63978c60d0015",
         "fig5_delta1_rates.csv":
-            "4758450aa772eaed1894d7fef2bfd3826d2c1b571693fafcb0d3cf385b3bd3db",
+            "75feeda614846ec9aa5520cd1e27de4d5189b7d355822ca0af01cea67a3d6ecc",
         "fig5_sgrp_rates.csv":
-            "f2d76550b103910b951df9b8996b7ab21094bcc64d4e7d6563880607783b1d32",
+            "93bedc838f06346a181ee5bdf9a111706e2fb4d546824f5be4040cfe33f05b5a",
         "fig6_delta0_rates.csv":
-            "89c3ce36e53707440e5f18b813602af4ce32470000e2d63f7359458596f7729f",
+            "1f30df42640c2a6ace68dabad7f93501b32b7fe63900ebd2c19596f70c897334",
         "fig6_delta1_rates.csv":
-            "e374006fdd5d3aedf7ca2a81adccf3953021f020f17c8ea547f4e50c6d0f1067",
+            "9cc04f1b8065f3475e0357be12c174e187f70692d979a354b891fa094be54ecc",
         "fig6_sgrp_rates.csv":
-            "dcb3f656ffb1430848cf6de8fae0682e206835049c7e14831c095c22a74e3094",
+            "9e227533258c51aca28f7d3a5bf493d1a138ef8d8e71d189dd23459d76417c95",
         "manifest.json":
-            "9a774501b79e7a3004a216cd09fd1f5eada37928fe9b9c663e411fce846552c5",
+            "19ae855a3d2f393af06be67c2dfb95f678a8b4c6e13e47ca2cd5e00a8263d670",
     }
 
     def test_all_curves_match_golden_digests(self, tmp_path):
@@ -277,7 +277,7 @@ class TestFigures:
         out = tmp_path / "figs"
         assert main(["figures", "--config", cfg, "--out", str(out),
                      "--which", "all", "--method", "algorithm1"]) == 0
-        assert read_manifest(out / "manifest.json")["output_scheme"] == 5
+        assert read_manifest(out / "manifest.json")["output_scheme"] == 6
         assert tree_digests(out) == self.GOLDEN
 
     #: sha256 of every file ``figures --which all`` writes for ``base_config()``
@@ -286,11 +286,11 @@ class TestFigures:
     GOLDEN_BY_RUN = {
         "thinning": {
             "fig3_rho0.3_rates.csv":
-                "bc7a15b64c4cefd25b3e540021cad0b693140f369fd08867c5428e8d1533798c",
+                "6b39574aeaa4fd5ffee46f157ee57b3a6563b7273db12ebe33621d34272a1b75",
             "fig3_rho0.6_rates.csv":
-                "b790a3ec531f0c7f9c105cf1ba341bb051926462c2cb98f5a405e0e50c732eeb",
+                "582ece4c840d34018a2b22017397d27d5a6620b48771109848e332f0303d1138",
             "fig3_rho0.9_rates.csv":
-                "e3d3cd67934e45d6521a30383b73e616f17f6b2986eae450e8be5028403575d3",
+                "cdb15df53aed945e67500192fcafa85a0794972eeea8e2cfe23e1a14d97d975d",
             "fig4_delta0.2_rates.csv":
                 "f7c1231024337daf54dc8ff46ab702a387f085b442913c4faa665475aef10576",
             "fig4_delta0.4_rates.csv":
@@ -308,49 +308,49 @@ class TestFigures:
             "fig5_delta1_rates.csv":
                 "8e0dcf02b1d5b151b11f9631dc757129d242795e50712857eae70a029abe866f",
             "fig5_sgrp_rates.csv":
-                "da34088e0882386f0386d495fb19a3b02b99749619f712997660dfa963305175",
+                "3df143a3c5b497573e06eb4c3ae5dd168ff942f91c1284f7f8ac2ab329018ff0",
             "fig6_delta0_rates.csv":
                 "33f8907df28c24be87ea4383aef692e89abbabe0d1c7fa422828409a77962341",
             "fig6_delta1_rates.csv":
                 "141987519d9cd3d61724214ce737692a888bbdebb2c1528aba866e8d135740e0",
             "fig6_sgrp_rates.csv":
-                "a22ac58378c6ee654d6f70985d873e4ea6eae1058801e50b97a7bf2fc7360113",
+                "f759fd3b8c9fd148a9625aa57cb933e261c641bb89b544472d5fec9b26db9e45",
             "manifest.json":
-                "dfb22bd308c483ec536e6625e294fd8e43d8170549e91fcad97079a62ce1616d",
+                "f8272de4d988cd33b05ca270b5de60919a8ecc67587ee25f19b71cddfd44f42c",
         },
         "horizon": {
             "fig3_rho0.3_rates.csv":
-                "673aa60b3aa0f479363fd86674d3fd3ba75c3405313c7caabfa718baadbc8546",
+                "5bb46cc3e661d4762e82d24a9d723834ee4d51eed26e30f12fec4d1fc110c322",
             "fig3_rho0.6_rates.csv":
-                "9b55d36bb011c643632a3b701a27f8edbbeb528c8f3d3132795b18d5158d7af9",
+                "9f7f8c5647b529c0ce14da354c7608b665b9311c1560e0994ff864ec40f05f58",
             "fig3_rho0.9_rates.csv":
-                "c9dc6b9e09e91c5edd70ac7affb0062cfa81cca6b4afdea01f2358fecd59ecc7",
+                "350ae82560d08114097656528ee1badbded257ae68898ae2366f94f1227a539e",
             "fig4_delta0.2_rates.csv":
-                "4dbc48d1c83eeee14fe2d6119ba60ea7ae8a7b56f9476c2d32ed5d1d2eb4a073",
+                "0b1462c1fd50f0b36acdb928ce8242c299d7b3c609b08fded9c638b4234d28e2",
             "fig4_delta0.4_rates.csv":
-                "82c5bda24fd7e7f1dbcf183355f524c24517fe7f17c36fdad45ab19d87a9abb7",
+                "7a2f23937210c7363079605515d43ddcbbe150dbb964b7dc5e5730ea649f2650",
             "fig4_delta0.6_rates.csv":
-                "9efaaf300af0e5dd39b28873bfc0949c84eaa05945bd2b151004fc7fb9076983",
+                "fb859e6e46ddecc4c48c3d55cfd6a1b61a3c3c8156436a52be4d78838f14db5c",
             "fig4_delta0.8_rates.csv":
-                "e52fad71faf4764066b4f91c4f10e76e892b8dd133161f1e7e59e063b6eaba2e",
+                "17310bbfa19d8dd6f6a2e3b0dbb06ea359687d16b054b0bc8072f1ad64acc1fc",
             "fig4_delta0_rates.csv":
-                "b486d3e563bb36e5bd56a0dc439751c7fbe458804722ab06a628e0d671e958ba",
+                "a08f8648514738024c829eb1b2b99c17f1f6710e5b24e0d2cbe354e20973ff76",
             "fig4_delta1_rates.csv":
-                "8d022d0e0f74319a2c231a9c58a88514f9dd3a7f96a8fbaffc7626a0f140a15c",
+                "7080a03b1b6727bc89b41021f40ba2ed4db381ac6577012b79c331e6b73e391d",
             "fig5_delta0_rates.csv":
-                "7f4f965d07ed80d5d90a61b9cbc76683b5cb4fd8a107af5659da31498006ec38",
+                "eaed9d5bb230643c485efe8eeb6ce216b81e59e218ee8c7687504f462a68f547",
             "fig5_delta1_rates.csv":
-                "6c6d143f468fc9c8b47f9b6acce24a6b614c1d49adfd9199e7f82caa788946e6",
+                "3f35afb3418b17914849d2fcfe5ca6a84306891642bd5fb58bb2ef0d8f8d2995",
             "fig5_sgrp_rates.csv":
-                "f4eb5e892c3f322d2711fe023ea0c4df876edfda18019bbc7317314364c330c9",
+                "cbb0146921f8bb2f6fde6585db492f8e042a586124ffc48a85472a42f04dc184",
             "fig6_delta0_rates.csv":
-                "2ca83e7c045d9b60924c0e8f4c342b0fc82a41a2f7a6aeb63cf1a6d665c7f750",
+                "ada2d43ec88e810a0e70f700b26d6301ef083be7fda456baa53ec4341bffff84",
             "fig6_delta1_rates.csv":
-                "9481b4b401c29908c148510260dd5121b388d8af5c6c46421ee44613363aa34e",
+                "6939d1cc249c112e5fe71be39f73f26d1a2297b44b6be670b6dffc14b33cdd90",
             "fig6_sgrp_rates.csv":
-                "66d946b4c46c26967dbe2f937c79bbfca873c69faacb1e62b70c81621d4de9b1",
+                "79896883767be304eb67ad72274c39c7d53ed8ea853d3efa3caec759bddf89b5",
             "manifest.json":
-                "87579b2b537353ed65229db04a85dbb6411885060967b6c75144f0ff04deaba0",
+                "8758407655837fb371dcf0d6a7712c4283e282930aedc0aa96b65cb088b04676",
         },
     }
 
@@ -419,26 +419,26 @@ class TestManifestGolden:
 
     GOLDEN = {
         "simulate-sgrp": {
-            "events.csv": "47ed8e73a5fb58a10db6c12d2de952b07c29c9d3bb60411a69328221f1844f03",
+            "events.csv": "1426e252675816e2291d127d57317f5b56e6bdbea9b74fc280dadec864f8d131",
             "events_masked.csv":
-                "d92f313181688180ecfc64670327bebd92dd50c05ceaf07c203e274ca5f441f2",
-            "manifest.json": "4b9d2afb66c9a7f34bab7b0ed20d40397a3efe3b7d2444ea9a60a10232025457",
+                "5089edb69cb10e892b085b2964e04d7ec0e22e83286e61aaf251be339439ab3d",
+            "manifest.json": "e7297dda9258bb01647ab04025ba0fd9644d34a95cdb9cc3b91aeabf7d8a011b",
         },
         "simulate-approx --method algorithm1": {
-            "events.csv": "1137a9f33a3dc342f790fadf9a015ef1c9e16cd9e2b0849dbf74d2ed494bb2d6",
-            "manifest.json": "7a9619d2f6693e35c13ac22ecad2580e5da71408992d67012695b5f630590ae2",
+            "events.csv": "4d6e38012154279dd45916cb2acf659cfed23123341a5c07b80018455f64d6f7",
+            "manifest.json": "758447eabe0c45ce20f14eac17fe94e3f607857a336cc2a93394c37aacad3956",
         },
         "simulate-approx --method thinning": {
             "events.csv": "a7fe32bcce03b1b643b2020d1d44288ab9a334bf326bc86daf3607b549f2588f",
-            "manifest.json": "ff5f19615cda21afabf79fccdbfb7c525f06ed3f3c465927a7c4bb07e7e24fd7",
+            "manifest.json": "088efd8cf1d13f0c80274d5cadd93c5c4f7bfbc79733c9bdeff58e671a681a7d",
         },
         "bounds-check": {
-            "bounds.csv": "c21489f223636d07f1e9d9fabb186563d6f00faa8c8edade80b6e7c26846d6fe",
-            "manifest.json": "9c53c273b55c0270f0adbb91c7750e32a089448862b7e11a19bc6e9f28ad2974",
+            "bounds.csv": "970916bbaf117656b25a1c10e0bbe85c8dc1d6d6dd1d80f1bbbdf673c7b82bea",
+            "manifest.json": "62a02d39d2c74a8fca3ef63f9ff0cd37446458327c0a834a0e26a2d91c2e4683",
         },
         "rate-curve": {
-            "rates.csv": "bc8c54598b3a4bcc008bb75571348073b6ad42463ca2773c17891a4f21c2ea79",
-            "manifest.json": "7c9033ad78663ef515a12645033d7eb4fe673f607ecf0de42d919bb31b79947c",
+            "rates.csv": "4d39d86febed9e6d522d6548cb4f5cafd3a4e088a94605cae41b6bb2cccf3455",
+            "manifest.json": "bf01f48f786917ef215d876a721c4c548eee2302a4ea55cb297babafad137cf9",
         },
     }
 
@@ -463,11 +463,11 @@ class TestNarrowGolden:
 
     GOLDEN = {
         # bounds-check, Kijima a = 0.7, 1,500 events
-        "bounds.csv": "1e8baf71208e10dbf2a2426121c75036177108a9fb3f7ba5fc53436a591bfb48",
+        "bounds.csv": "41bafa9216a1935b5a6681a782f6d2214b1d3720b844bcb6022eda37ebe0a445",
         # simulate-sgrp, ARA(3, 0.5), horizon 2500
-        "events.csv": "14c43d506fd2a406e972803fe23b5095473e2517445985b73bb1d5e85c74c49a",
+        "events.csv": "18214d9da9a62b4f6109e3af674e6b5712a475c7a6f262cd13a09c30bf7502d7",
         "events_masked.csv":
-            "d76aa92a5825bde5f0fce1c2442f54ff4a40016ef4ee0371c04e6449bce30942",
+            "76fdff6f152e1d2909452c1c864641d593299c2cfd1d466f83c9842bdb810e22",
     }
 
     def run(self, tmp_path, command, **overrides):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import sgrpsim.simulate as simulate
-from history_oracle import (RampHazard, grp_stream, grp_stream_from_history, heap_merge,
-                            nhpp_stream, simulate_algorithm1_heap,
+from history_oracle import (RampHazard, group_draws, grp_stream, grp_stream_from_history,
+                            heap_merge, nhpp_stream, simulate_algorithm1_heap,
                             simulate_thinning_from_history)
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, Kijima1,
                      Minimal, MaskedHistory, Normalization, Perfect, PowerLawHazard,
@@ -18,8 +18,8 @@ from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, Kijima1,
                      simulate_thinning, stream_rng)
 from sgrpsim.bounds import envelope_offset_row
 from sgrpsim.repair import next_failure_time
-from sgrpsim.rng import stream_rngs
 from sgrpsim.simulate import _merge, _squeeze
+from sgrpsim.superpose import POISSON, SINGLE
 
 PL = PowerLawHazard(1.3, 40.0)
 
@@ -98,8 +98,9 @@ class TestAlgorithm1:
         am = ApproxModel(n, 0.0, PL, ARA(1, 0.3))
         got = simulate_algorithm1(am, count, seed=seed)
         base = am.component_hazard()
-        nhpp = nhpp_stream(base.scaled(n - 1.0), stream_rng(seed, n))
-        extra = grp_stream(am.repair, base.scaled(1.0), stream_rng(seed, n + 1))
+        nhpp = nhpp_stream(base.scaled(n - 1.0), stream_rng(seed, POISSON))
+        (draws,) = group_draws(stream_rng(seed, SINGLE), 1)
+        extra = grp_stream(am.repair, base.scaled(1.0), draws)
         expect = heap_merge((nhpp, extra), count)
         assert np.allclose(got.times, expect, rtol=0, atol=0)
 
@@ -137,8 +138,9 @@ class TestAlgorithm1:
         (2, 0.5, Kijima1(0.7)), (2, 1.0, ARA(3, 0.5))])
     def test_streams_match_history_recomputation_bitwise(self, n, delta, repair):
         # the streams advance in lock step and carry their offsets
-        # incrementally; one generator per stream, each rebuilding its offset
-        # from its whole history, merged by a heap, gives the same run
+        # incrementally; each stream stepped one failure at a time on its
+        # scalar draws of its group's generator, rebuilding its offset from
+        # its whole history, merged by a heap, gives the same run
         self.assert_matches_heap_merge(ApproxModel(n, delta, PL, repair), 3000)
 
     @pytest.mark.parametrize("delta", [0.0, 0.2, 1.0])
@@ -258,15 +260,6 @@ class TestAlgorithm1:
             got = merged[:count]
             assert np.array_equal(got, expect)
             assert np.all(np.diff(got, prepend=0.0) > 0.0)
-
-
-def test_stream_rngs_draw_as_stream_rng():
-    for k in (0, 3, 102):
-        got = stream_rngs(5, k)
-        assert len(got) == k
-        for i, rng in enumerate(got):
-            assert np.array_equal(rng.exponential(size=20),
-                                  stream_rng(5, i).exponential(size=20))
 
 
 class TestThinning:

@@ -199,16 +199,41 @@ class TestTrueIntensity:
             assert walked[k] == pytest.approx(direct, rel=1e-12)
 
 
+class RepeatedColumns:
+    """A generator stand-in whose draw blocks repeat one column of draws."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_exponential(self, size):
+        k, width = size
+        return np.repeat(self.rng.standard_exponential(size=(k, 1)), width, axis=1)
+
+
 def test_tie_break_is_lowest_component_index(monkeypatch):
-    # components drawing from copies of one stream fail at equal times, and
-    # each tie resolves by component order, as the heap's (time, index) does
+    # components reading the same draws fail at equal times, and each tie
+    # resolves by component order, as the heap's (time, index) does
     n = 4
-    monkeypatch.setattr(superpose, "stream_rngs",
-                        lambda seed, k: [stream_rng(seed) for _ in range(k)])
+    monkeypatch.setattr(superpose, "stream_rng",
+                        lambda seed, role: RepeatedColumns(stream_rng(seed, role)))
     full = simulate_sgrp(n, Minimal(), ConstantHazard(0.5), n_events=202, seed=8)
     assert np.array_equal(full.labels, np.tile(np.arange(1, n + 1), 51)[:202])
     assert np.array_equal(full.times, np.repeat(full.per_component[0], n)[:202])
     assert full.counts().tolist() == [51, 51, 50, 50]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 100])
+def test_component_gaps_are_the_group_draws_over_the_rate(n):
+    # under a constant rate and perfect repair, component c's j-th gap is
+    # draw number j * n + c of the one generator, over the rate: its times
+    # are the running sums of those gaps, bit for bit
+    rate, seed = 0.5, 3
+    full = simulate_sgrp(n, Perfect(), ConstantHazard(rate), n_events=40 * n, seed=seed)
+    steps = int(full.counts().max())
+    draws = stream_rng(seed, superpose.COMPONENTS).standard_exponential(steps * n)
+    for c, comp in enumerate(full.per_component):
+        assert np.array_equal(comp, np.cumsum(draws[c::n][:comp.size] / rate))
+    assert full.counts().sum() == 40 * n
 
 
 def assert_matches_heap_oracle(n, model, hazard, seed, **stop):
@@ -233,8 +258,9 @@ CLAMP = (ARA(9, 0.999999), PowerLawHazard(0.3, 1.0, allow_decreasing=True))
 @pytest.mark.parametrize("case", [*sorted(CASES), "clamp"])
 def test_simulate_matches_history_sampler_bitwise(case, n):
     # the lock-step streams with incremental offsets give the trajectory of
-    # one generator per component, each rebuilding its offset from its whole
-    # history, merged by a heap, in both stop modes
+    # components stepped one failure at a time on their scalar draws of the
+    # group's generator, each rebuilding its offset from its whole history,
+    # merged by a heap, in both stop modes
     model, hazard = CLAMP if case == "clamp" else CASES[case]
     seed = 300 + n
     full = assert_matches_heap_oracle(n, model, hazard, seed, n_events=EVENTS[n])
@@ -313,10 +339,30 @@ def test_wide_group_steps_end_near_the_cut(monkeypatch):
     assert work["blocks"] == 1
 
 
-@pytest.mark.parametrize("seed,steps", [(1, 1251), (31, 1258), (73, 1283)])
+def test_horizon_run_sizes_its_first_block_from_the_cumulative_hazard(monkeypatch):
+    # the same run to the time of its 6,000th event: the cumulative hazard
+    # at the horizon bounds each stream's expected count, so the first block
+    # reaches the horizon, where starting at one step and doubling took 8
+    horizon = float(simulate_sgrp(100, ARA(1, 0.3), PL.scaled(0.01), n_events=6000,
+                                  seed=5).times[-1])
+    work = engine_work(monkeypatch, lambda: simulate_sgrp(
+        100, ARA(1, 0.3), PL.scaled(0.01), horizon=horizon, seed=5))
+    assert work["blocks"] <= 2
+    assert work["steps"] <= 100
+
+
+@pytest.mark.parametrize("n", [1, 3, 100])
+def test_horizon_whose_cumulative_hazard_underflows(n):
+    # the first block still takes a step
+    assert len(simulate_sgrp(n, Kijima1(0.7), PL, horizon=1e-300, seed=1)) == 0
+
+
+@pytest.mark.parametrize("seed,steps", [(1, 1365), (31, 1283), (73, 1279)])
 def test_narrow_group_steps_do_not_grow(seed, steps, monkeypatch):
     # the bounds-kijima config: five streams take no more steps than when
-    # later blocks extrapolated from the cut of the times drawn so far
+    # the first block was count * share steps and later blocks extrapolated
+    # from the cut of the times drawn so far (that rule's steps on these
+    # trajectories)
     work = engine_work(monkeypatch, lambda: simulate_sgrp(
         5, Kijima1(0.7), PL, n_events=6000, seed=seed))
     assert work["steps"] <= steps
