@@ -103,8 +103,11 @@ class ARA:
         does, which saves the addition to ``0.0``: ``0.0 + x`` is x bit for
         bit unless x is -0.0, and ``rho * t`` with ``t > 0`` is -0.0 only by
         underflow under a harmful ``rho < 0``. ``t`` is a float, or an
-        array with one entry per lock-step stream.
+        array with one entry per lock-step stream. For m = 1 the fold is
+        its first product alone, ``rho * t``, returned without the loop.
         """
+        if self.m == 1:
+            return (t,), (self.rho * t if self.rho != 0.0 else 0.0)
         state = (state + (t,))[-self.m:]
         if self.rho == 0.0:
             return state, 0.0

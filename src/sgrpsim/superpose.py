@@ -10,11 +10,13 @@ The n streams advance together, one vector step per failure of each, in
 blocks that run until every stream has passed the last system time needed
 (the ``n_events``-th smallest, or the horizon). The first block is sized for
 the slowest stream and later ones extrapolate from the frontier, so a
-typical run takes one block; block sizes never change the output. One sort
-then merges the streams, the default argsort unless the times hold an exact
-tie, when the stable one runs: simultaneous float times (probability zero)
-resolve to the lowest component index. The same engine drives the stream
-sampler of ``simulate.simulate_algorithm1``.
+typical run takes one block; block sizes never change the output. Three or
+more streams step a block without the next-failure underflow guard and check
+it once, re-stepping it with the guard only where the guard would act. One
+sort then merges the streams, the default argsort unless the times hold an
+exact tie, when the stable one runs: simultaneous float times (probability
+zero) resolve to the lowest component index. The same engine drives the
+stream sampler of ``simulate.simulate_algorithm1``.
 """
 
 from __future__ import annotations
@@ -103,10 +105,20 @@ def _rejuvenating_streams(model, hazard, rng, width):
     applied elementwise, so each column is bit for bit the stream stepped one
     failure at a time on those draws.
 
+    Three or more streams step their block without ``next_failure_time``'s
+    guard and check it once: when every time is above the one before it in
+    its stream (the first row above the last block's last), the guard,
+    ``max(x, nextafter(t))``, is x at every step, so the block is the
+    guarded one bit for bit. Otherwise a step landed on its predecessor or
+    a time is NaN: the group goes back to where the block began (generator,
+    offset state and last times), re-draws the block into place and steps
+    it again with the guard.
+
     Each step overwrites its row of draws with its times (``out=``), so
     ``state`` holds views of earlier rows, of this block or earlier ones;
-    that is safe because a row is written once and no block changes after
-    it is yielded.
+    that is safe because a re-step restores the state of the block's start,
+    which holds rows of earlier blocks only, and no block changes after it
+    is yielded.
     """
     k = yield
     if width <= 2:
@@ -128,14 +140,24 @@ def _rejuvenating_streams(model, hazard, rng, width):
             k = yield block
     state, offset, t = model.offset_state(), 0.0, 0.0
     while True:
+        start, bits = (state, offset, t), rng.bit_generator.state
         block = rng.standard_exponential(size=(k, width))
-        for row in block:
-            # next_failure_time's guard: a time not past the last failure
-            # becomes the next float up
-            target = hazard.cumulative_unchecked(t - offset) + row
-            t = np.maximum(offset + hazard.inverse_cumulative_unchecked(target),
-                           np.nextafter(t, np.inf), out=row)
-            state, offset = model.offset_step(state, t)
+        for guard in (False, True):
+            state, offset, t = start
+            for row in block:
+                target = hazard.cumulative_unchecked(t - offset) + row
+                np.add(offset, hazard.inverse_cumulative_unchecked(target), out=row)
+                if guard:
+                    # next_failure_time's guard: a time not past the last
+                    # failure becomes the next float up
+                    np.maximum(row, np.nextafter(t, np.inf), out=row)
+                t = row
+                state, offset = model.offset_step(state, t)
+            # every time past the one before it: no guard would have fired
+            if guard or (block[0] > start[2]).all() and (block[1:] > block[:-1]).all():
+                break
+            rng.bit_generator.state = bits
+            rng.standard_exponential(out=block)
         k = yield block
 
 

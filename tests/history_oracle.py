@@ -10,6 +10,9 @@ each stream reading its own scalar draws of its group's generator
 (``group_draws``), and merge the streams through a heap. The tests compare
 the package's incremental and lock-step paths to them bit for bit.
 
+``offset_step_fold`` is ``ARA.offset_step``'s fold over the last m failure
+times at every memory order, without its shortcut for m = 1.
+
 ``approx_intensity_ara`` writes the model intensity out in closed form, as a
 second arithmetic path for the envelope assembly. ``envelope_rates_columns``,
 ``envelope_cumulative_columns`` and ``model_intensity_columns`` are the
@@ -49,6 +52,25 @@ def offset_from_history(model, times):
         acc += w * float(times[n_fail - 1 - j])
         w *= 1.0 - model.rho
     return min(acc, float(times[n_fail - 1]))
+
+
+def offset_step_fold(model, state, t):
+    """``ARA.offset_step`` as the general fold: (new state, offset after ``t``).
+
+    The sum starts from its first product and adds the older times' products
+    newest first; for m >= 2 it is clamped to ``t``.
+    """
+    state = (state + (t,))[-model.m:]
+    if model.rho == 0.0:
+        return state, 0.0
+    w = model.rho
+    acc = w * t
+    for s in reversed(state[:-1]):
+        w *= 1.0 - model.rho
+        acc += w * s
+    if model.m > 1:
+        acc = np.minimum(acc, t)
+    return state, acc
 
 
 def next_failure_from_history(model, hazard, times, exponential):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from history_oracle import offset_from_history
+from history_oracle import offset_from_history, offset_step_fold
 from sgrpsim import (ARA, ConstantHazard, DomainError, Kijima1, Minimal, Perfect,
                      PowerLawHazard, check_history, intensity_integral, ks_exp1,
                      repair_from_config, simulate_sgrp, stream_rng)
@@ -85,6 +85,28 @@ class TestEffectiveAgeOffset:
             last_m = times[max(k + 1 - model.m, 0):k + 1]
             assert model.offsets_after(last_m)[-1] == expect
             assert model.offsets_after(last_m.tolist())[-1] == expect
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0, -0.5])
+    def test_memory_one_step_is_the_general_fold_bitwise(self, rho):
+        # m = 1 returns its first product without the fold's loop: the same
+        # state, and the same offset bit for bit, for a float time and for a
+        # row of lock-step times (the smallest subnormal first, whose product
+        # under rho = -0.5 is -0.0)
+        model = ARA(1, rho)
+        rng = np.random.default_rng(5)
+        floats = [5e-324, *np.cumsum(rng.exponential(7.0, size=40)).tolist()]
+        rows = np.cumsum(rng.exponential(7.0, size=(40, 5)), axis=0)
+        rows[0, 0] = 5e-324
+        for times in (floats, list(rows)):
+            state = fold_state = model.offset_state()
+            for t in times:
+                state, offset = model.offset_step(state, t)
+                fold_state, expect = offset_step_fold(model, fold_state, t)
+                assert len(state) == 1 and state[0] is fold_state[0] is t
+                assert type(offset) is type(expect)
+                assert np.asarray(offset).tobytes() == np.asarray(expect).tobytes()
+                if rho == 0.0:
+                    assert type(offset) is float and np.asarray(offset).tobytes() == bytes(8)
 
     #: a history whose ARA(5, rho near 1) float sums pass four of its
     #: failures; unclamped, they made the envelopes at its last time NaN

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import sgrpsim.superpose as superpose
-from history_oracle import simulate_sgrp_from_history
+from history_oracle import RampHazard, grp_stream, simulate_sgrp_from_history
 from sgrpsim import (ARA, ConstantHazard, DomainError, FullHistory, Kijima1,
                      MaskedHistory, Minimal, Perfect, PowerLawHazard, mask,
                      simulate_sgrp, stream_rng, true_intensity_at_events,
@@ -204,6 +204,7 @@ class RepeatedColumns:
 
     def __init__(self, rng):
         self.rng = rng
+        self.bit_generator = rng.bit_generator
 
     def standard_exponential(self, size):
         k, width = size
@@ -418,6 +419,68 @@ def test_age_past_the_float_range_raises(n):
         for stop in (dict(n_events=50), dict(horizon=300.0)):
             with pytest.raises(DomainError, match="float range"):
                 simulate_sgrp(n, ARA(2, -1e300), PL, seed=1, **stop)
+
+
+class ZeroDraws:
+    """A generator stand-in whose draws at the given (step, stream) places are 0.
+
+    It counts the draws it hands out, stream i's j-th being number
+    ``j * width + i``, and its ``bit_generator.state`` carries that count
+    with the wrapped generator's state, so a restored state re-draws alike.
+    """
+
+    def __init__(self, rng, width, places):
+        self.rng = rng
+        self.zeros = [j * width + i for j, i in places]
+        self.drawn = 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.rng.bit_generator.state, self.drawn
+
+    @state.setter
+    def state(self, value):
+        self.rng.bit_generator.state, self.drawn = value
+
+    def standard_exponential(self, size=None, out=None):
+        block = self.rng.standard_exponential(size=size, out=out)
+        flat = block.reshape(-1)
+        for d in self.zeros:
+            if self.drawn <= d < self.drawn + flat.size:
+                flat[d - self.drawn] = 0.0
+        self.drawn += flat.size
+        return block
+
+
+@pytest.mark.parametrize("size", [1, 7, 64])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("width", [3, 100])
+def test_a_step_onto_its_predecessor_is_guarded_in_lock_step(width, m, size):
+    # under rate(x) = x and ARA(m, 0.5) a zero draw lands a step exactly on
+    # its predecessor: the age t - o is exact (o >= t / 2), the cumulative
+    # hazard fl(a * a) / 2 inverts to a by sqrt, and o + (t - o) = t. So
+    # next_failure_time nudges it one float up. One zero falls mid-block
+    # (at block size 1 on a first row), one on the first row of a later
+    # block, and a third beside it on another stream. Each block that holds
+    # one is re-stepped guarded from its start, the offsets of earlier rows
+    # and the draws restored, and every stream is the one stepped one
+    # failure at a time on its draws
+    model, hazard, seed = ARA(m, 0.5), RampHazard(1.0, 1e6), 41
+    steps = max(3 * size, 8)
+    places = [(3, 1), (2 * size, width - 1), (2 * size, 0)]
+    rng = ZeroDraws(stream_rng(seed, superpose.COMPONENTS), width, places)
+    streams = superpose._rejuvenating_streams(model, hazard, rng, width)
+    next(streams)
+    got = np.concatenate([streams.send(size) for _ in range(steps // size)])
+
+    draws = stream_rng(seed, superpose.COMPONENTS).standard_exponential(size=(steps, width))
+    draws[tuple(zip(*places))] = 0.0
+    expect = np.column_stack([list(grp_stream(model, hazard, draws[:, i].tolist()))
+                              for i in range(width)])
+    assert np.array_equal(got, expect)
+    for j, i in places:
+        assert expect[j, i] == np.nextafter(expect[j - 1, i], np.inf)
 
 
 def test_horizon_must_be_finite():
