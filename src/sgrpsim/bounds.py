@@ -217,9 +217,10 @@ def heterogeneous_upper(mh: MaskedHistory, hazards, model, t) -> float:
     every masked failure on component c, the others fresh. For m = 1 the
     component that failed at ``T_N`` carries offset ``W(N)`` and every other
     rate is at most its fresh rate, so this is the least upper bound over all
-    labellings, for nondecreasing hazards in any order; for m >= 2 it is
-    checked, not proven. All components share the repair model, and ties
-    keep the first maximiser in list order.
+    labellings, for nondecreasing hazards in any order. For m >= 2, ``W(N)``
+    can round an ulp above the offset ``fl(rho * T_N)`` of a component that
+    failed at ``T_N`` alone, and a rate steep at such ages exceeds this. All
+    components share the repair model; ties keep the first maximiser.
     """
     if len(hazards) != mh.n:
         raise DomainError(f"need one hazard per component: {len(hazards)} != n={mh.n}")
@@ -227,7 +228,7 @@ def heterogeneous_upper(mh: MaskedHistory, hazards, model, t) -> float:
     for h in hazards:
         _require_nondecreasing(h)
     t = _one_time(mh, t)
-    age = t - envelope_offset_row(mh.times, 1, model)[0]
+    age = t - model.offset_after(mh.times)
     rates = [float(h.rate(t)) for h in hazards]
     return max(sum(rates[:c] + rates[c + 1:]) + float(h.rate(age))
                for c, h in enumerate(hazards))

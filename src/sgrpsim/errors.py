@@ -29,6 +29,14 @@ def config_number(where, value, kind=float):
     return out
 
 
+def config_keys(cfg, what, *names):
+    """``cfg[name]`` for each of ``names``; a missing one is "<what> needs key 'name'"."""
+    try:
+        return [cfg[name] for name in names]
+    except KeyError as missing:
+        raise ConfigError(f"{what} needs key {missing}") from None
+
+
 def positive_int(name, value) -> int:
     """``int(value)``; a DomainError naming ``name`` unless it is an integer >= 1.
 

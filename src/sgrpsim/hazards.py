@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, config_number
+from .errors import ConfigError, DomainError, config_keys, config_number
 
 __all__ = ["Hazard", "PowerLawHazard", "ConstantHazard", "hazard_from_config"]
 
@@ -150,19 +150,13 @@ def hazard_from_config(cfg) -> Hazard:
         raise ConfigError("hazard config must be an object with a 'family' key")
     family = cfg["family"]
     if family == "power_law":
-        try:
-            beta, eta = cfg["beta"], cfg["eta"]
-        except KeyError as missing:
-            raise ConfigError(f"power_law hazard needs key {missing}") from None
+        beta, eta = config_keys(cfg, "power_law hazard", "beta", "eta")
         allow = cfg.get("allow_decreasing", False)
         if not isinstance(allow, bool):
             raise ConfigError(f"hazard.allow_decreasing must be true or false, got {allow!r}")
         return PowerLawHazard(config_number("hazard.beta", beta),
                               config_number("hazard.eta", eta), allow_decreasing=allow)
     if family == "constant":
-        try:
-            rate = cfg["rate"]
-        except KeyError as missing:
-            raise ConfigError(f"constant hazard needs key {missing}") from None
+        (rate,) = config_keys(cfg, "constant hazard", "rate")
         return ConstantHazard(config_number("hazard.rate", rate))
     raise ConfigError(f"unknown hazard family {family!r}")

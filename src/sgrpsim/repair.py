@@ -20,9 +20,9 @@ returning the new state and the offset after that failure, which never
 passes ``t``: every age the package forms is >= 0, as the trusted hazard
 kernels assume. Samplers carry one state per component instead of
 re-reading a growing history. ``offsets_after(times)`` is the same fold as
-one numpy pass, giving the offset after each failure of a history; the
-offset after a whole history is ``offsets_after(times[-m:])[-1]``, and 0
-for no failures.
+one numpy pass, giving the offset after each failure of a history, and
+``offset_after(times)`` reads the offset after a whole history from its
+last m failures (0 for no failures).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, config_number, positive_int
+from .errors import ConfigError, DomainError, config_keys, config_number, positive_int
 
 __all__ = ["ARA", "Kijima1", "Perfect", "Minimal", "check_history",
            "next_failure_time", "repair_from_config"]
@@ -107,18 +107,14 @@ class ARA:
         its first product alone, ``rho * t``, returned without the loop.
         """
         if self.m == 1:
-            return (t,), (self.rho * t if self.rho != 0.0 else 0.0)
+            return (t,), self.rho * t
         state = (state + (t,))[-self.m:]
-        if self.rho == 0.0:
-            return state, 0.0
         w = self.rho
         acc = w * t
         for s in reversed(state[:-1]):
             w *= 1.0 - self.rho
             acc += w * s
-        if self.m > 1:
-            acc = np.minimum(acc, t)
-        return state, acc
+        return state, np.minimum(acc, t)
 
     def offsets_after(self, times) -> np.ndarray:
         """The offset after each failure of ``times``, in one numpy pass.
@@ -137,6 +133,10 @@ class ARA:
             np.minimum(acc, times, out=acc)
         return acc
 
+    def offset_after(self, times) -> float:
+        """The offset after the whole history ``times`` (0.0 for none), from its last m."""
+        return self.offsets_after(times[-self.m:])[-1] if len(times) else 0.0
+
     def to_config(self) -> dict:
         return {"model": "ara", "m": self.m, "rho": self.rho}
 
@@ -147,8 +147,7 @@ class ARA:
         t_arr = np.asarray(t, dtype=float)
         if t_arr.size and float(t_arr.min()) < last:
             raise DomainError(f"t must not precede the last failure at {last}")
-        offset = self.offsets_after(times[-self.m:])[-1] if times.size else 0.0
-        out = hazard.rate(t_arr - offset)
+        out = hazard.rate(t_arr - self.offset_after(times))
         return out if t_arr.ndim else float(out)
 
 
@@ -178,16 +177,10 @@ def repair_from_config(cfg) -> ARA:
         raise ConfigError("repair config must be an object with a 'model' key")
     kind = cfg["model"]
     if kind == "ara":
-        try:
-            m, rho = cfg["m"], cfg["rho"]
-        except KeyError as missing:
-            raise ConfigError(f"ara repair needs key {missing}") from None
+        m, rho = config_keys(cfg, "ara repair", "m", "rho")
         return ARA(config_number("repair.m", m, int), config_number("repair.rho", rho))
     if kind == "kijima1":
-        try:
-            a = cfg["a"]
-        except KeyError as missing:
-            raise ConfigError(f"kijima1 repair needs key {missing}") from None
+        (a,) = config_keys(cfg, "kijima1 repair", "a")
         return Kijima1(config_number("repair.a", a))
     if kind == "perfect":
         return Perfect()

@@ -30,7 +30,7 @@ from math import inf
 import numpy as np
 
 from .approx import ApproxModel
-from .errors import DomainError
+from .errors import DomainError, positive_int
 from .rng import stream_rng
 from .superpose import (COMPONENTS, POISSON, SINGLE, MaskedHistory, _advance_streams,
                         _check_stop, _rejuvenating_streams)
@@ -49,11 +49,9 @@ def nhpp_sample(hazard, count, rng) -> np.ndarray:
     unit exponentials from ``rng``, mapped through the inverse cumulative
     hazard, t_k = inf{v : cumulative(v) >= tau_k}.
     """
-    if count < 1:
-        raise DomainError("count must be >= 1")
     stream = _poisson_stream(hazard, rng)
     next(stream)
-    return stream.send(int(count))[:, 0]
+    return stream.send(positive_int("count", count))[:, 0]
 
 
 def _poisson_stream(hazard, rng):
@@ -117,8 +115,6 @@ def simulate_algorithm1(am: ApproxModel, n_events=None, seed=None, *,
     if not am.repair.is_improving:
         raise DomainError("stream sampler requires repair effectiveness in [0, 1]")
     n, d = am.n, am.delta
-    if d == 1.0 and n == 1:
-        raise DomainError("delta=1 with n=1 is degenerate (a single bare stream)")
     base = am.component_hazard()
 
     # (lock-step streams, how many, each stream's share of the initial
@@ -139,13 +135,14 @@ def simulate_algorithm1(am: ApproxModel, n_events=None, seed=None, *,
         groups.append((streams, 1, (1.0 - d) / n, hazard))
 
     blocks, cut = _advance_streams(groups, count=n_events, horizon=horizon)
+    if not cut < inf:  # fewer than n_events finite times (NaN fails too)
+        raise DomainError("a stream's time left the float range")
     times = np.concatenate([b.ravel() for b in blocks])
     out = _merge(times[times <= cut])[:n_events]
     if n_events is None:
         # nudged ties move times up, so the merge is cut at the horizon again
         out = out[:np.searchsorted(out, horizon, side="right")]
-        return MaskedHistory(times=out, n=n, t_obs=float(horizon))
-    return MaskedHistory(times=out, n=n, t_obs=float(out[-1]))
+    return MaskedHistory(times=out, n=n, t_obs=float(out[-1] if horizon is None else horizon))
 
 
 def _squeeze(n):
@@ -259,5 +256,4 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
             offsets[0] = offset
 
     times = np.asarray(times, dtype=float)
-    t_obs = float(horizon) if horizon is not None else (float(times[-1]) if times.size else 0.0)
-    return MaskedHistory(times=times, n=n, t_obs=t_obs)
+    return MaskedHistory(times=times, n=n, t_obs=float(times[-1] if horizon is None else horizon))

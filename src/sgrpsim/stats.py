@@ -56,10 +56,10 @@ def rate_curve(times, bin_width, horizon=None) -> RateCurve:
     """Count events in left-closed bins [k*w, (k+1)*w) anchored at 0.
 
     Without a horizon the curve runs through the bin holding the last event.
-    With a horizon only bins fully inside [0, horizon] are kept, dropping the
-    partially observed tail bin whose rate would be biased low. An infinite
-    time or horizon, or more than ``MAX_BINS`` bins, is a DomainError,
-    checked before anything is allocated.
+    With a horizon only bins fully inside [0, horizon] are kept: events in
+    the partial tail bin, whose rate would be biased low, or past it are
+    dropped. An infinite time or horizon, or more than ``MAX_BINS`` bins, is
+    a DomainError, checked before anything is allocated.
     """
     if not 0.0 < bin_width < np.inf:
         raise DomainError("bin_width must be positive and finite")
@@ -79,10 +79,9 @@ def rate_curve(times, bin_width, horizon=None) -> RateCurve:
         raise DomainError(f"bin_width {bin_width:g} makes {bins:.3g} bins, "
                           f"more than the {MAX_BINS} a rate curve holds")
     n_bins = int(bins)
-    if n_bins == 0:
-        return RateCurve(float(bin_width), np.empty(0), np.empty(0, dtype=int))
-    idx = (times // bin_width).astype(int)
-    counts = np.bincount(idx[idx < n_bins], minlength=n_bins)
+    # compared before the cast: an index past the last bin may not fit an int
+    idx = times // bin_width
+    counts = np.bincount(idx[idx < n_bins].astype(int), minlength=n_bins)
     starts = np.arange(n_bins) * float(bin_width)
     return RateCurve(float(bin_width), starts, counts)
 

@@ -308,11 +308,8 @@ def true_system_intensity(full, model, hazard, t) -> float:
         raise DomainError("t must be nonnegative")
     if t > full.horizon:
         raise DomainError(f"t={t} is beyond the simulated horizon {full.horizon}")
-    offsets = np.zeros(full.n)
-    for c, comp in enumerate(full.per_component):
-        k = int(np.searchsorted(comp, t, side="left"))
-        if k:
-            offsets[c] = model.offsets_after(comp[max(k - model.m, 0):k])[-1]
+    offsets = np.array([model.offset_after(comp[:np.searchsorted(comp, t, side="left")])
+                        for comp in full.per_component])
     return float(np.sum(hazard.rate(t - offsets)))
 
 

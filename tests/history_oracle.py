@@ -61,8 +61,6 @@ def offset_step_fold(model, state, t):
     newest first; for m >= 2 it is clamped to ``t``.
     """
     state = (state + (t,))[-model.m:]
-    if model.rho == 0.0:
-        return state, 0.0
     w = model.rho
     acc = w * t
     for s in reversed(state[:-1]):
@@ -197,8 +195,6 @@ def simulate_algorithm1_heap(am, count, seed, grp=grp_stream):
     if not am.repair.is_improving:
         raise DomainError("stream sampler requires repair effectiveness in [0, 1]")
     n, d = am.n, am.delta
-    if d == 1.0 and n == 1:
-        raise DomainError("delta=1 with n=1 is degenerate (a single bare stream)")
     base = am.component_hazard()
 
     streams = []

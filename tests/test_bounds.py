@@ -309,6 +309,22 @@ class TestSgrpBounds:
         assert pair.lower == pytest.approx(2.1, rel=1e-15)
         assert true > pair.upper
 
+    def test_deep_memory_upper_envelope_fails_in_floats_at_ages_of_ulps(self):
+        # the m >= 2 upper envelope fails in floats, not only for a ramp:
+        # under ARA(2, 1 - 2**-53), W(3) after 1, 1.5 and 2 rounds to 2.0,
+        # while B, failing at 2 alone, carries fl(rho * 2), an ulp below.
+        # This power law rises to about 0.11 within that ulp of age, so A,
+        # A, B failing at 1, 1.5, 2 exceed the envelope at t = 2
+        hazard, model = PowerLawHazard(1.0625, 1.0), ARA(2, 1.0 - 2.0**-53)
+        assert model.offset_after([1.0, 1.5, 2.0]) == 2.0
+        assert model.offset_after([2.0]) == 1.9999999999999998
+        pair = sgrp_bounds(mh([1.0, 1.5, 2.0], 2), model, hazard, 2.0)
+        true = (model.conditional_intensity(hazard, [1.0, 1.5], 2.0)
+                + model.conditional_intensity(hazard, [2.0], 2.0))
+        assert true == pytest.approx(1.12914, abs=1e-5)
+        assert pair.upper == pytest.approx(1.10954, abs=1e-5)
+        assert true > pair.upper
+
 
 def test_monotone_information():
     # appending a newer failure never raises the round-robin lower envelope
@@ -660,6 +676,20 @@ class TestHeterogeneousUpper:
         assert max(truths) <= got + SANDWICH_SLACK
         if m == 1:
             assert got == pytest.approx(max(truths), rel=1e-13)
+
+    def test_deep_memory_fails_in_floats_at_ages_of_ulps(self):
+        # as the homogeneous upper envelope does: W(2) after 17 and 21
+        # rounds to 21.0 under ARA(2, 1 - 2**-53), while a component failing
+        # at 21 alone carries fl(rho * 21), an ulp below, so the labellings
+        # with one failure per component exceed the largest over c
+        hazards, model = [PowerLawHazard(1.0625, 1.0)] * 2, ARA(2, 1.0 - 2.0**-53)
+        assert model.offset_after([17.0, 21.0]) == 21.0
+        assert model.offset_after([21.0]) == 20.999999999999996
+        got = heterogeneous_upper(mh([17.0, 21.0], 2), hazards, model, 21.0)
+        truths = self.true_intensities(hazards, model, [17.0, 21.0], 21.0)
+        assert got == pytest.approx(1.28519, abs=1e-5)
+        assert max(truths) == pytest.approx(1.29148, abs=1e-5)
+        assert max(truths) > got
 
     def test_wrong_component_count(self):
         with pytest.raises(DomainError):

@@ -209,6 +209,18 @@ class TestRateCurveCommand:
         assert list(counts) == [np.sum(times < 1000.0),
                                 np.sum((times >= 1000.0) & (times < 2000.0))]
 
+    def test_horizon_drops_an_event_past_the_integer_range(self, tmp_path):
+        # a bin index past int64 is dropped with the other events past the
+        # horizon: exit 0, and nothing on stderr
+        cfg = write_config(tmp_path, base_config(
+            run={"horizon": 10.0, "seed": 1, "bin_width": 1.0}))
+        (tmp_path / "events.csv").write_text("index,time,component\n1,0.5,\n2,3e19,\n")
+        proc = run_cli(["rate-curve", "events.csv", "--config", cfg, "--out", "out"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        starts, counts, _ = read_rates_csv(tmp_path / "out" / "rates.csv")
+        assert list(starts) == list(range(10))
+        assert list(counts) == [1] + [0] * 9
+
     def test_seed_override_is_recorded(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         events = tmp_path / "events.csv"

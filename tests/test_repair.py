@@ -105,8 +105,23 @@ class TestEffectiveAgeOffset:
                 assert len(state) == 1 and state[0] is fold_state[0] is t
                 assert type(offset) is type(expect)
                 assert np.asarray(offset).tobytes() == np.asarray(expect).tobytes()
-                if rho == 0.0:
-                    assert type(offset) is float and np.asarray(offset).tobytes() == bytes(8)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0, 1.0 - 2.0**-53, 0.999998756338047])
+    def test_offset_after_is_the_offset_rebuilt_from_the_history(self, rho, m):
+        # the offset after a whole history, read from its last m failures,
+        # is the geometric sum over the history bit for bit, clamped alike,
+        # and 0.0 for no failures; under ARA(3, 0.999998756338047) the sums
+        # of the last four prefixes of NAN_HISTORY round past their last
+        # failure
+        model = ARA(m, rho)
+        rng = np.random.default_rng(29)
+        for size in range(7):
+            spread = np.cumsum(rng.exponential(7.0, size=size))
+            for times in (spread, spread.tolist(), self.NAN_HISTORY[:size]):
+                got = model.offset_after(times)
+                assert np.float64(got).tobytes() == \
+                    np.float64(offset_from_history(model, times)).tobytes()
 
     #: a history whose ARA(5, rho near 1) float sums pass four of its
     #: failures; unclamped, they made the envelopes at its last time NaN

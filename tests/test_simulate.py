@@ -12,7 +12,7 @@ from history_oracle import (RampHazard, group_draws, grp_stream, grp_stream_from
                             heap_merge, nhpp_stream, simulate_algorithm1_heap,
                             simulate_thinning_from_history)
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, Kijima1,
-                     Minimal, MaskedHistory, Normalization, Perfect, PowerLawHazard,
+                     Minimal, MaskedHistory, Normalization, Perfect, PowerLawHazard, mask,
                      approx_intensity, intensity_integral, ks_exp1, nhpp_sample,
                      rescaled_residuals, simulate_algorithm1, simulate_sgrp,
                      simulate_thinning, stream_rng)
@@ -73,8 +73,13 @@ class TestNhppSample:
         assert np.all(np.diff(times) > 0.0)
 
     def test_count_validation(self):
-        with pytest.raises(DomainError):
-            nhpp_sample(PL, 0, stream_rng(1))
+        # the count rule of every other count: 2.5 is refused, not cut to 2
+        for count in (0, 2.5, np.inf, np.nan):
+            with pytest.raises(DomainError, match="positive integer"):
+                nhpp_sample(PL, count, stream_rng(1))
+        got = nhpp_sample(PL, 2.0, stream_rng(1))
+        assert got.size == 2
+        assert got.tobytes() == nhpp_sample(PL, 2, stream_rng(1)).tobytes()
 
 
 class TestAlgorithm1:
@@ -118,13 +123,31 @@ class TestAlgorithm1:
         full = simulate_sgrp(n, am.repair, am.component_hazard(), n_events=3000, seed=14)
         assert np.array_equal(got.times, full.times)
 
-    def test_degenerate_single_stream_rejected(self):
-        with pytest.raises(DomainError):
-            simulate_algorithm1(ApproxModel(1, 1.0, PL, ARA(1, 0.3)), 10, seed=1)
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("stop", [{"n_events": 500}, {"horizon": 900.0}],
+                             ids=["count", "horizon"])
+    def test_single_stream_at_delta_one_is_the_bare_component_bitwise(self, stop, m):
+        # n = 1, delta = 1 leaves one component stream, keyed as
+        # simulate_sgrp keys its only component: the bare component's run
+        am = ApproxModel(1, 1.0, PL, ARA(m, 0.3))
+        got = simulate_algorithm1(am, seed=1, **stop)
+        expect = mask(simulate_sgrp(1, am.repair, am.component_hazard(), seed=1, **stop))
+        assert got.times.tobytes() == expect.times.tobytes()
+        assert (got.n, got.t_obs) == (expect.n, expect.t_obs)
 
     def test_harmful_repair_rejected(self):
         with pytest.raises(DomainError):
             simulate_algorithm1(ApproxModel(2, 0.5, PL, ARA(1, -0.5)), 10, seed=1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("repair", [Minimal(), ARA(1, 0.3), ARA(3, 0.0)], ids=repr)
+    def test_times_past_the_float_range_are_refused(self, repair):
+        # at eta = 1e307 the streams' times overflow before 40 are finite:
+        # inf, then NaN once an offset multiplies inf. That is a domain
+        # error, as in simulate_sgrp, not an empty merge
+        am = ApproxModel(3, 0.5, PowerLawHazard(1.0, 1e307), repair)
+        with pytest.raises(DomainError, match="float range"):
+            simulate_algorithm1(am, 40, seed=1)
 
     def test_scale_run(self):
         out = simulate_algorithm1(self.am(), 20_000, seed=11)

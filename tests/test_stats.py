@@ -29,6 +29,14 @@ class TestRateCurve:
         assert np.array_equal(curve.starts, [0.0])
         assert np.array_equal(curve.counts, [2])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_horizon_drops_an_event_past_the_integer_range(self):
+        # 3e19 // 1 passes int64: the bin index is compared with the bin
+        # count before the cast, so the event is dropped, not wrapped
+        curve = rate_curve([0.5, 3e19], 1.0, horizon=10.0)
+        assert np.array_equal(curve.starts, np.arange(10.0))
+        assert np.array_equal(curve.counts, [1] + [0] * 9)
+
     def test_conservation(self):
         rng = np.random.default_rng(71)
         for _ in range(20):
