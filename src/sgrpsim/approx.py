@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bounds import _eval_time, envelope_offset_row, envelope_rates
+from .bounds import _eval_time, _require_envelope, envelope_offset_row, envelope_rates
 from .errors import DomainError, positive_int
 from .hazards import Hazard
 from .repair import ARA
@@ -63,16 +63,13 @@ class ApproxModel:
 
     @cached_property
     def _envelope_hazard(self):
-        """The component hazard, with it and the repair checked for envelope use.
+        """The component hazard, passed with the repair through the envelope gate.
 
-        Resolved on first use and kept on the instance; a model that fails
-        the checks raises at every evaluation instead.
+        Resolved on first use and kept; a model the gate refuses raises at
+        every evaluation instead.
         """
-        if not self.repair.is_improving:
-            raise DomainError("approximation requires repair effectiveness in [0, 1]")
         hc = self.component_hazard()
-        if not hc.is_nondecreasing:
-            raise DomainError("approximation requires a nondecreasing hazard rate")
+        _require_envelope(self.repair, hc)
         return hc
 
     def _intensity(self, t, row):

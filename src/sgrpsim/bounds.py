@@ -54,14 +54,12 @@ class BoundPair:
     at: float
 
 
-def _require_nondecreasing(hazard):
-    if not hazard.is_nondecreasing:
-        raise DomainError("bound evaluation requires a nondecreasing hazard rate")
-
-
-def _require_improving(model):
-    if not model.is_improving:
-        raise DomainError("bound evaluation requires repair effectiveness in [0, 1]")
+def _require_envelope(repair, *hazards):
+    """Refuse a harmful ``repair``, then a hazard whose rate can decrease."""
+    if not repair.is_improving:
+        raise DomainError("envelopes require repair effectiveness in [0, 1]")
+    if not all(h.is_nondecreasing for h in hazards):
+        raise DomainError("envelopes require a nondecreasing hazard rate")
 
 
 def _eval_time(mh, t):
@@ -178,8 +176,7 @@ def sgrp_bounds(mh: MaskedHistory, model, hazard, t) -> BoundPair:
 
     Replacement repair is ``Perfect()``, i.e. ``ARA(1, 1.0)``.
     """
-    _require_nondecreasing(hazard)
-    _require_improving(model)
+    _require_envelope(model, hazard)
     t = _one_time(mh, t)
     lower, upper = envelope_rates(hazard, t, envelope_offset_row(mh.times, mh.n, model))
     return BoundPair(lower=lower, upper=upper, at=t)
@@ -195,8 +192,7 @@ def sgrp_bounds_at_events(times, n, model, hazard):
     column stays 0. Returns (lower, upper) arrays.
     """
     n = positive_int("component count n", n)
-    _require_nondecreasing(hazard)
-    _require_improving(model)
+    _require_envelope(model, hazard)
     times = check_history(times)
     lower = np.empty(times.size)
     upper = np.empty(times.size)
@@ -224,9 +220,7 @@ def heterogeneous_upper(mh: MaskedHistory, hazards, model, t) -> float:
     """
     if len(hazards) != mh.n:
         raise DomainError(f"need one hazard per component: {len(hazards)} != n={mh.n}")
-    _require_improving(model)
-    for h in hazards:
-        _require_nondecreasing(h)
+    _require_envelope(model, *hazards)
     t = _one_time(mh, t)
     age = t - model.offset_after(mh.times)
     rates = [float(h.rate(t)) for h in hazards]

@@ -26,7 +26,7 @@ import math
 import sys
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from itertools import takewhile
 from pathlib import Path
 
@@ -263,6 +263,7 @@ def _int_at_least(flag, low):
     return convert
 
 
+@cache  # one argparse tree per process, built at the first call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sgrpsim",

@@ -1,7 +1,8 @@
 """Initial failure intensity families.
 
 Two closed-form families cover the toolkit: a power-law intensity (Weibull
-wear-out) and a constant intensity. Each exposes the instantaneous rate, its
+wear-out; for beta < 1 a falling rate, which ``is_nondecreasing`` flags and
+every envelope refuses) and a constant one. Each exposes the rate, its
 integral and the inverse of the integral, so every sampler built on top uses
 exact inversion instead of root finding. ``scaled`` returns the same family
 with the rate multiplied by a positive constant, which keeps thinned or split
@@ -61,23 +62,17 @@ class PowerLawHazard(Hazard):
     """rate(t) = (beta/eta) * (t/eta)**(beta - 1), cumulative (t/eta)**beta.
 
     beta >= 1 gives the nondecreasing rates that the masked-data bounds
-    assume. beta < 1 is refused unless ``allow_decreasing`` is set, and bound
-    evaluation then refuses the hazard instead.
+    assume; beta < 1 gives a decreasing rate, which bound evaluation refuses.
     """
 
     beta: float
     eta: float
-    allow_decreasing: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.beta) and self.beta > 0.0):
             raise DomainError(f"shape beta must be positive, got {self.beta}")
         if not (np.isfinite(self.eta) and self.eta > 0.0):
             raise DomainError(f"scale eta must be positive, got {self.eta}")
-        if self.beta < 1.0 and not self.allow_decreasing:
-            raise DomainError(
-                "beta < 1 gives a decreasing rate; pass allow_decreasing=True "
-                "to construct it anyway (bound evaluation will refuse it)")
 
     @property
     def is_nondecreasing(self) -> bool:
@@ -103,13 +98,10 @@ class PowerLawHazard(Hazard):
             eta = self.eta * factor ** (-1.0 / self.beta)
         except OverflowError:  # a tiny factor, such as delta = 1e-100 with beta < 1
             raise DomainError(f"scale factor {factor} puts eta past the float range") from None
-        return PowerLawHazard(self.beta, eta, allow_decreasing=self.allow_decreasing)
+        return PowerLawHazard(self.beta, eta)
 
     def to_config(self):
-        cfg = {"family": "power_law", "beta": self.beta, "eta": self.eta}
-        if self.allow_decreasing:
-            cfg["allow_decreasing"] = True
-        return cfg
+        return {"family": "power_law", "beta": self.beta, "eta": self.eta}
 
 
 @dataclass(frozen=True)
@@ -117,14 +109,11 @@ class ConstantHazard(Hazard):
     """Constant failure rate ``rate0``; cumulative is ``rate0 * t``."""
 
     rate0: float
+    is_nondecreasing = True
 
     def __post_init__(self):
         if not (np.isfinite(self.rate0) and self.rate0 > 0.0):
             raise DomainError(f"rate must be positive, got {self.rate0}")
-
-    @property
-    def is_nondecreasing(self) -> bool:
-        return True
 
     def rate_unchecked(self, ages):
         return np.full(ages.shape, self.rate0)
@@ -151,11 +140,8 @@ def hazard_from_config(cfg) -> Hazard:
     family = cfg["family"]
     if family == "power_law":
         beta, eta = config_keys(cfg, "power_law hazard", "beta", "eta")
-        allow = cfg.get("allow_decreasing", False)
-        if not isinstance(allow, bool):
-            raise ConfigError(f"hazard.allow_decreasing must be true or false, got {allow!r}")
         return PowerLawHazard(config_number("hazard.beta", beta),
-                              config_number("hazard.eta", eta), allow_decreasing=allow)
+                              config_number("hazard.eta", eta))
     if family == "constant":
         (rate,) = config_keys(cfg, "constant hazard", "rate")
         return ConstantHazard(config_number("hazard.rate", rate))

@@ -85,8 +85,8 @@ def read_events_csv(path):
 def write_rates_csv(path, curve, note=None):
     """Rate curve with columns bin_start,bin_end,count,rate.
 
-    Bins are anchored at 0; when the producing run passed a horizon, the
-    trailing partially observed bin was dropped (recorded in the header note).
+    Each row prints its bin's two edges, so its bin_end is the next row's
+    bin_start; a run with a horizon dropped the partial tail bin (see the note).
     """
     path = Path(path)
     with path.open("w", newline="") as fh:
@@ -95,7 +95,7 @@ def write_rates_csv(path, curve, note=None):
         fh.write("# bins anchored at 0; partial tail bin dropped when a horizon is set\n")
         fh.write("bin_start,bin_end,count,rate\r\n")
         _write_rows(fh, "%.17g,%.17g,%d,%.17g\r\n", curve.starts,
-                    curve.starts + curve.bin_width, curve.counts, curve.rates)
+                    curve.edges[1:], curve.counts, curve.rates)
     return path
 
 

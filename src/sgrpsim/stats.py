@@ -1,10 +1,11 @@
 """Empirical rate curves and point-process diagnostics.
 
 The rate curve counts events in width-w bins anchored at the origin and
-reports count/w per bin. Diagnostics follow the time-rescaling route: the
-integrated intensity over each inter-event interval is a unit exponential
-when the generating model is correct, checked with a one-sample
-Kolmogorov-Smirnov gate against Exp(1).
+reports count/w per bin; the edges ``e_k = fl(k * w)`` decide each bin
+``[e_k, e_{k+1})``, its printed ends and the bin count. Diagnostics follow
+the time-rescaling route: the integrated intensity over each inter-event
+interval is a unit exponential when the generating model is correct, checked
+with a one-sample Kolmogorov-Smirnov gate against Exp(1).
 
 The interval integrals come from :func:`intensity_integral`, a numpy form of
 QUADPACK's 21-point Gauss-Kronrod rule (qk21) that calls the intensity once
@@ -38,52 +39,62 @@ MAX_BINS = 10**7
 
 @dataclass(frozen=True)
 class RateCurve:
-    """Per-bin event rates; ``rates[k] = counts[k] / bin_width``."""
+    """Per-bin event rates: bin k is ``[edges[k], edges[k + 1])``, its rate count/bin_width."""
 
     bin_width: float
-    starts: np.ndarray
+    edges: np.ndarray
     counts: np.ndarray
+
+    @property
+    def starts(self):
+        return self.edges[:-1]
 
     @property
     def rates(self):
         return self.counts / self.bin_width
 
     def __len__(self):
-        return int(self.starts.size)
+        return int(self.counts.size)
 
 
-def rate_curve(times, bin_width, horizon=None) -> RateCurve:
-    """Count events in left-closed bins [k*w, (k+1)*w) anchored at 0.
-
-    Without a horizon the curve runs through the bin holding the last event.
-    With a horizon only bins fully inside [0, horizon] are kept: events in
-    the partial tail bin, whose rate would be biased low, or past it are
-    dropped. An infinite time or horizon, or more than ``MAX_BINS`` bins, is
-    a DomainError, checked before anything is allocated.
-    """
-    if not 0.0 < bin_width < np.inf:
-        raise DomainError("bin_width must be positive and finite")
+def _event_times(times):
+    """``times`` as a float array, refused unless finite, sorted and nonnegative."""
     times = np.asarray(times, dtype=float)
     # written so that a NaN, which fails every comparison, is refused
     if times.size and not (times[0] >= 0.0 and np.all(np.diff(times) >= 0.0)
                            and times[-1] < np.inf):
         raise DomainError("times must be finite, sorted and nonnegative")
-    if horizon is None:
-        bins = times[-1] // bin_width + 1.0 if times.size else 0.0
+    return times
+
+
+def rate_curve(times, bin_width, horizon=None) -> RateCurve:
+    """Count events in left-closed bins [e_k, e_{k+1}), e_k = fl(k * w).
+
+    Without a horizon the curve runs through the bin holding the last event.
+    With a horizon only bins whose end edge is at most the horizon are kept:
+    events in the partial tail bin, whose rate would be biased low, or past
+    it are dropped. An infinite time or horizon, or more than ``MAX_BINS``
+    bins, is a DomainError, checked before anything is allocated.
+    """
+    if not 0.0 < bin_width < np.inf:
+        raise DomainError("bin_width must be positive and finite")
+    times = _event_times(times)
+    if horizon is None:  # through the bin holding the last event; none without one
+        span = float(times[-1]) if times.size else -bin_width
     elif 0.0 <= horizon < np.inf:
-        bins = horizon // bin_width
+        span = float(horizon)
     else:
         raise DomainError("horizon must be nonnegative and finite")
-    # compared before int(), since a tiny width's count can be inf
+    # edges e_1..e_j at or below span: j = k, or k + 1 where fl((k + 1) * w)
+    # rounds down onto span; without a horizon e_j starts the last bin
+    k = span // bin_width
+    bins = k + ((k + 1.0) * bin_width <= span) + (horizon is None)
+    # compared before int(): a tiny width's count can be inf (Python floats: no numpy warning)
     if not bins <= MAX_BINS:
         raise DomainError(f"bin_width {bin_width:g} makes {bins:.3g} bins, "
                           f"more than the {MAX_BINS} a rate curve holds")
-    n_bins = int(bins)
-    # compared before the cast: an index past the last bin may not fit an int
-    idx = times // bin_width
-    counts = np.bincount(idx[idx < n_bins].astype(int), minlength=n_bins)
-    starts = np.arange(n_bins) * float(bin_width)
-    return RateCurve(float(bin_width), starts, counts)
+    edges = np.arange(int(bins) + 1) * float(bin_width)
+    return RateCurve(float(bin_width), edges, np.diff(np.searchsorted(times, edges)))
 
 
 def rescaled_residuals(times, integrated_intensity) -> np.ndarray:
@@ -93,8 +104,9 @@ def rescaled_residuals(times, integrated_intensity) -> np.ndarray:
     (a, b]. Under the true generating model the residuals are i.i.d. Exp(1).
     A negative residual signals a non-monotone integral and a NaN one an
     undefined integral, i.e. an intensity bug; either raises RuntimeError.
+    The times are checked as :func:`rate_curve` checks them.
     """
-    times = np.asarray(times, dtype=float)
+    times = _event_times(times)
     res = np.empty(times.size)
     prev = 0.0
     for k in range(times.size):
@@ -147,7 +159,7 @@ def mean_rate(times, window) -> MeanRate:
     t1, t2 = float(window[0]), float(window[1])
     if not (t2 > t1 >= 0.0):
         raise DomainError(f"need t2 > t1 >= 0, got ({t1}, {t2})")
-    times = np.asarray(times, dtype=float)
+    times = _event_times(times)
     lo, hi = np.searchsorted(times, [t1, t2], side="left")
     count = int(hi - lo)
     span = t2 - t1

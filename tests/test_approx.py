@@ -90,7 +90,7 @@ class TestConstruction:
     def test_domain_checks_hold_at_every_evaluation(self):
         # the checked (repair, hazard) pair is resolved lazily; a model that
         # fails the checks keeps failing instead of caching a bad result
-        h = PowerLawHazard(0.8, 10.0, allow_decreasing=True)
+        h = PowerLawHazard(0.8, 10.0)
         for am in (ApproxModel(3, 0.5, h, ARA(1, 0.3)), ApproxModel(3, 0.5, PL, ARA(1, -0.2))):
             for _ in range(2):
                 for fn in (approx_intensity, approx_intensity_ara):

@@ -136,9 +136,29 @@ class TestSrpBounds:
         assert pair.lower == pair.upper == pytest.approx(1.2, rel=1e-12)
 
     def test_decreasing_hazard_rejected(self):
-        h = PowerLawHazard(0.8, 10.0, allow_decreasing=True)
-        with pytest.raises(DomainError):
+        h = PowerLawHazard(0.8, 10.0)
+        with pytest.raises(DomainError, match="envelopes require a nondecreasing hazard rate"):
             sgrp_bounds(mh([1.0], 2), Perfect(), h, 2.0)
+
+    #: every envelope operation as (repair, hazard) -> call
+    ENVELOPE_OPS = {
+        "sgrp_bounds": lambda r, h: sgrp_bounds(mh([1.0], 2), r, h, 2.0),
+        "sgrp_bounds_at_events": lambda r, h: sgrp_bounds_at_events([1.0, 2.0], 2, r, h),
+        "heterogeneous_upper": lambda r, h: heterogeneous_upper(mh([1.0], 2), [PL, h], r, 2.0),
+        "approx_intensity": lambda r, h: approx_intensity(ApproxModel(2, 0.5, h, r),
+                                                          mh([1.0], 2), 2.0),
+    }
+
+    @pytest.mark.parametrize("op", sorted(ENVELOPE_OPS))
+    def test_one_gate_refuses_every_envelope(self, op):
+        # one precondition, one pair of messages; the repair is checked first
+        call, falling = self.ENVELOPE_OPS[op], PowerLawHazard(0.8, 10.0)
+        repair_first = r"^envelopes require repair effectiveness in \[0, 1\]$"
+        with pytest.raises(DomainError, match=repair_first):
+            call(ARA(1, -0.2), falling)
+        with pytest.raises(DomainError, match="^envelopes require a nondecreasing hazard rate$"):
+            call(Perfect(), falling)
+        call(Perfect(), PL)
 
     def test_time_before_last_rejected(self):
         with pytest.raises(DomainError):
@@ -197,7 +217,7 @@ class TestSgrpBounds:
         assert pair.lower == pytest.approx(ref.lower, rel=1e-14)
 
     def test_harmful_repair_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="envelopes require repair effectiveness"):
             sgrp_bounds(mh([1.0], 2), ARA(1, -0.2), PL, 2.0)
 
     @pytest.mark.parametrize("n", [0, 2.5])
@@ -655,7 +675,7 @@ class TestHeterogeneousUpper:
         assert got == 0.1 * 4.0 + PL.rate(3.0)
         assert got == pytest.approx(max(self.true_intensities(hazards, Perfect(), [1.0], 4.0)),
                                     rel=1e-14)
-        falling = PowerLawHazard(0.8, 10.0, allow_decreasing=True)
+        falling = PowerLawHazard(0.8, 10.0)
         with pytest.raises(DomainError, match="nondecreasing"):
             heterogeneous_upper(mh([1.0], 2), [PL, falling], Perfect(), 4.0)
 

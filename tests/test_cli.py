@@ -221,6 +221,20 @@ class TestRateCurveCommand:
         assert list(starts) == list(range(10))
         assert list(counts) == [1] + [0] * 9
 
+    def test_printed_bins_are_the_edges(self, tmp_path):
+        # at width 0.1 the edge fl(5 * 0.1) is 0.5: the event there is
+        # counted in the row that starts at 0.5, and each row ends where the
+        # next one starts
+        cfg = write_config(tmp_path, base_config(run={"n_events": 2, "seed": 1, "bin_width": 0.1}))
+        (tmp_path / "events.csv").write_text("index,time,component\n1,0.05,\n2,0.5,\n")
+        assert main(["rate-curve", str(tmp_path / "events.csv"), "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "rates.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        assert [row[2] for row in rows] == ["1", "0", "0", "0", "0", "1"]
+        assert rows[-1][0] == "0.5"
+        assert all(row[1] == after[0] for row, after in zip(rows, rows[1:]))
+
     def test_seed_override_is_recorded(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         events = tmp_path / "events.csv"
@@ -529,7 +543,7 @@ class TestHorizonConfigs:
 
     def test_deep_memory_overshoot_config_runs(self, tmp_path):
         cfg = write_config(tmp_path, base_config(
-            hazard={"family": "power_law", "beta": 0.3, "eta": 1.0, "allow_decreasing": True},
+            hazard={"family": "power_law", "beta": 0.3, "eta": 1.0},
             repair={"model": "ara", "m": 9, "rho": 0.999999}, system={"n": 1},
             run={"n_events": 5000, "seed": 0}))
         proc = run_cli(["simulate-sgrp", "--config", cfg, "--out", "out"], tmp_path)
@@ -669,6 +683,18 @@ class TestErrorPaths:
         code = main(["rate-curve", str(events), "--config", cfg, "--out", str(tmp_path / "o")])
         assert "bins" in self.assert_one_line(capsys, code, 4, "domain")
 
+    def test_rate_curve_refuses_inf_bins_past_the_last_event(self, tmp_path):
+        # 1e300 // 1e-300 overflows to inf: one domain error line, without
+        # numpy's overflow warnings
+        cfg = write_config(tmp_path, base_config(run={"n_events": 10, "seed": 1,
+                                                      "bin_width": 1e-300}))
+        (tmp_path / "events.csv").write_text("index,time,component\n1,1e300,\n")
+        proc = run_cli(["rate-curve", "events.csv", "--config", cfg, "--out", "out"], tmp_path)
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: domain: ") and "inf bins" in lines[0]
+
     def test_rate_curve_refuses_an_infinite_event_time(self, tmp_path):
         # one domain error line, without numpy's warnings or a traceback
         cfg = write_config(tmp_path, base_config())
@@ -678,6 +704,23 @@ class TestErrorPaths:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, lines
         assert lines[0].startswith("error: domain: ")
+
+    def test_decreasing_hazard_runs_and_its_envelopes_are_refused(self, tmp_path, capsys):
+        # beta < 1 needs no opt-in: the exact process runs, and bounds-check
+        # is one domain error. A leftover allow_decreasing key, as older
+        # manifests carry, changes no output byte
+        hazard = {"family": "power_law", "beta": 0.8, "eta": 40.0}
+        plain = write_config(tmp_path, base_config(hazard=hazard))
+        leftover = write_config(tmp_path, base_config(hazard=dict(hazard, allow_decreasing=True)),
+                                name="leftover.json")
+        for cfg, out in ((plain, "a"), (leftover, "b")):
+            assert main(["simulate-sgrp", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        for name in ("events.csv", "events_masked.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        capsys.readouterr()
+        code = main(["bounds-check", "--config", plain, "--out", str(tmp_path / "c")])
+        line = self.assert_one_line(capsys, code, 4, "domain")
+        assert line == "error: domain: envelopes require a nondecreasing hazard rate"
 
     @pytest.mark.parametrize("case", ["inf-event", "harmful-repair", "missing-log"])
     def test_refused_run_leaves_no_out_it_made(self, tmp_path, capsys, case):
@@ -742,7 +785,6 @@ class TestConfigContract:
         ("system", "n", 2.5, "system.n"),
         ("run", "n_events", 10.9, "run.n_events"),
         ("repair", "m", 1.5, "repair.m"),
-        ("hazard", "allow_decreasing", "false", "hazard.allow_decreasing"),
         ("system", "n", True, "system.n"),
         ("system", "n", False, "system.n"),
         ("hazard", "beta", True, "hazard.beta"),

@@ -117,15 +117,17 @@ def test_quadrature_consistency():
             assert h.cumulative(t) == pytest.approx(quad, rel=1e-7)
 
 
-class TestDecreasingGuard:
-    def test_rejected_by_default(self):
-        with pytest.raises(DomainError):
-            PowerLawHazard(0.8, 10.0)
+class TestDecreasingRate:
+    """beta < 1 constructs and is flagged, as a harmful repair is; envelopes refuse it."""
 
-    def test_flag_allows_construction(self):
-        h = PowerLawHazard(0.8, 10.0, allow_decreasing=True)
+    def test_constructible_and_flagged(self):
+        h = PowerLawHazard(0.8, 10.0)
         assert not h.is_nondecreasing
         assert h.rate(1.0) > h.rate(2.0)
+
+    def test_scaled_stays_flagged(self):
+        h = PowerLawHazard(0.8, 10.0).scaled(0.25)
+        assert h.beta == 0.8 and not h.is_nondecreasing
 
     def test_nondecreasing_flag(self):
         assert PL.is_nondecreasing
@@ -152,7 +154,7 @@ class TestScaled:
     def test_factor_past_the_float_range_rejected(self, beta, factor):
         # eta * factor ** (-1 / beta) overflows: a domain error, not an OverflowError
         with pytest.raises(DomainError, match="float range"):
-            PowerLawHazard(beta, 5.0, allow_decreasing=True).scaled(factor)
+            PowerLawHazard(beta, 5.0).scaled(factor)
 
 
 class TestConfig:
@@ -168,18 +170,18 @@ class TestConfig:
         for h in (PL, ConstantHazard(0.1)):
             assert hazard_from_config(h.to_config()) == h
 
-    def test_allow_decreasing_round_trip(self):
-        h = PowerLawHazard(0.8, 10.0, allow_decreasing=True)
-        assert h.to_config()["allow_decreasing"] is True
+    def test_decreasing_round_trip(self):
+        h = PowerLawHazard(0.8, 10.0)
+        assert h.to_config() == {"family": "power_law", "beta": 0.8, "eta": 10.0}
         assert hazard_from_config(h.to_config()) == h
-        # the flag is emitted only when set, so default dicts are unchanged
         assert PL.to_config() == {"family": "power_law", "beta": 1.3, "eta": 40.0}
 
-    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
-    def test_allow_decreasing_must_be_a_boolean(self, flag):
-        with pytest.raises(ConfigError, match="allow_decreasing"):
-            hazard_from_config({"family": "power_law", "beta": 1.3, "eta": 40.0,
-                                "allow_decreasing": flag})
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_leftover_allow_decreasing_key_is_ignored(self, flag):
+        # older configs and manifests carry the key; like any key the parser
+        # does not read, it changes nothing
+        leftover = {"family": "power_law", "beta": 0.8, "eta": 10.0, "allow_decreasing": flag}
+        assert hazard_from_config(leftover) == PowerLawHazard(0.8, 10.0)
 
     def test_bad_family(self):
         with pytest.raises(ConfigError):
@@ -189,8 +191,7 @@ class TestConfig:
 
 
 HAZARDS = st.one_of(
-    st.builds(PowerLawHazard, st.floats(0.05, 8.0), st.floats(1e-3, 1e3),
-              allow_decreasing=st.just(True)),
+    st.builds(PowerLawHazard, st.floats(0.05, 8.0), st.floats(1e-3, 1e3)),
     st.builds(ConstantHazard, st.floats(1e-3, 1e3)))
 VALUES = st.one_of(st.just(0.0), st.floats(0.0, 1e6))
 KERNELS = (("rate", "rate_unchecked"), ("cumulative", "cumulative_unchecked"),

@@ -62,8 +62,9 @@ def oracle_rates_csv(path, curve, note=None):
         fh.write("# bins anchored at 0; partial tail bin dropped when a horizon is set\n")
         writer = csv.writer(fh)
         writer.writerow(["bin_start", "bin_end", "count", "rate"])
-        for start, count, rate in zip(curve.starts, curve.counts, curve.rates):
-            writer.writerow([_fmt(start), _fmt(start + curve.bin_width),
+        # each row ends at the next edge, which is the next row's start
+        for k, (count, rate) in enumerate(zip(curve.counts, curve.rates)):
+            writer.writerow([_fmt(curve.edges[k]), _fmt(curve.edges[k + 1]),
                              int(count), _fmt(rate)])
     return path
 
@@ -111,8 +112,9 @@ def test_bounds_bytes_equal_row_wise_writer(tmp_path, rows):
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 @pytest.mark.parametrize("note", [None, "fig4_delta0.2"])
 def test_rates_bytes_equal_row_wise_writer(tmp_path, rows, note):
-    # a width with no exact binary form, so bin_end rounds
-    curve = RateCurve(0.1, np.arange(rows) * 0.1,
+    # a width with no exact binary form: the next edge fl((k + 1) * 0.1)
+    # differs from fl(k * 0.1) + 0.1 on 27 of the first 100 rows
+    curve = RateCurve(0.1, np.arange(rows + 1) * 0.1,
                       stream_rng(97, 7, rows).integers(0, 40, size=rows))
     got = write_rates_csv(tmp_path / "got.csv", curve, note)
     expect = oracle_rates_csv(tmp_path / "expect.csv", curve, note)

@@ -182,7 +182,7 @@ class TestConditionalIntensity:
         # under ARA(9, 0.999999) the float sum behind the offset of 6
         # prefixes of this trajectory rounds past their last failure; no
         # offset passes it, so those 6 equal it and the age there is 0
-        hazard = PowerLawHazard(0.3, 1.0, allow_decreasing=True)
+        hazard = PowerLawHazard(0.3, 1.0)
         model = ARA(9, 0.999999)
         times = simulate_sgrp(1, model, hazard, n_events=5000, seed=0).times
         offsets = model.offsets_after(times).tolist()

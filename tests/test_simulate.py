@@ -139,6 +139,12 @@ class TestAlgorithm1:
         with pytest.raises(DomainError):
             simulate_algorithm1(ApproxModel(2, 0.5, PL, ARA(1, -0.5)), 10, seed=1)
 
+    def test_decreasing_hazard_runs(self):
+        # the stream sampler needs no monotone rate, only an improving repair
+        am = ApproxModel(3, 0.5, PowerLawHazard(0.8, 10.0), ARA(1, 0.3))
+        out = simulate_algorithm1(am, 50, seed=1)
+        assert len(out) == 50 and np.all(np.diff(out.times) > 0.0)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("repair", [Minimal(), ARA(1, 0.3), ARA(3, 0.0)], ids=repr)
     def test_times_past_the_float_range_are_refused(self, repair):
@@ -255,7 +261,7 @@ class TestAlgorithm1:
         monkeypatch.setattr(simulate, "_rejuvenating_streams",
                             capped(simulate._rejuvenating_streams))
         monkeypatch.setattr(simulate, "_poisson_stream", capped(simulate._poisson_stream))
-        am = ApproxModel(n, 0.5, PowerLawHazard(0.3, 1.0, allow_decreasing=True),
+        am = ApproxModel(n, 0.5, PowerLawHazard(0.3, 1.0),
                          ARA(9, 0.999999))
         out = simulate_algorithm1(am, count, seed=0)
         assert requests and max(requests) <= count
@@ -322,9 +328,9 @@ class TestThinning:
         assert np.all(out.times < 500.0 + 1e-12)
 
     def test_decreasing_hazard_rejected(self):
-        h = PowerLawHazard(0.8, 10.0, allow_decreasing=True)
+        h = PowerLawHazard(0.8, 10.0)
         am = ApproxModel(3, 0.5, h, ARA(1, 0.3))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="nondecreasing"):
             simulate_thinning(am, n_events=10, seed=17)
 
     def test_rescaling_residuals_pass(self):

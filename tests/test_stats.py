@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy import stats as sps
 
@@ -31,11 +33,47 @@ class TestRateCurve:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_horizon_drops_an_event_past_the_integer_range(self):
-        # 3e19 // 1 passes int64: the bin index is compared with the bin
-        # count before the cast, so the event is dropped, not wrapped
+        # 3e19 // 1 passes int64; no bin index is formed from an event, so
+        # it lies past the last edge and is dropped, not wrapped
         curve = rate_curve([0.5, 3e19], 1.0, horizon=10.0)
         assert np.array_equal(curve.starts, np.arange(10.0))
         assert np.array_equal(curve.counts, [1] + [0] * 9)
+
+    def test_event_on_a_rounded_edge_is_in_the_bin_starting_there(self):
+        # 5 * 0.1 exceeds 0.5 in exact arithmetic but rounds to 0.5: the
+        # edge decides, so 0.5 lies in [0.5, 0.6), not in [0.4, 0.5)
+        curve = rate_curve([0.5], 0.1)
+        assert curve.starts[-1] == 0.5
+        assert curve.counts.tolist() == [0, 0, 0, 0, 0, 1]
+
+    def test_bin_ending_at_the_horizon_is_kept(self):
+        # 0.5 // 0.1 is 4, but the fifth bin's end edge fl(5 * 0.1) is 0.5
+        curve = rate_curve([0.05], 0.1, horizon=0.5)
+        assert len(curve) == 5
+        assert curve.edges[-1] == 0.5
+        assert curve.counts.tolist() == [1, 0, 0, 0, 0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(times=st.lists(st.floats(0.0, 1e4), max_size=60).map(sorted),
+           bin_width=st.floats(0.01, 900.0, exclude_min=True, exclude_max=True),
+           horizon=st.none() | st.floats(0.0, 1e4))
+    def test_every_event_lies_in_its_printed_bin(self, times, bin_width, horizon):
+        curve = rate_curve(times, bin_width, horizon=horizon)
+        assert np.array_equal(curve.edges, np.arange(len(curve) + 1) * bin_width)
+        starts, ends = curve.starts, curve.edges[1:]
+        assert np.array_equal(ends[:-1], starts[1:])
+        # the counts are the events inside each printed [start, end)
+        kept = np.asarray([t for t in times if len(curve) and t < ends[-1]])
+        k = np.searchsorted(ends, kept, side="right")
+        assert np.all((starts[k] <= kept) & (kept < ends[k]))
+        assert np.array_equal(np.bincount(k, minlength=len(curve)), curve.counts)
+        if horizon is None:
+            assert int(curve.counts.sum()) == len(times)
+            assert not times or k[-1] == len(curve) - 1
+        else:
+            # every bin whose end edge is at most the horizon, and no other
+            assert len(curve) == 0 or ends[-1] <= horizon
+            assert (len(curve) + 1) * bin_width > horizon
 
     def test_conservation(self):
         rng = np.random.default_rng(71)
@@ -72,11 +110,13 @@ class TestRateCurve:
         with pytest.raises(DomainError, match="finite"):
             rate_curve(times, 1.0, horizon=horizon)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("times,bin_width,horizon", [
-        ([1000.0], 1e-12, None), ([1.0], 1e-300, 1e300)], ids=["petabytes", "inf-bins"])
+        ([1000.0], 1e-12, None), ([1.0], 1e-300, 1e300), ([1e300], 1e-300, None)],
+        ids=["petabytes", "inf-bins", "inf-bins-past-the-last-event"])
     def test_absurd_bin_count_rejected(self, times, bin_width, horizon):
         # 1e15 bins would ask numpy for petabytes; 1e300 / 1e-300 is inf,
-        # which int() cannot take
+        # which int() cannot take, and a numpy scalar warns on its way there
         with pytest.raises(DomainError, match="bins"):
             rate_curve(times, bin_width, horizon=horizon)
 
@@ -267,3 +307,14 @@ class TestMeanRate:
             mean_rate([1.0], (5.0, 5.0))
         with pytest.raises(DomainError):
             mean_rate([1.0], (-1.0, 5.0))
+
+    @pytest.mark.parametrize("times", [[5.0, 1.0, 3.0], [1.0, np.nan, 3.0], [-1.0, 2.0],
+                                       [1.0, np.inf]])
+    def test_times_checked_as_rate_curve_checks_them(self, times):
+        # unsorted [5, 1, 3] counted 3 events on [0, 4) and [1, nan, 3] one;
+        # residuals over [2, 1, 3] read a silent 0 for the backward interval
+        message = "^times must be finite, sorted and nonnegative$"
+        for fn in (lambda: mean_rate(times, (0.0, 4.0)), lambda: rate_curve(times, 1.0),
+                   lambda: rescaled_residuals(times, lambda a, b: b - a)):
+            with pytest.raises(DomainError, match=message):
+                fn()

@@ -150,7 +150,7 @@ class TestSimulate:
         # past the last failure, and the age is clamped at 0 instead of
         # reaching the cumulative hazard negative
         full = simulate_sgrp(1, ARA(9, 0.999999),
-                             PowerLawHazard(0.3, 1.0, allow_decreasing=True),
+                             PowerLawHazard(0.3, 1.0),
                              n_events=5000, seed=0)
         assert len(full) == 5000
         assert np.all(np.isfinite(full.times))
@@ -252,7 +252,7 @@ def assert_matches_heap_oracle(n, model, hazard, seed, **stop):
 
 #: ARA(9, rho near 1) under a decreasing hazard: offsets round past the last
 #: failure, and the age is clamped at 0
-CLAMP = (ARA(9, 0.999999), PowerLawHazard(0.3, 1.0, allow_decreasing=True))
+CLAMP = (ARA(9, 0.999999), PowerLawHazard(0.3, 1.0))
 
 
 @pytest.mark.parametrize("n", sorted(EVENTS))
