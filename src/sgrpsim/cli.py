@@ -41,9 +41,9 @@ from .io import (read_events_csv, write_bounds_csv, write_events_csv,
                  write_manifest, write_rates_csv)
 from .repair import ARA, repair_from_config
 from .rng import derive_seed
-from .simulate import simulate_algorithm1, simulate_thinning
+from .simulate import _algorithm1_run, simulate_algorithm1, simulate_thinning
 from .stats import rate_curve
-from .superpose import mask, simulate_sgrp, true_intensity_at_events
+from .superpose import _advance_streams, _sgrp_run, mask, simulate_sgrp, true_intensity_at_events
 
 OUTPUT_SCHEME = 6  #: manifest field: version of the arithmetic behind the output bytes
 DEFAULT_BIN_WIDTH = 1000.0
@@ -147,37 +147,30 @@ def _approx_model(cfg: RunConfig) -> ApproxModel:
                        repair=cfg.repair, normalization=cfg.normalization)
 
 
-def _exact_run(cfg: RunConfig, seed, hazard=None):
-    """The exact SGRP of ``cfg``, with ``hazard`` per component if given."""
-    return simulate_sgrp(cfg.n, cfg.repair, cfg.hazard if hazard is None else hazard,
-                         n_events=cfg.n_events, horizon=cfg.horizon, seed=seed)
-
-
-def _model_run(cfg: RunConfig, method, seed):
-    """A masked trajectory of ``cfg``'s model from the ``method`` sampler."""
-    am = _approx_model(cfg)
-    if method == "algorithm1":
-        return simulate_algorithm1(am, cfg.n_events, seed, horizon=cfg.horizon)
-    return simulate_thinning(am, n_events=cfg.n_events, horizon=cfg.horizon, seed=seed)
-
-
 def cmd_simulate_sgrp(args, cfg: RunConfig, seed, out):
-    full = _exact_run(cfg, seed)
+    full = simulate_sgrp(cfg.n, cfg.repair, cfg.hazard, n_events=cfg.n_events,
+                         horizon=cfg.horizon, seed=seed)
+    masked = mask(full)  # refuses a history it cannot mask before anything is written
     files = [
         write_events_csv(out / "events.csv", full.times, full.labels),
-        write_events_csv(out / "events_masked.csv", mask(full).times),
+        write_events_csv(out / "events_masked.csv", masked.times),
     ]
     return files, {"events": len(full)}, None
 
 
 def cmd_simulate_approx(args, cfg: RunConfig, seed, out):
-    masked = _model_run(cfg, args.method, seed)
+    am = _approx_model(cfg)
+    if args.method == "algorithm1":
+        masked = simulate_algorithm1(am, cfg.n_events, seed, horizon=cfg.horizon)
+    else:
+        masked = simulate_thinning(am, n_events=cfg.n_events, horizon=cfg.horizon, seed=seed)
     files = [write_events_csv(out / "events.csv", masked.times)]
     return files, {"method": args.method, "events": len(masked)}, None
 
 
 def cmd_bounds_check(args, cfg: RunConfig, seed, out):
-    full = _exact_run(cfg, seed)
+    full = simulate_sgrp(cfg.n, cfg.repair, cfg.hazard, n_events=cfg.n_events,
+                         horizon=cfg.horizon, seed=seed)
     lower, upper = sgrp_bounds_at_events(full.times, cfg.n, cfg.repair, cfg.hazard)
     true = true_intensity_at_events(full, cfg.repair, cfg.hazard)
     violations = int(np.sum((true < lower - SANDWICH_SLACK)
@@ -213,29 +206,41 @@ FIGURES = {
 }
 
 
-def _figure_curve(cfg: RunConfig, method, curve):
-    """Simulate one ``(name, kind, rho, delta, seed)`` curve: (name, RateCurve, events)."""
-    name, kind, rho, delta, seed = curve
-    if rho is not None:
-        cfg = replace(cfg, repair=ARA(1, rho))
-    if kind == "sgrp":
-        # the model's per-component hazard, so exact and model curves share a scale
-        times = _exact_run(cfg, seed, _approx_model(cfg).component_hazard()).times
-    else:
-        times = _model_run(replace(cfg, delta=delta), method, seed).times
-    return name, rate_curve(times, cfg.bin_width, horizon=cfg.horizon), int(times.size)
+def _figure_curves(cfg: RunConfig, method, curves):
+    """``(name, RateCurve, events)`` per ``(name, kind, rho, delta, seed)`` curve: every
+    lock-step curve in one engine call, each its solo run bit for bit."""
+    plans = []  # (run, its finish), or (None, a thinning history)
+    for name, kind, rho, delta, seed in curves:
+        am = _approx_model(replace(cfg, repair=cfg.repair if rho is None else ARA(1, rho),
+                                   delta=cfg.delta if delta is None else delta))
+        if kind == "sgrp":
+            # the model's per-component hazard, so exact and model curves share a scale
+            plans.append(_sgrp_run(cfg.n, am.repair, am.component_hazard(), cfg.n_events,
+                                   cfg.horizon, seed))
+        elif method == "algorithm1":
+            plans.append(_algorithm1_run(am, cfg.n_events, seed, cfg.horizon))
+        else:
+            plans.append((None, simulate_thinning(am, n_events=cfg.n_events,
+                                                  horizon=cfg.horizon, seed=seed)))
+    results = _advance_streams([run for run, _ in plans if run])[::-1]
+    # each run's blocks are freed once its history is made
+    histories = (finish(*results.pop()) if run else finish for run, finish in plans)
+    return [(name, rate_curve(h.times, cfg.bin_width, horizon=cfg.horizon), len(h))
+            for (name, *_), h in zip(curves, histories)]
 
 
 def cmd_figures(args, cfg: RunConfig, seed, out):
     curves = [(*curve, derive_seed(seed, k, i)) for k, figure in FIGURES.items()
               if args.which in (f"fig{k}", "all") for i, curve in enumerate(figure)]
-    run = partial(_figure_curve, cfg, args.method)
-    if args.jobs > 1:
+    jobs = min(args.jobs, len(curves))  # one engine batch per worker
+    batches = [curves[i * len(curves) // jobs:(i + 1) * len(curves) // jobs] for i in range(jobs)]
+    run = partial(_figure_curves, cfg, args.method)
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run needs it
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(curves))) as pool:
-            results = list(pool.map(run, curves))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = [curve for batch in pool.map(run, batches) for curve in batch]
     else:
-        results = list(map(run, curves))
+        results = run(curves)
 
     files = []
     curve_meta = {}

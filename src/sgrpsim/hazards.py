@@ -43,8 +43,10 @@ class Hazard:
 
     A family defines the three kernels, ``is_nondecreasing`` (true when the
     rate never decreases, which bound evaluation requires), ``scaled`` and
-    ``to_config``.
+    ``to_config``, and may name its ``scale`` field, which a lock-step stack
+    (``superpose``) holds as an array, one entry per stream.
     """
+    scale = None
 
     def rate(self, t):
         with np.errstate(divide="ignore"):  # 0 ** negative is +inf for beta < 1
@@ -67,6 +69,7 @@ class PowerLawHazard(Hazard):
 
     beta: float
     eta: float
+    scale = "eta"
 
     def __post_init__(self):
         if not (np.isfinite(self.beta) and self.beta > 0.0):
@@ -110,6 +113,7 @@ class ConstantHazard(Hazard):
 
     rate0: float
     is_nondecreasing = True
+    scale = "rate0"
 
     def __post_init__(self):
         if not (np.isfinite(self.rate0) and self.rate0 > 0.0):

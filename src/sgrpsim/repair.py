@@ -103,8 +103,9 @@ class ARA:
         does, which saves the addition to ``0.0``: ``0.0 + x`` is x bit for
         bit unless x is -0.0, and ``rho * t`` with ``t > 0`` is -0.0 only by
         underflow under a harmful ``rho < 0``. ``t`` is a float, or an
-        array with one entry per lock-step stream. For m = 1 the fold is
-        its first product alone, ``rho * t``, returned without the loop.
+        array with one entry per lock-step stream, as ``rho`` is in a stack.
+        For m = 1 the fold is its first product alone, ``rho * t``, returned
+        without the loop.
         """
         if self.m == 1:
             return (t,), self.rho * t
@@ -112,7 +113,7 @@ class ARA:
         w = self.rho
         acc = w * t
         for s in reversed(state[:-1]):
-            w *= 1.0 - self.rho
+            w = w * (1.0 - self.rho)  # not in place: w may be that array
             acc += w * s
         return state, np.minimum(acc, t)
 

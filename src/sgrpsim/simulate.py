@@ -8,9 +8,11 @@ the weighted envelope combination:
   one inhomogeneous Poisson stream carrying the fresh-component mass, and one
   extra rejuvenating stream for the single-component term — then emits the
   earliest times across streams. Each group of streams sharing a hazard
-  draws from its own derived generator and advances together, block by
-  block, one vector step per failure of each; the result does not depend on
-  the block sizes, and memory is O(n_events + n) at a steady pace.
+  draws from its own derived generator, and its rejuvenating streams advance
+  in the lock-step engine of ``superpose``, stacked with those of any other
+  run they share a vector step with; the result depends neither on the
+  block sizes nor on the other runs, and memory is O(n_events + n) at a
+  steady pace.
 * ``simulate_thinning`` samples directly from the exact model intensity by
   window thinning and serves as the oracle for the stream decomposition,
   whose faithfulness to the model is reported rather than assumed.
@@ -32,8 +34,7 @@ import numpy as np
 from .approx import ApproxModel
 from .errors import DomainError, positive_int
 from .rng import stream_rng
-from .superpose import (COMPONENTS, POISSON, SINGLE, MaskedHistory, _advance_streams,
-                        _check_stop, _rejuvenating_streams)
+from .superpose import COMPONENTS, POISSON, SINGLE, MaskedHistory, _advance_streams, _check_stop
 
 __all__ = ["nhpp_sample", "simulate_algorithm1", "simulate_thinning"]
 
@@ -109,6 +110,12 @@ def simulate_algorithm1(am: ApproxModel, n_events=None, seed=None, *,
     (``superpose._advance_streams``): memory is O(n_events + n) at a steady
     pace and O(n_events * n) at worst.
     """
+    run, finish = _algorithm1_run(am, n_events, seed, horizon)
+    return finish(*_advance_streams([run])[0])
+
+
+def _algorithm1_run(am, n_events, seed, horizon):
+    """``simulate_algorithm1``'s checked run, and its history from ``(blocks, cut)``."""
     n_events = _check_stop(n_events, horizon)
     if seed is None:
         raise ValueError("provide seed")
@@ -117,32 +124,31 @@ def simulate_algorithm1(am: ApproxModel, n_events=None, seed=None, *,
     n, d = am.n, am.delta
     base = am.component_hazard()
 
-    # (lock-step streams, how many, each stream's share of the initial
-    # system rate, their hazard)
+    # (repair or None, hazard, generator or stream generator, how many
+    # streams, each stream's share of the initial system rate)
     groups = []
     if d > 0.0:
-        hazard = base.scaled(d)
-        streams = _rejuvenating_streams(am.repair, hazard, stream_rng(seed, COMPONENTS), n)
-        groups.append((streams, n, d / n, hazard))
+        groups.append((am.repair, base.scaled(d), stream_rng(seed, COMPONENTS), n, d / n))
     share = (1.0 - d) * (n - 1)
     if share > 0.0:
         hazard = base.scaled(share)
-        streams = _poisson_stream(hazard, stream_rng(seed, POISSON))
-        groups.append((streams, 1, share / n, hazard))
+        groups.append((None, hazard, _poisson_stream(hazard, stream_rng(seed, POISSON)), 1,
+                       share / n))
     if d < 1.0:
-        hazard = base.scaled(1.0 - d)
-        streams = _rejuvenating_streams(am.repair, hazard, stream_rng(seed, SINGLE), 1)
-        groups.append((streams, 1, (1.0 - d) / n, hazard))
+        groups.append((am.repair, base.scaled(1.0 - d), stream_rng(seed, SINGLE), 1,
+                       (1.0 - d) / n))
 
-    blocks, cut = _advance_streams(groups, count=n_events, horizon=horizon)
-    if not cut < inf:  # fewer than n_events finite times (NaN fails too)
-        raise DomainError("a stream's time left the float range")
-    times = np.concatenate([b.ravel() for b in blocks])
-    out = _merge(times[times <= cut])[:n_events]
-    if n_events is None:
-        # nudged ties move times up, so the merge is cut at the horizon again
-        out = out[:np.searchsorted(out, horizon, side="right")]
-    return MaskedHistory(times=out, n=n, t_obs=float(out[-1] if horizon is None else horizon))
+    def finish(blocks, cut):
+        if not cut < inf:  # fewer than n_events finite times (NaN fails too)
+            raise DomainError("a stream's time left the float range")
+        times = np.concatenate(blocks, axis=None)
+        out = _merge(times[times <= cut])[:n_events]
+        if n_events is None:
+            # nudged ties move times up, so the merge is cut at the horizon again
+            out = out[:np.searchsorted(out, horizon, side="right")]
+        return MaskedHistory(times=out, n=n, t_obs=float(out[-1] if horizon is None else horizon))
+
+    return (groups, n_events, horizon), finish
 
 
 def _squeeze(n):
@@ -150,6 +156,7 @@ def _squeeze(n):
     return 1.0 - 4 * (n + 8) * np.finfo(float).eps
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused below, with no warning
 def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
                       seed=None, rng=None) -> MaskedHistory:
     """Window thinning driven by the exact model intensity.
@@ -184,7 +191,8 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     10u, the mix 4u more and the product with ``1 - kappa`` u: at most
     (2n + 15) u, and kappa is four times that. So every draw, decision and
     output bit is the evaluation's, at every window start: no offset passes
-    its failure (``ARA.offset_step``), so no age is negative.
+    its failure (``ARA.offset_step``), so no age is negative. A majorant or
+    clock past the float range, as a very steep hazard gives, is refused.
     """
     n_events = _check_stop(n_events, horizon)
     if rng is None:
@@ -213,7 +221,7 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     while True:
         if n_events is not None and len(times) >= n_events:
             break
-        if t >= cap:
+        if not t < cap:  # the horizon, or a clock past the float range (refused below)
             break
         if i == len(rows):
             rows, end, w = [t], t, window
@@ -226,6 +234,8 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
                 w *= 2.0
             lam = intensity(rows, offsets)
             floor = squeeze * lam[0]
+            if not floor < inf:  # NaN fails too
+                raise DomainError("the model intensity left the float range")
             i = 1
         w_end, majorant = rows[i], lam[i]
         i += 1
@@ -254,6 +264,10 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
             state, offset = step(state, t)
             offsets[1:n] = offsets[:n - 1]
             offsets[0] = offset
+        elif not accept < inf:  # a majorant past the float range (NaN fails too)
+            raise DomainError("the model intensity left the float range")
 
+    if not t < inf:  # NaN fails too
+        raise DomainError("the thinning clock left the float range")
     times = np.asarray(times, dtype=float)
     return MaskedHistory(times=times, n=n, t_obs=float(times[-1] if horizon is None else horizon))

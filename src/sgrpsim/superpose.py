@@ -6,21 +6,22 @@ independently, so each one takes its own unit exponentials (component c's
 j-th failure takes draw number ``j * n + c`` of one counter-based generator)
 under its own repair rule, and the system's failures are the merged
 component times.
-The n streams advance together, one vector step per failure of each, in
-blocks that run until every stream has passed the last system time needed
-(the ``n_events``-th smallest, or the horizon). The first block is sized for
-the slowest stream and later ones extrapolate from the frontier, so a
-typical run takes one block; block sizes never change the output. Three or
-more streams step a block without the next-failure underflow guard and check
-it once, re-stepping it with the guard only where the guard would act. One
-sort then merges the streams, the default argsort unless the times hold an
-exact tie, when the stable one runs: simultaneous float times (probability
-zero) resolve to the lowest component index. The same engine drives the
-stream sampler of ``simulate.simulate_algorithm1``.
+One lock-step engine advances runs (a sampler call's groups of streams and
+its stop): every rejuvenating stream of every run whose hazard and repair
+differ only in scale and ``rho`` moves in one vector step per failure row,
+in blocks that run until each stream has passed its run's last time needed
+(the ``n_events``-th smallest, or the horizon). A solo ``simulate_sgrp`` or
+``simulate.simulate_algorithm1`` is a batch of one run, the CLI's ``figures``
+a batch of all its curves; neither blocks nor other runs change an output.
+Three or more streams step a block without the next-failure underflow guard
+and check it once, re-stepping it with the guard only where it would act.
+One sort then merges the streams, the stable one where the times hold an
+exact tie: simultaneous float times resolve to the lowest component index.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -37,7 +38,7 @@ __all__ = ["FullHistory", "MaskedHistory", "simulate_sgrp", "mask",
 #: a few arrays of ``BLOCK_ROWS`` x n floats.
 BLOCK_ROWS = 4096
 
-#: Most times a lock-step group's first block holds in horizon mode (8 MB).
+#: Most times one lock-step block holds (8 MB).
 FIRST_BLOCK_TIMES = 1 << 20
 
 #: Role ids of the generators ``stream_rng(seed, role)`` the lock-step groups
@@ -94,54 +95,71 @@ class FullHistory:
         return np.array([arr.size for arr in self.per_component], dtype=int)
 
 
-def _rejuvenating_streams(model, hazard, rng, width):
-    """``width`` rejuvenating streams sharing ``hazard``, advanced in lock step.
+def _per_column(objects, field, widths):
+    """``objects[0]`` with ``field`` the array of each one's value over its ``widths`` columns."""
+    out = copy.copy(objects[0])
+    object.__setattr__(out, field, np.repeat([getattr(x, field) for x in objects], widths))
+    return out
 
-    A generator: each ``send(k)`` returns the next ``k`` failure times of
-    every stream as a ``(k, width)`` array. Its unit exponentials are one
-    row-major ``(k, width)`` draw from ``rng``, so stream i's j-th failure
-    takes the generator's draw number ``j * width + i`` however the steps
-    are blocked. A step is ``next_failure_time`` and ``ARA.offset_step``
-    applied elementwise, so each column is bit for bit the stream stepped one
-    failure at a time on those draws.
 
-    Three or more streams step their block without ``next_failure_time``'s
-    guard and check it once: when every time is above the one before it in
-    its stream (the first row above the last block's last), the guard,
-    ``max(x, nextafter(t))``, is x at every step, so the block is the
-    guarded one bit for bit. Otherwise a step landed on its predecessor or
-    a time is NaN: the group goes back to where the block began (generator,
-    offset state and last times), re-draws the block into place and steps
-    it again with the guard.
+def _rejuvenating_streams(groups):
+    """The streams of rejuvenating ``groups``, of any runs, advanced in lock step as one stack.
 
-    Each step overwrites its row of draws with its times (``out=``), so
-    ``state`` holds views of earlier rows, of this block or earlier ones;
-    that is safe because a re-step restores the state of the block's start,
-    which holds rows of earlier blocks only, and no block changes after it
-    is yielded.
+    ``groups`` holds ``(model, hazard, rng, width, share)``: hazards that
+    differ at most in their ``scale``, repairs that share m. A generator:
+    each ``send((k, live))`` returns the next ``k`` failure times of every
+    stream of the groups indexed by ``live`` (a group that leaves does not
+    come back) as one ``(k, width)`` array, the groups side by side. A
+    group's exponentials are one row-major ``(k, width)`` draw from its own
+    ``rng``: its stream i's j-th failure takes draw ``j * width + i``
+    however the steps are blocked or stacked. A step is ``next_failure_time``
+    and ``ARA.offset_step`` elementwise, on per-column ``rho`` and scale
+    while several groups are live: each column is its stream stepped alone.
+
+    Three or more streams step a block without ``next_failure_time``'s guard
+    and check it once: if every time is above the one before it in its
+    stream, the guard, ``max(x, nextafter(t))``, is x at every step. If not,
+    the generators and the offset state go back to the block's start and the
+    re-drawn block is stepped with the guard; that state holds views of rows
+    of earlier blocks only (each step overwrites its row of draws), which
+    never change.
     """
-    k = yield
-    if width <= 2:
-        # one or two streams step column by column on Python floats, which
-        # cost less than 1- or 2-element arrays (at five streams the arrays
-        # are the cheaper)
-        columns = [(model.offset_state(), 0.0, 0.0) for _ in range(width)]
+    widths = [g[3] for g in groups]
+
+    def draw():  # a row-major (k, width) draw from each live group's generator, side by side
+        draws = [groups[g][2].standard_exponential(size=(k, widths[g])) for g in live]
+        return draws[0] if len(draws) == 1 else np.hstack(draws)
+
+    k, live = yield
+    if sum(widths) <= 2:
+        # one or two streams step on Python floats, which cost less than 1-
+        # or 2-element arrays (at five streams the arrays are the cheaper)
+        columns = [(g, groups[g][0].offset_state(), 0.0, 0.0) for g in live
+                   for _ in range(widths[g])]
         while True:
-            block = rng.standard_exponential(size=(k, width))
-            for i in range(width):
-                state, offset, t = columns[i]
-                times = []
+            columns = [c for c in columns if c[0] in live]
+            block = draw()
+            for i, (g, state, offset, t) in enumerate(columns):
+                model, hazard, times = *groups[g][:2], []
                 for e in block[:, i].tolist():
                     t = next_failure_time(hazard, offset, t, e)
                     state, offset = model.offset_step(state, t)
                     times.append(t)
                 block[:, i] = times
-                columns[i] = state, offset, t
-            k = yield block
-    state, offset, t = model.offset_state(), 0.0, 0.0
+                columns[i] = g, state, offset, t
+            k, live = yield block
+    stacked, state, offset, t = None, groups[0][0].offset_state(), 0.0, 0.0
     while True:
-        start, bits = (state, offset, t), rng.bit_generator.state
-        block = rng.standard_exponential(size=(k, width))
+        if live != stacked:
+            if stacked:  # groups past their run's cut leave, with their columns
+                keep = np.repeat([g in live for g in stacked], [widths[g] for g in stacked])
+                state, offset, t = tuple(s[keep] for s in state), offset[keep], t[keep]
+            stacked, (model, hazard), ws = live, groups[live[0]][:2], [widths[g] for g in live]
+            if len(live) > 1:  # one vector step for groups of different scales and rho
+                model = _per_column([groups[g][0] for g in live], "rho", ws)
+                hazard = _per_column([groups[g][1] for g in live], hazard.scale, ws)
+        start, bits = (state, offset, t), [groups[g][2].bit_generator.state for g in live]
+        block = draw()
         for guard in (False, True):
             state, offset, t = start
             for row in block:
@@ -156,76 +174,97 @@ def _rejuvenating_streams(model, hazard, rng, width):
             # every time past the one before it: no guard would have fired
             if guard or (block[0] > start[2]).all() and (block[1:] > block[:-1]).all():
                 break
-            rng.bit_generator.state = bits
-            rng.standard_exponential(out=block)
-        k = yield block
+            for g, b in zip(live, bits):
+                groups[g][2].bit_generator.state = b
+            block = draw()
+        k, live = yield block
 
 
-def _advance_streams(groups, *, count=None, horizon=None):
-    """Advance groups of lock-step streams until every stream passes the cut.
+# a harmful repair (rho < 0) can push an age past the float range; a stream's
+# times stay inf or NaN from then on, and its sampler raises instead of warning
+@np.errstate(over="ignore", invalid="ignore")
+def _advance_streams(runs):
+    """Advance the lock-step groups of every run until each stream passes its run's cut.
 
-    ``groups`` holds ``(streams, width, share, hazard)``: a stream generator
-    such as ``_rejuvenating_streams``, not yet started, its number of
-    streams, each of its streams' share of the initial event rate (the
-    shares of all streams sum to 1) and the hazard its streams share. The
-    cut is the ``count``-th smallest time generated (count mode) or the
-    ``horizon``. Returns the cut and, per group, its stream times as one
-    ``(steps, width)`` array; every time up to the cut is in them.
+    A run is ``(groups, count, horizon)``, one stop None; a group is
+    ``(model, hazard, source, width, share)``: ``width`` streams under
+    repair ``model`` drawing from the generator ``source`` (or, ``model``
+    None, a stream generator stepped alone: the Poisson stream) and each
+    stream's share of its run's initial rate. Rejuvenating groups of all
+    runs whose hazards share the family and every field but ``scale``,
+    under one m, step as one stack (:func:`_rejuvenating_streams`). The cut
+    is the ``count``-th smallest time of the run's streams, or its horizon.
+    Returns per run its times per group as one ``(steps, width)`` array,
+    every time up to the cut in them, and the cut.
 
-    A block costs one draw call and a step one vector step, so blocks aim to
-    end at the cut. A group's first block is sized for its slowest stream:
-    ``mu + 3 sqrt(mu)`` steps for a stream's expected count ``mu`` up to the
-    cut, the extra capped at ``width / 4`` (a second block costs a narrow
-    group little). In count mode ``mu = count * share`` and the block is
-    capped at ``count`` (a stream holding ``count`` times has reached the
-    cut). In horizon mode ``mu`` is ``hazard.cumulative(horizon)``, which
-    bounds the expected count from above while every age stays at or below
-    the clock (a nondecreasing hazard under an improving repair), and the
-    block holds at most ``FIRST_BLOCK_TIMES`` times. Later blocks aim at the
-    horizon, or in count mode at the frontier, the earliest last time over
-    all groups, scaled by ``count`` over the times up to it: every time
-    below the frontier is drawn, so this estimates the ``count``-th time,
-    while the ``count``-th smallest of the times drawn so far only bounds it
-    from above and decides which groups go on. A later block takes the
-    steps its group's slowest stream's pace extrapolates to the aim, at
-    least one and at most as many as the group has taken.
-
-    The result does not depend on the block sizes: each stream's times are
-    its draws in order however they are blocked, and the cut is the
-    ``count``-th smallest time or the horizon however far past it the
-    streams ran.
+    Blocks aim to end at the cut. A group's first block is sized for its
+    slowest stream, ``mu + 3 sqrt(mu)`` steps (the extra at most ``width /
+    4``) for an expected count ``mu``: ``count * share``, at most ``count``
+    steps, or ``hazard.cumulative(horizon)``, an upper bound while every age
+    stays at or below the clock. Later blocks extrapolate the slowest
+    stream's pace to the horizon, or to the frontier (the run's earliest
+    last time) scaled by ``count`` over the times up to it, which estimates
+    the ``count``-th time: at least one step, at most the group's steps so
+    far. A stack's block takes the most steps any of its groups plans, at
+    most ``FIRST_BLOCK_TIMES`` times; a group whose slowest stream is past
+    its run's cut leaves its stack. Each stream's times are its draws in
+    order, so neither blocks nor other runs change a result.
     """
-    steps = []
-    for _, width, share, hazard in groups:
-        if count is not None:
-            mu, cap = count * share, count
-        else:
-            cap = max(FIRST_BLOCK_TIMES // width, 1)
-            mu = min(float(hazard.cumulative(horizon)), cap)
-        # at least one step: the cumulative hazard underflows to 0 at a tiny horizon
-        steps.append(max(1, min(cap, math.ceil(mu + min(3.0 * math.sqrt(mu), width / 4.0)))))
-    blocks = [[] for _ in groups]
-    for streams, *_ in groups:
-        next(streams)  # run each generator to its first send
-    cut = target = horizon
-    pending = range(len(groups))
-    while pending:
-        for g in pending:
-            blocks[g].append(groups[g][0].send(steps[g]))
-        slowest = [bs[-1][-1].min() for bs in blocks]  # each group's earliest last time
-        if count is not None:
-            times = np.concatenate([b.ravel() for bs in blocks for b in bs])
-            # a generator may hand back fewer steps than asked for
-            cut = np.partition(times, count - 1)[count - 1] if times.size >= count else np.inf
-            frontier = min(slowest)
-            drawn = np.count_nonzero(times <= frontier)  # none when it is NaN
-            target = min(cut, frontier * (count / drawn)) if drawn else cut
-        pending = [g for g, t in enumerate(slowest) if t < cut]
-        for g in pending:
-            done = sum(len(b) for b in blocks[g])
-            ahead = max(done * (target / slowest[g] - 1.0), 0.0)
-            steps[g] = math.ceil(min(ahead, done - 1)) + 1
-    return [np.concatenate(bs) for bs in blocks], cut
+    plans, stacks = [], {}
+    for r, (groups, count, horizon) in enumerate(runs):
+        steps = []
+        for g, (model, hazard, source, width, share) in enumerate(groups):
+            mu = min(count * share if horizon is None else float(hazard.cumulative(horizon)),
+                     FIRST_BLOCK_TIMES)
+            # at least one step: the cumulative hazard underflows to 0 at a tiny horizon
+            steps.append(max(1, min(count or FIRST_BLOCK_TIMES,
+                                    math.ceil(mu + min(3.0 * math.sqrt(mu), width / 4.0)))))
+            if model is None:
+                next(source)  # run the stream generator to its first send
+                continue
+            key = (r, g) if hazard.scale is None else (
+                type(hazard), model.m, *(v for f, v in vars(hazard).items() if f != hazard.scale))
+            stacks.setdefault(key, []).append((r, g))
+        plans.append((steps, [[] for _ in groups], list(range(len(groups)))))
+    stacks = [(members, _rejuvenating_streams([runs[r][0][g] for r, g in members]))
+              for members in stacks.values()]
+    for _, streams in stacks:
+        next(streams)
+    cuts = [horizon for *_, horizon in runs]
+    while any(pending for *_, pending in plans):
+        for members, streams in stacks:
+            live = [i for i, (r, g) in enumerate(members) if g in plans[r][2]]
+            if live:
+                owners = [members[i] for i in live]
+                widths = [runs[r][0][g][3] for r, g in owners]
+                k = min(max(plans[r][0][g] for r, g in owners), FIRST_BLOCK_TIMES // sum(widths))
+                block = streams.send((max(k, 1), live))
+                for (r, g), lo, w in zip(owners, np.cumsum([0, *widths]), widths):
+                    plans[r][1][g].append(block[:, lo:lo + w])
+        for r, ((groups, count, _), (steps, blocks, pending)) in enumerate(zip(runs, plans)):
+            if not pending:
+                continue
+            for g in pending:
+                if groups[g][0] is None:
+                    blocks[g].append(groups[g][2].send(steps[g]))
+            slowest = [bs[-1][-1].min() for bs in blocks]  # each group's earliest last time
+            target = cuts[r]
+            if count is not None:
+                times = np.concatenate([b for bs in blocks for b in bs], axis=None)
+                # a generator may hand back fewer steps than asked for
+                cuts[r] = (np.partition(times, count - 1)[count - 1] if times.size >= count
+                           else np.inf)
+                frontier = min(slowest)
+                drawn = np.count_nonzero(times <= frontier)  # none when it is NaN
+                target = min(cuts[r], frontier * (count / drawn)) if drawn else cuts[r]
+            pending[:] = [g for g, t in enumerate(slowest) if t < cuts[r]]
+            for g in pending:
+                done = sum(len(b) for b in blocks[g])
+                ahead = max(done * (target / slowest[g] - 1.0), 0.0)
+                steps[g] = math.ceil(min(ahead, done - 1)) + 1
+    # a group of one block keeps its view: no copy while the stacked blocks live
+    return [([bs[0] if len(bs) == 1 else np.concatenate(bs) for bs in blocks], cut)
+            for (_, blocks, _), cut in zip(plans, cuts)]
 
 
 def _stable_order(values):
@@ -261,35 +300,33 @@ def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None, seed) -> Ful
     ``j * n + c``. Output is reproducible given ``(seed, n, model, hazard,
     stop)``.
     """
+    run, finish = _sgrp_run(n, model, hazard, n_events, horizon, seed)
+    return finish(*_advance_streams([run])[0])
+
+
+def _sgrp_run(n, model, hazard, n_events, horizon, seed):
+    """``simulate_sgrp``'s checked run, and its history from ``(blocks, cut)``."""
     n = positive_int("n", n)
     n_events = _check_stop(n_events, horizon)
 
-    streams = _rejuvenating_streams(model, hazard, stream_rng(seed, COMPONENTS), n)
-    # a harmful repair (rho < 0) can push an age past the float range. A
-    # stream's times stay inf or NaN from then on and stop the blocks, so
-    # the last step shows it, and the run raises instead of warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        (block,), cut = _advance_streams([(streams, n, 1.0 / n, hazard)], count=n_events,
-                                         horizon=horizon)
-    if not np.isfinite(block[-1]).all():
-        raise DomainError("a component's age left the float range (harmful repair)")
-    columns = np.ascontiguousarray(block.T)
-    flat = columns.ravel()
-    # component-major, so the stable order puts the lowest component first
-    # among equal times; only the times up to the cut are sorted
-    kept = np.flatnonzero(flat <= cut)
-    order = kept[_stable_order(flat[kept])][:n_events]
-    times = flat[order]
-    comps = order // columns.shape[1]
-    counts = np.bincount(comps, minlength=n)
+    def finish(blocks, cut):
+        (block,) = blocks
+        if not np.isfinite(block[-1]).all():
+            raise DomainError("a component's age left the float range (harmful repair)")
+        columns = np.ascontiguousarray(block.T)
+        flat = columns.ravel()
+        # component-major, so the stable order puts the lowest component first
+        # among equal times; only the times up to the cut are sorted
+        kept = np.flatnonzero(flat <= cut)
+        order = kept[_stable_order(flat[kept])][:n_events]
+        times = flat[order]
+        comps = order // columns.shape[1]
+        counts = np.bincount(comps, minlength=n)
+        per_component = tuple(columns[c, :k].copy() for c, k in enumerate(counts))
+        return FullHistory(n=n, per_component=per_component, times=times, labels=comps + 1,
+                           horizon=float(times[-1] if horizon is None else horizon))
 
-    return FullHistory(
-        n=n,
-        per_component=tuple(columns[c, :k].copy() for c, k in enumerate(counts)),
-        times=times,
-        labels=comps + 1,
-        horizon=float(times[-1] if horizon is None else horizon),
-    )
+    return ([(model, hazard, stream_rng(seed, COMPONENTS), n, 1.0 / n)], n_events, horizon), finish
 
 
 def mask(full: FullHistory) -> MaskedHistory:

@@ -12,6 +12,7 @@ import pytest
 
 import sgrpsim.cli as cli
 from sgrpsim.cli import main
+from sgrpsim.hazards import PowerLawHazard
 from sgrpsim.io import read_events_csv, read_manifest, read_rates_csv
 
 
@@ -66,10 +67,10 @@ def src_env():
     return env
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, timeout=120):
     """Run the CLI in a fresh interpreter; returns the completed process."""
     return subprocess.run([sys.executable, "-m", "sgrpsim.cli", *args], cwd=cwd,
-                          env=src_env(), capture_output=True, text=True, timeout=120)
+                          env=src_env(), capture_output=True, text=True, timeout=timeout)
 
 
 class TestSimulateSgrp:
@@ -401,6 +402,35 @@ class TestFigures:
               "--which", "fig5", "--jobs", "3"])
         assert tree_bytes(serial) == tree_bytes(parallel)
 
+    def test_batches_do_not_change_outputs(self, tmp_path):
+        # two workers split the 15 curves into engine batches of 7 and 8
+        cfg = write_config(tmp_path, base_config(run={"n_events": 400, "seed": 7,
+                                                      "bin_width": 200.0}))
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        for out, jobs in ((serial, "1"), (parallel, "2")):
+            assert main(["figures", "--config", cfg, "--out", str(out),
+                         "--which", "all", "--jobs", jobs]) == 0
+        assert tree_bytes(serial) == tree_bytes(parallel)
+
+    def test_one_stacked_step_per_failure_row(self, tmp_path, monkeypatch):
+        # every lock-step curve of the job advances in one engine call, all
+        # rejuvenating streams of all curves in one vector step per failure
+        # row: the README config at 6,000 events per curve makes about 100
+        # inverse-cumulative calls, where stepping each curve alone made 1,190
+        calls = []
+        kernel = PowerLawHazard.inverse_cumulative_unchecked
+
+        def counted(hazard, u):
+            calls.append(1)
+            return kernel(hazard, u)
+
+        monkeypatch.setattr(PowerLawHazard, "inverse_cumulative_unchecked", counted)
+        cfg = write_config(tmp_path, base_config(
+            system={"n": 100}, run={"n_events": 6000, "seed": 1, "bin_width": 1000.0}))
+        assert main(["figures", "--config", cfg, "--out", str(tmp_path / "figs"),
+                     "--which", "all", "--method", "algorithm1"]) == 0
+        assert len(calls) <= 150
+
     def test_jobs_cap_the_pool_at_the_task_count(self, tmp_path, monkeypatch):
         # fig5 is three curves, so --jobs 1000 asks for three workers. The
         # stub pool records its size and maps in this process: no worker
@@ -552,6 +582,9 @@ class TestHorizonConfigs:
         assert times.size == 5000 and np.all(np.diff(times) > 0.0)
 
 
+# a RuntimeWarning would print its own stderr line in the real CLI, which
+# pytest's warnings capture hides from capsys: it fails the case instead
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestErrorPaths:
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["simulate-sgrp", "--config", str(tmp_path / "nope.json"),
@@ -605,6 +638,34 @@ class TestErrorPaths:
         code = main(["simulate-sgrp", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_thinning_refuses_a_majorant_past_the_float_range(self, tmp_path):
+        # at beta = 1e4 the model rate overflows within about 50 rate calls,
+        # and the clock once went NaN and looped forever
+        cfg = write_config(tmp_path, base_config(
+            hazard={"family": "power_law", "beta": 1e4, "eta": 1.0},
+            repair={"model": "minimal"}, system={"n": 100},
+            approx={"delta": 1.0, "normalization": "component"},
+            run={"n_events": 300, "seed": 1}))
+        proc = run_cli(["simulate-approx", "--method", "thinning", "--config", cfg,
+                        "--out", str(tmp_path / "o")], tmp_path, timeout=5)
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: domain: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_a_refused_tie_leaves_no_output(self, tmp_path, capsys):
+        # beta = 1e13 gives exact ties across components, which the masked
+        # history refuses. It is built before events.csv is written, so the
+        # run leaves no --out
+        cfg = base_config(hazard={"family": "power_law", "beta": 1e13, "eta": 1.0},
+                          repair={"model": "minimal"}, system={"n": 100},
+                          run={"n_events": 300, "seed": 1})
+        out = tmp_path / "o"
+        code = main(["simulate-sgrp", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        self.assert_one_line(capsys, code, 4, "domain")
+        assert not out.exists()
 
     def assert_one_line(self, capsys, code, expected_code, kind):
         assert code == expected_code

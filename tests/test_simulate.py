@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import sgrpsim.simulate as simulate
+import sgrpsim.superpose as superpose
 from history_oracle import (RampHazard, group_draws, grp_stream, grp_stream_from_history,
                             heap_merge, nhpp_stream, simulate_algorithm1_heap,
                             simulate_thinning_from_history)
@@ -203,25 +204,14 @@ class TestAlgorithm1:
     @pytest.mark.parametrize("cap", [1, 7, 64])
     @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
     def test_run_does_not_depend_on_block_size(self, delta, cap, monkeypatch):
-        # every stream hands back at most ``cap`` steps per request, so the
-        # engine's schedule across the n-stream, Poisson and single-stream
-        # groups changes; the run is the one of uncapped blocks, in both
-        # stop modes
+        # every stack and every Poisson stream hands back at most ``cap``
+        # steps per request, so the engine's schedule across the stack of
+        # the n-stream and single-stream groups and the Poisson stream
+        # changes; the run is the one of uncapped blocks, in both stop modes
         am = ApproxModel(5, delta, PL, ARA(2, 0.4))
         count = simulate_algorithm1(am, 600, seed=21)
         horizon = simulate_algorithm1(am, seed=21, horizon=0.5 * count.t_obs)
-
-        def capped(make):
-            def wrapper(*args):
-                streams = make(*args)
-                k = yield next(streams)
-                while True:
-                    k = yield streams.send(min(k, cap))
-            return wrapper
-
-        monkeypatch.setattr(simulate, "_rejuvenating_streams",
-                            capped(simulate._rejuvenating_streams))
-        monkeypatch.setattr(simulate, "_poisson_stream", capped(simulate._poisson_stream))
+        cap_requests(monkeypatch, lambda k: min(k, cap))
         got = simulate_algorithm1(am, 600, seed=21)
         assert np.array_equal(got.times, count.times)
         got = simulate_algorithm1(am, seed=21, horizon=horizon.t_obs)
@@ -245,22 +235,12 @@ class TestAlgorithm1:
         # a NaN step (a RuntimeWarning) and silently end its stream
         count, requests = 5000, []
 
-        def capped(make):
-            def wrapper(*args):
-                gen = make(*args)
+        def checked(k):
+            requests.append(k)
+            assert k <= count
+            return k
 
-                def checked():
-                    k = yield next(gen)
-                    while True:
-                        requests.append(k)
-                        assert k <= count
-                        k = yield gen.send(k)
-                return checked()
-            return wrapper
-
-        monkeypatch.setattr(simulate, "_rejuvenating_streams",
-                            capped(simulate._rejuvenating_streams))
-        monkeypatch.setattr(simulate, "_poisson_stream", capped(simulate._poisson_stream))
+        cap_requests(monkeypatch, checked)
         am = ApproxModel(n, 0.5, PowerLawHazard(0.3, 1.0),
                          ARA(9, 0.999999))
         out = simulate_algorithm1(am, count, seed=0)
@@ -289,6 +269,72 @@ class TestAlgorithm1:
             got = merged[:count]
             assert np.array_equal(got, expect)
             assert np.all(np.diff(got, prepend=0.0) > 0.0)
+
+
+def cap_requests(monkeypatch, limit):
+    """Forward every block request of the engine's stacks and Poisson streams as ``limit(k)``.
+
+    A stack is sent ``(k, live groups)``, a Poisson stream ``k``.
+    """
+    stack, poisson = superpose._rejuvenating_streams, simulate._poisson_stream
+
+    def stacked(*args):
+        streams = stack(*args)
+        k, live = yield next(streams)
+        while True:
+            k, live = yield streams.send((limit(k), live))
+
+    def alone(*args):
+        stream = poisson(*args)
+        k = yield next(stream)
+        while True:
+            k = yield stream.send(limit(k))
+
+    monkeypatch.setattr(superpose, "_rejuvenating_streams", stacked)
+    monkeypatch.setattr(simulate, "_poisson_stream", alone)
+
+
+#: one run of a lock-step batch: exact superposition (else the stream
+#: sampler), n, delta, repair, hazard, stop (a count, or a horizon where the
+#: cumulative hazard reaches a float) and seed. The power laws share one of
+#: three shapes, so runs stack often; a ramp has no per-column form and
+#: steps in a stack of its own
+BATCH_RUNS = st.tuples(
+    st.booleans(), st.sampled_from([1, 2, 3, 5, 100]), DELTAS,
+    st.builds(ARA, st.sampled_from([1, 2]), st.floats(0.0, 1.0)),
+    st.one_of(st.builds(PowerLawHazard, st.sampled_from([1.0, 1.3, 2.5]), st.floats(1.0, 80.0)),
+              st.builds(ConstantHazard, st.floats(0.01, 10.0)),
+              st.builds(RampHazard, st.floats(0.01, 10.0), st.floats(0.01, 50.0))),
+    st.integers(1, 300) | st.floats(0.05, 3.0), st.integers(0, 2**32))
+
+
+class TestBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(runs=st.lists(BATCH_RUNS, min_size=1, max_size=6))
+    def test_each_run_of_a_batch_is_its_solo_run_bitwise(self, runs):
+        # the engine advances every run's groups at once, its stacks mixing
+        # runs; each history is the one its solo call gives, bit for bit
+        plans, solos = [], []
+        for exact, n, delta, repair, hazard, stop, seed in runs:
+            count, horizon = ((stop, None) if isinstance(stop, int)
+                              else (None, hazard.inverse_cumulative(stop)))
+            if exact:
+                plans.append(superpose._sgrp_run(n, repair, hazard, count, horizon, seed))
+                solos.append(simulate_sgrp(n, repair, hazard, n_events=count, horizon=horizon,
+                                           seed=seed))
+            else:
+                am = ApproxModel(n, delta, hazard, repair, Normalization.COMPONENT)
+                plans.append(simulate._algorithm1_run(am, count, seed, horizon))
+                solos.append(simulate_algorithm1(am, count, seed, horizon=horizon))
+        results = superpose._advance_streams([run for run, _ in plans])
+        for (_, finish), result, solo in zip(plans, results, solos):
+            got = finish(*result)
+            assert np.array_equal(got.times, solo.times)
+            if isinstance(solo, MaskedHistory):
+                assert got.t_obs == solo.t_obs
+            else:
+                assert got.horizon == solo.horizon
+                assert np.array_equal(got.labels, solo.labels)
 
 
 class TestThinning:

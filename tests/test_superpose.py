@@ -298,9 +298,9 @@ def assert_block_size_free(n, model, hazard, cap, monkeypatch, seed=23):
 
     def capped(*args):
         streams = make(*args)
-        k = yield next(streams)
+        k, live = yield next(streams)
         while True:
-            k = yield streams.send(min(k, cap))
+            k, live = yield streams.send((min(k, cap), live))
 
     monkeypatch.setattr(superpose, "_rejuvenating_streams", capped)
     for whole in (count, horizon):
@@ -470,9 +470,9 @@ def test_a_step_onto_its_predecessor_is_guarded_in_lock_step(width, m, size):
     steps = max(3 * size, 8)
     places = [(3, 1), (2 * size, width - 1), (2 * size, 0)]
     rng = ZeroDraws(stream_rng(seed, superpose.COMPONENTS), width, places)
-    streams = superpose._rejuvenating_streams(model, hazard, rng, width)
+    streams = superpose._rejuvenating_streams([(model, hazard, rng, width, 1.0)])
     next(streams)
-    got = np.concatenate([streams.send(size) for _ in range(steps // size)])
+    got = np.concatenate([streams.send((size, [0])) for _ in range(steps // size)])
 
     draws = stream_rng(seed, superpose.COMPONENTS).standard_exponential(size=(steps, width))
     draws[tuple(zip(*places))] = 0.0
@@ -481,6 +481,38 @@ def test_a_step_onto_its_predecessor_is_guarded_in_lock_step(width, m, size):
     assert np.array_equal(got, expect)
     for j, i in places:
         assert expect[j, i] == np.nextafter(expect[j - 1, i], np.inf)
+
+
+@pytest.mark.parametrize("size", [1, 7])
+@pytest.mark.parametrize("m", [1, 3])
+def test_a_stack_re_steps_every_group_from_its_own_draws(m, size):
+    # two groups at rates 0.5 and 2 step as one stack on a per-column rate:
+    # powers of two, so a zero draw lands a step on its predecessor as under
+    # the ramp above. A block holding one re-draws both groups from their own
+    # generators and re-steps the stack with the guard. Group 0 leaves the
+    # stack after four blocks, the last zero falling after that, and each
+    # group's streams are the ones stepped alone on their draws
+    model, seeds, widths = ARA(m, 0.5), [41, 42], [3, 4]
+    hazards = [ConstantHazard(0.5), ConstantHazard(2.0)]
+    places = [[(3, 1)], [(2 * size, 3), (5 * size, 0)]]
+    rngs = [ZeroDraws(stream_rng(seed, superpose.COMPONENTS), width, where)
+            for seed, width, where in zip(seeds, widths, places)]
+    streams = superpose._rejuvenating_streams(
+        [(model, hazard, rng, width, 0.5) for hazard, rng, width in zip(hazards, rngs, widths)])
+    next(streams)
+    both = np.concatenate([streams.send((size, [0, 1])) for _ in range(4)])
+    alone = np.concatenate([streams.send((size, [1])) for _ in range(2)])
+    got = [both[:, :3], np.concatenate([both[:, 3:], alone])]
+
+    for block, seed, width, hazard, where in zip(got, seeds, widths, hazards, places):
+        draws = stream_rng(seed, superpose.COMPONENTS).standard_exponential(
+            size=(len(block), width))
+        draws[tuple(zip(*where))] = 0.0
+        expect = np.column_stack([list(grp_stream(model, hazard, draws[:, i].tolist()))
+                                  for i in range(width)])
+        assert np.array_equal(block, expect)
+        for j, i in where:
+            assert expect[j, i] == np.nextafter(expect[j - 1, i], np.inf)
 
 
 def test_horizon_must_be_finite():
