@@ -73,7 +73,8 @@ def _eval_time(mh, t):
         ok = t >= last
     else:
         t = np.asarray(t, dtype=float)
-        ok = bool((t >= last).all())
+        # the earliest time, NaN if any is NaN: one reduction, no bool array
+        ok = np.minimum.reduce(t, axis=None, initial=np.inf) >= last
     if not ok:  # NaN fails the comparison too
         if np.isnan(t).any():
             raise DomainError("evaluation time t is NaN")
@@ -109,9 +110,9 @@ def envelope_offset_row(times, n, ara):
     return row
 
 
-def _ages(t, rows):
-    """One row of ages per element of ``t``: the n lag ages, then the fresh age."""
-    return np.asarray(t, dtype=float)[..., None] - rows
+def _ages(t, rows, out=None):
+    """One row of ages per element of ``t``: the n lag ages, then the fresh age (into ``out``)."""
+    return np.subtract(np.asarray(t, dtype=float)[..., None], rows, out)
 
 
 def _envelope_sums(values, t):
@@ -121,14 +122,16 @@ def _envelope_sums(values, t):
     operations, and for a few rows cost less than numpy's per-call overhead.
     """
     n = values.shape[-1] - 1
-    lower = np.add.reduce(values[..., :n], axis=-1)
+    lower = np.add.reduce(values[..., :n], -1)
     if isinstance(t, list):
         # columns 0 and n: lag 0's value, then the fresh one
         return lower.tolist(), [(n - 1) * fresh + lag0 for lag0, fresh in values[:, ::n].tolist()]
-    return lower, (n - 1) * values[..., n] + values[..., 0]
+    upper = values[..., n] * (n - 1)
+    upper += values[..., 0]
+    return lower, upper
 
 
-def envelope_rates(hazard, t, rows):
+def envelope_rates(hazard, t, rows, out=None):
     """(lower, upper) envelope values at ``t`` from one rate-kernel call.
 
     lower: the sum of the n lag rates; upper: n-1 fresh components plus lag
@@ -138,15 +141,18 @@ def envelope_rates(hazard, t, rows):
     a float, which is the one-element list and gives two floats. Each time
     takes one row of ages, so a row's lag rates are contiguous and every
     row reduces them alike: a time gives the same floats in every form.
+    The ages are one array, rated in place: ``out`` when given, a float
+    buffer of one row per time (its caller's to reuse), else a fresh one.
 
     Uses the trusted ``hazard.rate_unchecked``: the caller has checked that
     the hazard is nondecreasing and that ``t`` does not precede the history
     the offsets come from, so every age is >= 0.
     """
     if isinstance(t, float):
-        (lower,), (upper,) = envelope_rates(hazard, [t], rows)
+        (lower,), (upper,) = envelope_rates(hazard, [t], rows, out)
         return lower, upper
-    return _envelope_sums(hazard.rate_unchecked(_ages(t, rows)), t)
+    ages = _ages(t, rows, out)
+    return _envelope_sums(hazard.rate_unchecked(ages, out=ages), t)
 
 
 def envelope_cumulative(hazard, a, b, rows):

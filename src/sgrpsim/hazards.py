@@ -20,6 +20,7 @@ rate; only loops over ages the package produced itself call one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +39,19 @@ def _checked(kernel, values, name):
     return out if arr.ndim else float(out)
 
 
+@lru_cache(maxsize=128)
+def _power_terms(beta, eta):
+    """A power law's rate terms ``eta``, ``beta - 1`` and ``beta / eta`` as read-only 0-d arrays.
+
+    A ufunc takes a 0-d array for less than a float, which it converts at
+    every call; the values, and so the rates, are the floats' bit for bit.
+    """
+    terms = np.array(eta), np.array(beta - 1.0), np.array(beta / eta)
+    for term in terms:
+        term.flags.writeable = False
+    return terms
+
+
 class Hazard:
     """The validated public methods over a family's kernels.
 
@@ -45,6 +59,10 @@ class Hazard:
     rate never decreases, which bound evaluation requires), ``scaled`` and
     ``to_config``, and may name its ``scale`` field, which a lock-step stack
     (``superpose``) holds as an array, one entry per stream.
+
+    ``rate_unchecked(ages, out=None)`` takes an optional float array ``out``
+    of the ages' shape, which may be ``ages`` itself: it writes the rates
+    there and returns it, with the bits of the call without ``out``.
     """
     scale = None
 
@@ -81,11 +99,12 @@ class PowerLawHazard(Hazard):
     def is_nondecreasing(self) -> bool:
         return self.beta >= 1.0
 
-    def rate_unchecked(self, ages):
-        # one temporary: the scaled ages, raised and multiplied in place
-        x = np.asarray(ages / self.eta)
-        np.power(x, self.beta - 1.0, out=x)
-        x *= self.beta / self.eta
+    def rate_unchecked(self, ages, out=None):
+        # one array, ``out`` when given: the scaled ages, raised and multiplied in place
+        eta, power, factor = _power_terms(self.beta, self.eta)
+        x = np.asarray(np.divide(ages, eta, out))
+        np.power(x, power, x)
+        x *= factor
         return x
 
     def cumulative_unchecked(self, ages):
@@ -119,8 +138,10 @@ class ConstantHazard(Hazard):
         if not (np.isfinite(self.rate0) and self.rate0 > 0.0):
             raise DomainError(f"rate must be positive, got {self.rate0}")
 
-    def rate_unchecked(self, ages):
-        return np.full(ages.shape, self.rate0)
+    def rate_unchecked(self, ages, out=None):
+        out = np.empty(np.shape(ages)) if out is None else out
+        out.fill(self.rate0)
+        return out
 
     def cumulative_unchecked(self, ages):
         return self.rate0 * ages

@@ -34,7 +34,8 @@ import numpy as np
 from .approx import ApproxModel
 from .errors import DomainError, positive_int
 from .rng import stream_rng
-from .superpose import COMPONENTS, POISSON, SINGLE, MaskedHistory, _advance_streams, _check_stop
+from .superpose import (COMPONENTS, POISSON, SINGLE, MaskedHistory, _advance_streams, _check_stop,
+                        _nudge_ties)
 
 __all__ = ["nhpp_sample", "simulate_algorithm1", "simulate_thinning"]
 
@@ -71,19 +72,13 @@ def _poisson_stream(hazard, rng):
 
 
 def _merge(times):
-    """``times`` in increasing order, ties nudged apart.
+    """``times`` in increasing order, ties nudged apart as ``simulate_sgrp`` nudges them.
 
     Equal times are interchangeable, so the order of a heap merge that breaks
-    ties by stream index is the sorted order. A time not above the one before
-    it (or not above 0 for the first) becomes the next float up, sequentially
-    from the first such tie.
+    ties by stream index is the sorted order (``superpose._nudge_ties``).
     """
     out = np.sort(times)
-    ties = np.flatnonzero(out <= np.concatenate(([0.0], out[:-1])))
-    for k in range(ties[0] if ties.size else out.size, out.size):
-        prev = out[k - 1] if k else 0.0
-        if out[k] <= prev:  # float coincidence across streams
-            out[k] = np.nextafter(prev, np.inf)
+    _nudge_ties(out)
     return out
 
 
@@ -175,10 +170,12 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     window's start and the ``CHAIN_ENDS`` window ends that the doubling rule
     reaches from there, each end computed with the loop's own float steps
     and horizon clip, so every majorant is the float a call at that end
-    alone gives. A candidate is accepted without evaluating the intensity
-    when ``U * majorant <= (1 - kappa) * L`` (Marsaglia's squeeze), where L
-    is the intensity already computed at the window's start over the same
-    lags: the event time, a missed window's end or a rejected candidate.
+    alone gives. Every call forms its ages in one buffer held for the whole
+    run, which the rate kernel overwrites in place. A candidate is accepted
+    without evaluating the intensity when ``U * majorant <= (1 - kappa) * L``
+    (Marsaglia's squeeze), where L is the intensity already computed at the
+    window's start over the same lags: the event time, a missed window's end
+    or a rejected candidate.
 
     The squeeze decides only what the evaluation would: for s <= t and
     nonnegative ages, ``fl((1 - kappa) * L(s)) <= L(t)`` with
@@ -203,6 +200,7 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     cap = inf if horizon is None else float(horizon)
     squeeze = _squeeze(n)
     intensity, step = am._intensity, am.repair.offset_step
+    exponential, uniform = rng.exponential, rng.random
 
     times = []
     # the median of the latest 64 inter-event gaps sets the window: the gaps
@@ -213,6 +211,10 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     # the lags one place back, dropping the oldest, and puts its
     # single-component offset W(N) in front
     state, offsets = am.repair.offset_state(), np.zeros(n + 1)
+    newer, older = offsets[1:n], offsets[:n - 1]
+    # one buffer holds every rate call's ages, a row per time: ``ages[k]`` is its first k rows
+    buffer = np.empty((CHAIN_ENDS + 1, n + 1))
+    ages = [buffer[:k] for k in range(CHAIN_ENDS + 2)]
     t = 0.0
     window = float(am.hazard.inverse_cumulative(1.0)) / n
     # one rate call evaluates ``rows``: the window's start, then the window
@@ -232,7 +234,7 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
                     break
                 rows.append(end)
                 w *= 2.0
-            lam = intensity(rows, offsets)
+            lam = intensity(rows, offsets, ages[len(rows)])
             floor = squeeze * lam[0]
             if not floor < inf:  # NaN fails too
                 raise DomainError("the model intensity left the float range")
@@ -240,7 +242,7 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
         w_end, majorant = rows[i], lam[i]
         i += 1
         # the rate vanishes only at the very origin of a power law: no draw
-        gap = inf if majorant <= 0.0 else float(rng.exponential()) / majorant
+        gap = inf if majorant <= 0.0 else float(exponential()) / majorant
         if t + gap >= w_end:
             # the window stayed empty: its end starts the next, twice as long
             t = w_end
@@ -249,8 +251,8 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
             continue
         t = t + gap
         rows, i = [], 0  # the next window starts at t
-        accept = rng.random() * majorant
-        if accept <= floor or accept <= intensity(t, offsets):
+        accept = uniform() * majorant
+        if accept <= floor or accept <= intensity(t, offsets, ages[1]):
             if times:
                 spacing = t - times[-1]
                 gaps.append(spacing)
@@ -262,7 +264,7 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
                 window = ranked[k] if len(ranked) % 2 else (ranked[k - 1] + ranked[k]) / 2
             times.append(t)
             state, offset = step(state, t)
-            offsets[1:n] = offsets[:n - 1]
+            newer[:] = older
             offsets[0] = offset
         elif not accept < inf:  # a majorant past the float range (NaN fails too)
             raise DomainError("the model intensity left the float range")

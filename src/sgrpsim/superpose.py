@@ -16,7 +16,9 @@ a batch of all its curves; neither blocks nor other runs change an output.
 Three or more streams step a block without the next-failure underflow guard
 and check it once, re-stepping it with the guard only where it would act.
 One sort then merges the streams, the stable one where the times hold an
-exact tie: simultaneous float times resolve to the lowest component index.
+exact tie: simultaneous float times resolve to the lowest component index,
+and each later member of a tie moves to the next float up, as the stream
+sampler's merge moves it, in its component's times too.
 """
 
 from __future__ import annotations
@@ -281,6 +283,21 @@ def _stable_order(values):
     return order
 
 
+def _nudge_ties(times):
+    """Nudge the ties of the sorted ``times`` apart in place; True when one moved.
+
+    Equal times are interchangeable, so only their values change, not their
+    order. A time not above the one before it (or not above 0 for the first)
+    becomes the next float up, sequentially from the first such tie.
+    """
+    ties = np.flatnonzero(times <= np.concatenate(([0.0], times[:-1])))
+    for k in range(ties[0] if ties.size else times.size, times.size):
+        prev = times[k - 1] if k else 0.0
+        if times[k] <= prev:  # float coincidence across streams
+            times[k] = np.nextafter(prev, np.inf)
+    return bool(ties.size)
+
+
 def _check_stop(n_events, horizon):
     """The stop rule: ``n_events`` >= 1, returned as an int, or a finite ``horizon`` > 0."""
     if (n_events is None) == (horizon is None):
@@ -297,8 +314,9 @@ def simulate_sgrp(n, model, hazard, *, n_events=None, horizon=None, seed) -> Ful
     horizon. The n components advance in lock step
     (:func:`_advance_streams`) on one generator, ``stream_rng(seed,
     COMPONENTS)``: component c's j-th failure takes its draw number
-    ``j * n + c``. Output is reproducible given ``(seed, n, model, hazard,
-    stop)``.
+    ``j * n + c``. Exact ties across components are nudged apart
+    (:func:`_nudge_ties`), so the times are strictly increasing. Output is
+    reproducible given ``(seed, n, model, hazard, stop)``.
     """
     run, finish = _sgrp_run(n, model, hazard, n_events, horizon, seed)
     return finish(*_advance_streams([run])[0])
@@ -320,6 +338,11 @@ def _sgrp_run(n, model, hazard, n_events, horizon, seed):
         kept = np.flatnonzero(flat <= cut)
         order = kept[_stable_order(flat[kept])][:n_events]
         times = flat[order]
+        if _nudge_ties(times):
+            if horizon is not None:  # a nudged tie can pass the horizon
+                order = order[:np.searchsorted(times, horizon, side="right")]
+                times = times[:order.size]
+            flat[order] = times  # each component carries its nudged times
         comps = order // columns.shape[1]
         counts = np.bincount(comps, minlength=n)
         per_component = tuple(columns[c, :k].copy() for c, k in enumerate(counts))

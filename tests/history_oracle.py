@@ -12,6 +12,9 @@ the package's incremental and lock-step paths to them bit for bit.
 
 ``offset_step_fold`` is ``ARA.offset_step``'s fold over the last m failure
 times at every memory order, without its shortcut for m = 1.
+``true_intensity_per_component`` finds each component's last failure before
+every event by ``searchsorted``, where the block walk of
+``true_intensity_at_events`` carries it forward event by event.
 
 ``approx_intensity_ara`` writes the model intensity out in closed form, as a
 second arithmetic path for the envelope assembly. ``envelope_rates_columns``,
@@ -80,6 +83,22 @@ def next_failure_from_history(model, hazard, times, exponential):
     if t <= last:
         t = float(np.nextafter(last, np.inf))
     return float(t)
+
+
+def true_intensity_per_component(full, model, hazard):
+    """Left-limit system intensity at every event of ``full``, a component at a time.
+
+    A component's offsets after its failures come from one ``offsets_after``
+    pass, ``searchsorted`` counts its failures before each event time, and
+    one rate call fills its column of rates. Each row is summed as
+    ``true_system_intensity`` sums the n rates at one time.
+    """
+    times = full.times
+    rates = np.empty((times.size, full.n))
+    for c, comp in enumerate(full.per_component):
+        after = np.concatenate(([0.0], model.offsets_after(comp)))
+        rates[:, c] = hazard.rate(times - after[np.searchsorted(comp, times, side="left")])
+    return rates.sum(axis=1)
 
 
 def group_draws(rng, width):
@@ -358,8 +377,8 @@ class RampHazard(Hazard):
     cap: float
     is_nondecreasing = True
 
-    def rate_unchecked(self, ages):
-        return self.slope * np.minimum(ages, self.cap)
+    def rate_unchecked(self, ages, out=None):
+        return np.multiply(self.slope, np.minimum(ages, self.cap, out=out), out=out)
 
     def cumulative_unchecked(self, ages):
         x = np.minimum(ages, self.cap)

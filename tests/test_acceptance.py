@@ -14,9 +14,9 @@ import pytest
 
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, MaskedHistory,
                      Normalization, PowerLawHazard, approx_intensity,
-                     derive_seed, ks_exp1, mask, mean_rate, nhpp_sample, rate_curve,
-                     sgrp_bounds, sgrp_bounds_at_events, simulate_algorithm1,
-                     simulate_sgrp, simulate_thinning, stream_rng,
+                     derive_seed, intensity_integral, ks_exp1, mask, mean_rate,
+                     nhpp_sample, rate_curve, sgrp_bounds, sgrp_bounds_at_events,
+                     simulate_algorithm1, simulate_sgrp, simulate_thinning, stream_rng,
                      true_intensity_at_events)
 from history_oracle import approx_intensity_ara
 from sgrpsim.cli import main as cli_main
@@ -237,6 +237,37 @@ def test_ac5_sampler_diagnostics():
     ok = fails_a <= 5 and fails_b <= 5 and fails_c <= 5
     assert report(5, "sampler diagnostics", ok,
                   f"rejections/100: grp={fails_a}, nhpp={fails_b}, thinning={fails_c}")
+
+
+def model_residuals(am, times):
+    """Time-rescaling residuals of a masked trajectory under the model intensity.
+
+    Interval k is (times[k - 1], times[k]], integrated by quadrature over
+    ``approx_intensity`` given the history up to its start.
+    """
+    residuals = np.empty(times.size)
+    prev = 0.0
+    for k, t in enumerate(times.tolist()):
+        hist = MaskedHistory(times[:k], am.n, t_obs=prev)
+        residuals[k] = intensity_integral(lambda u: approx_intensity(am, hist, u))(prev, t)
+        prev = t
+    return residuals
+
+
+@pytest.mark.parametrize("n,delta,model", [(6, 0.4, ARA(1, 0.3)), (20, 0.3, ARA(3, 0.3))],
+                         ids=["m1", "m3"])
+def test_ac5_thinning_under_a_history_dependent_intensity(n, delta, model):
+    # AC5's gate for thinning where the model intensity moves with the
+    # history: a power law under age reduction, the residuals integrated by
+    # quadrature over approx_intensity; at most 5 of 100 seeded runs rejected
+    # at alpha = 0.01
+    am = ApproxModel(n, delta, PL, model)
+    fails = 0
+    for s in range(100):
+        mh = simulate_thinning(am, n_events=200, seed=derive_seed(SEED, 5, 3, model.m, s))
+        fails += ks_exp1(model_residuals(am, mh.times)).rejects[0.01]
+    assert report(5, f"thinning under ARA({model.m}, {model.rho})", fails <= 5,
+                  f"rejections/100: {fails}")
 
 
 def test_ac6_regime_formula_agreement():

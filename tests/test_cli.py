@@ -655,17 +655,38 @@ class TestErrorPaths:
         assert lines[0].startswith("error: domain: ")
         assert not (tmp_path / "o").exists()
 
-    def test_a_refused_tie_leaves_no_output(self, tmp_path, capsys):
-        # beta = 1e13 gives exact ties across components, which the masked
-        # history refuses. It is built before events.csv is written, so the
-        # run leaves no --out
-        cfg = base_config(hazard={"family": "power_law", "beta": 1e13, "eta": 1.0},
-                          repair={"model": "minimal"}, system={"n": 100},
-                          run={"n_events": 300, "seed": 1})
+    def test_a_refused_run_leaves_no_output(self, tmp_path, capsys):
+        # a harmful repair this strong sends an age past the float range; the
+        # sampler refuses it before events.csv is written, so the run leaves
+        # no --out
+        cfg = base_config(repair={"model": "ara", "m": 2, "rho": -1e300})
         out = tmp_path / "o"
         code = main(["simulate-sgrp", "--config", write_config(tmp_path, cfg), "--out", str(out)])
         self.assert_one_line(capsys, code, 4, "domain")
         assert not out.exists()
+
+    def test_ties_end_every_run_cleanly(self, tmp_path, capsys):
+        # beta = 1e13 gives exact ties across components; both exact
+        # subcommands nudge them apart as the stream sampler does, so each
+        # run exits 0 or with one error line, and delta = 1 is the masked
+        # exact run byte for byte
+        cfg = write_config(tmp_path, base_config(
+            hazard={"family": "power_law", "beta": 1e13, "eta": 1.0},
+            repair={"model": "minimal"}, system={"n": 100},
+            approx={"delta": 1.0, "normalization": "component"},
+            run={"n_events": 300, "seed": 1}))
+        for args, code, kind in [(["simulate-sgrp"], 0, None),
+                                 (["simulate-approx", "--method", "algorithm1"], 0, None),
+                                 # rates near 1e13 are past the sandwich's absolute slack
+                                 (["bounds-check"], 1, "check"),
+                                 (["simulate-approx", "--method", "thinning"], 4, "domain")]:
+            got = main([*args, "--config", cfg, "--out", str(tmp_path / args[-1])])
+            if kind:
+                self.assert_one_line(capsys, got, code, kind)
+            else:
+                assert got == code and capsys.readouterr().err == ""
+        exact = (tmp_path / "simulate-sgrp" / "events_masked.csv").read_bytes()
+        assert (tmp_path / "algorithm1" / "events.csv").read_bytes() == exact
 
     def assert_one_line(self, capsys, code, expected_code, kind):
         assert code == expected_code

@@ -42,10 +42,10 @@ class JitteredPowerLaw(PowerLawHazard):
     vector pow that is not correctly rounded may be.
     """
 
-    def rate_unchecked(self, ages):
-        rate = np.asarray(super().rate_unchecked(ages))
+    def rate_unchecked(self, ages, out=None):
+        rate = np.asarray(super().rate_unchecked(ages, out=out))
         odd = (rate.view(np.int64) & 1).astype(bool)
-        return np.nextafter(rate, np.where(odd, np.inf, 0.0))
+        return np.nextafter(rate, np.where(odd, np.inf, 0.0), out=rate)
 
 
 class TestNhppSample:
@@ -324,8 +324,14 @@ class TestBatch:
                                            seed=seed))
             else:
                 am = ApproxModel(n, delta, hazard, repair, Normalization.COMPONENT)
+                try:
+                    solo = simulate_algorithm1(am, count, seed, horizon=horizon)
+                except DomainError:  # a subnormal delta can put a stream's eta past the float range
+                    with pytest.raises(DomainError):
+                        simulate._algorithm1_run(am, count, seed, horizon)
+                    continue
                 plans.append(simulate._algorithm1_run(am, count, seed, horizon))
-                solos.append(simulate_algorithm1(am, count, seed, horizon=horizon))
+                solos.append(solo)
         results = superpose._advance_streams([run for run, _ in plans])
         for (_, finish), result, solo in zip(plans, results, solos):
             got = finish(*result)
@@ -460,9 +466,9 @@ class TestThinning:
         calls = []
         kernel = PowerLawHazard.rate_unchecked
 
-        def counted(hazard, ages):
+        def counted(hazard, ages, **kwargs):
             calls.append(1)
-            return kernel(hazard, ages)
+            return kernel(hazard, ages, **kwargs)
 
         monkeypatch.setattr(PowerLawHazard, "rate_unchecked", counted)
         out = simulate_thinning(ApproxModel(100, 0.5, PL, ARA(1, 0.3)), n_events=4000, seed=1)

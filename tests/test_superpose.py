@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import sgrpsim.superpose as superpose
-from history_oracle import RampHazard, grp_stream, simulate_sgrp_from_history
-from sgrpsim import (ARA, ConstantHazard, DomainError, FullHistory, Kijima1,
-                     MaskedHistory, Minimal, Perfect, PowerLawHazard, mask,
-                     simulate_sgrp, stream_rng, true_intensity_at_events,
+from history_oracle import (RampHazard, grp_stream, simulate_sgrp_from_history,
+                            true_intensity_per_component)
+from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, FullHistory, Kijima1,
+                     MaskedHistory, Minimal, Normalization, Perfect, PowerLawHazard, mask,
+                     simulate_algorithm1, simulate_sgrp, stream_rng, true_intensity_at_events,
                      true_system_intensity)
 
 PL = PowerLawHazard(1.3, 40.0)
@@ -211,16 +212,72 @@ class RepeatedColumns:
         return np.repeat(self.rng.standard_exponential(size=(k, 1)), width, axis=1)
 
 
+def nudged(times):
+    """Sorted ``times`` with each one not above the time before it (or 0) moved a float up."""
+    out, prev = [], 0.0
+    for t in times:
+        prev = t if t > prev else float(np.nextafter(prev, np.inf))
+        out.append(prev)
+    return np.array(out)
+
+
+def assert_components_carry_the_merged_times(full):
+    for c, comp in enumerate(full.per_component):
+        assert np.array_equal(comp, full.times[full.labels == c + 1])
+
+
 def test_tie_break_is_lowest_component_index(monkeypatch):
     # components reading the same draws fail at equal times, and each tie
-    # resolves by component order, as the heap's (time, index) does
+    # resolves by component order, as the heap's (time, index) does; each
+    # later member of a tie moves a float up, in its component's times too
     n = 4
     monkeypatch.setattr(superpose, "stream_rng",
                         lambda seed, role: RepeatedColumns(stream_rng(seed, role)))
     full = simulate_sgrp(n, Minimal(), ConstantHazard(0.5), n_events=202, seed=8)
     assert np.array_equal(full.labels, np.tile(np.arange(1, n + 1), 51)[:202])
-    assert np.array_equal(full.times, np.repeat(full.per_component[0], n)[:202])
+    assert np.array_equal(full.times, nudged(np.repeat(full.per_component[0], n)[:202]))
+    assert_components_carry_the_merged_times(full)
     assert full.counts().tolist() == [51, 51, 50, 50]
+
+
+def test_a_tie_nudged_past_the_horizon_is_cut(monkeypatch):
+    # the horizon falls on a tie: its first member stays, the others move
+    # past the horizon and leave the run with their components' times
+    n = 4
+    monkeypatch.setattr(superpose, "stream_rng",
+                        lambda seed, role: RepeatedColumns(stream_rng(seed, role)))
+    first = simulate_sgrp(n, Minimal(), ConstantHazard(0.5), n_events=40, seed=8).per_component[0]
+    full = simulate_sgrp(n, Minimal(), ConstantHazard(0.5), horizon=float(first[5]), seed=8)
+    assert full.times[-1] == first[5] and full.labels[-1] == 1
+    assert full.counts().tolist() == [6, 5, 5, 5]
+    assert_components_carry_the_merged_times(full)
+
+
+#: exact cross-component ties from the real generator: a power law this
+#: steep puts every failure within a few ulps of eta
+TIES = (100, Minimal(), PowerLawHazard(1e13, 1.0))
+
+
+@pytest.mark.parametrize("stop", ["count", "horizon"])
+def test_ties_are_nudged_as_the_stream_sampler_nudges_them(stop):
+    # one tie rule: the exact superposition nudges the heap merge's ties
+    # apart, and delta = 1 of the stream sampler is it bit for bit
+    n, model, hazard = TIES
+    times, labels, _ = simulate_sgrp_from_history(n, model, hazard, n_events=300, seed=1)
+    rank, counts = np.unique(times, return_counts=True)
+    assert (counts > 1).sum() >= 20  # the raw merge holds ties
+    run = dict(n_events=300)
+    if stop == "horizon":  # on a tie: only its first member is kept
+        run = dict(horizon=float(rank[np.flatnonzero(counts > 1)[10]]))
+        keep = np.searchsorted(nudged(times), run["horizon"], side="right")
+        times, labels = times[:keep], labels[:keep]
+    full = simulate_sgrp(n, model, hazard, seed=1, **run)
+    assert np.array_equal(full.times, nudged(times))
+    assert np.array_equal(full.labels, labels)
+    assert_components_carry_the_merged_times(full)
+    am = ApproxModel(n, 1.0, hazard, model, Normalization.COMPONENT)
+    stream = simulate_algorithm1(am, run.get("n_events"), seed=1, horizon=run.get("horizon"))
+    assert np.array_equal(stream.times, mask(full).times)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 100])
@@ -393,12 +450,23 @@ def test_stable_order_is_the_stable_argsort(values):
 @pytest.mark.parametrize("n", sorted(EVENTS))
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trajectory_equals_pointwise_at_every_event_bitwise(case, n):
+    # against the per-component oracle, which is the pointwise intensity at
+    # every event bit for bit (next test)
     model, hazard = CASES[case]
     full = simulate_sgrp(n, model, hazard, n_events=EVENTS[n], seed=400 + n)
     walked = true_intensity_at_events(full, model, hazard)
+    assert np.array_equal(walked, true_intensity_per_component(full, model, hazard))
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_per_component_oracle_is_pointwise_bitwise(case, n):
+    # at n = 12 a row of rates is summed pairwise, past numpy's unrolled block of 8
+    model, hazard = CASES[case]
+    full = simulate_sgrp(n, model, hazard, n_events=300, seed=400 + n)
     direct = np.array([true_system_intensity(full, model, hazard, t)
                        for t in full.times.tolist()])
-    assert np.array_equal(walked, direct)
+    assert np.array_equal(true_intensity_per_component(full, model, hazard), direct)
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 64])
