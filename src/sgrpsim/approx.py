@@ -72,24 +72,20 @@ class ApproxModel:
         _require_envelope(self.repair, hc)
         return hc
 
-    def _intensity(self, t, row, out=None):
+    def _intensity(self, t, row):
         """delta * lower + (1 - delta) * upper at ``t`` over the offset ``row``.
 
         ``row`` is the n lags, then the fresh component's offset 0. A float
         ``t`` gives a float and a list of floats a list, both mixed on Python
         floats (see ``envelope_rates``); an array of times gives an array of
-        the same shape, mixed in place in the lower envelope's array. ``out``
-        is an ages buffer for ``envelope_rates``, one row per time. Trusted:
-        ``t`` must not precede the history the lags come from.
+        the same shape. Trusted: ``t`` must not precede the history the lags
+        come from.
         """
-        lower, upper = envelope_rates(self._envelope_hazard, t, row, out)
+        lower, upper = envelope_rates(self._envelope_hazard, t, row)
         d, e = self.delta, 1.0 - self.delta
         if isinstance(t, list):
             return [d * lo + e * up for lo, up in zip(lower, upper)]
-        lower *= d
-        upper *= e
-        lower += upper
-        return lower
+        return d * lower + e * upper
 
 
 def _check_history_n(am, mh):
@@ -102,8 +98,7 @@ def approx_intensity(am: ApproxModel, mh: MaskedHistory, t):
 
     A scalar ``t`` gives a float. An array of times, none before the last
     masked failure, gives an array of the same shape, equal bit for bit to
-    the scalar calls: its ages are one temporary, rated in place, and the
-    envelope sums and the delta mix are formed in place, in the same order.
+    the scalar calls.
     """
     _check_history_n(am, mh)
     return am._intensity(_eval_time(mh, t), envelope_offset_row(mh.times, mh.n, am.repair))

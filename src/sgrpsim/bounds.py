@@ -110,9 +110,9 @@ def envelope_offset_row(times, n, ara):
     return row
 
 
-def _ages(t, rows, out=None):
-    """One row of ages per element of ``t``: the n lag ages, then the fresh age (into ``out``)."""
-    return np.subtract(np.asarray(t, dtype=float)[..., None], rows, out)
+def _ages(t, rows):
+    """One row of ages per element of ``t``: the n lag ages, then the fresh age."""
+    return np.asarray(t, dtype=float)[..., None] - rows
 
 
 def _envelope_sums(values, t):
@@ -122,16 +122,14 @@ def _envelope_sums(values, t):
     operations, and for a few rows cost less than numpy's per-call overhead.
     """
     n = values.shape[-1] - 1
-    lower = np.add.reduce(values[..., :n], -1)
+    lower = np.add.reduce(values[..., :n], axis=-1)
     if isinstance(t, list):
         # columns 0 and n: lag 0's value, then the fresh one
         return lower.tolist(), [(n - 1) * fresh + lag0 for lag0, fresh in values[:, ::n].tolist()]
-    upper = values[..., n] * (n - 1)
-    upper += values[..., 0]
-    return lower, upper
+    return lower, (n - 1) * values[..., n] + values[..., 0]
 
 
-def envelope_rates(hazard, t, rows, out=None):
+def envelope_rates(hazard, t, rows):
     """(lower, upper) envelope values at ``t`` from one rate-kernel call.
 
     lower: the sum of the n lag rates; upper: n-1 fresh components plus lag
@@ -141,18 +139,15 @@ def envelope_rates(hazard, t, rows, out=None):
     a float, which is the one-element list and gives two floats. Each time
     takes one row of ages, so a row's lag rates are contiguous and every
     row reduces them alike: a time gives the same floats in every form.
-    The ages are one array, rated in place: ``out`` when given, a float
-    buffer of one row per time (its caller's to reuse), else a fresh one.
 
     Uses the trusted ``hazard.rate_unchecked``: the caller has checked that
     the hazard is nondecreasing and that ``t`` does not precede the history
     the offsets come from, so every age is >= 0.
     """
     if isinstance(t, float):
-        (lower,), (upper,) = envelope_rates(hazard, [t], rows, out)
+        (lower,), (upper,) = envelope_rates(hazard, [t], rows)
         return lower, upper
-    ages = _ages(t, rows, out)
-    return _envelope_sums(hazard.rate_unchecked(ages, out=ages), t)
+    return _envelope_sums(hazard.rate_unchecked(_ages(t, rows)), t)
 
 
 def envelope_cumulative(hazard, a, b, rows):

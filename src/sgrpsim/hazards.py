@@ -59,10 +59,6 @@ class Hazard:
     rate never decreases, which bound evaluation requires), ``scaled`` and
     ``to_config``, and may name its ``scale`` field, which a lock-step stack
     (``superpose``) holds as an array, one entry per stream.
-
-    ``rate_unchecked(ages, out=None)`` takes an optional float array ``out``
-    of the ages' shape, which may be ``ages`` itself: it writes the rates
-    there and returns it, with the bits of the call without ``out``.
     """
     scale = None
 
@@ -99,11 +95,11 @@ class PowerLawHazard(Hazard):
     def is_nondecreasing(self) -> bool:
         return self.beta >= 1.0
 
-    def rate_unchecked(self, ages, out=None):
-        # one array, ``out`` when given: the scaled ages, raised and multiplied in place
+    def rate_unchecked(self, ages):
+        # one temporary: the scaled ages, raised and multiplied in place
         eta, power, factor = _power_terms(self.beta, self.eta)
-        x = np.asarray(np.divide(ages, eta, out))
-        np.power(x, power, x)
+        x = np.asarray(ages / eta)
+        np.power(x, power, out=x)
         x *= factor
         return x
 
@@ -138,10 +134,8 @@ class ConstantHazard(Hazard):
         if not (np.isfinite(self.rate0) and self.rate0 > 0.0):
             raise DomainError(f"rate must be positive, got {self.rate0}")
 
-    def rate_unchecked(self, ages, out=None):
-        out = np.empty(np.shape(ages)) if out is None else out
-        out.fill(self.rate0)
-        return out
+    def rate_unchecked(self, ages):
+        return np.full(ages.shape, self.rate0)
 
     def cumulative_unchecked(self, ages):
         return self.rate0 * ages

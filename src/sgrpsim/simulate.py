@@ -71,17 +71,6 @@ def _poisson_stream(hazard, rng):
         k = yield hazard.inverse_cumulative_unchecked(taus[1:])[:, None]
 
 
-def _merge(times):
-    """``times`` in increasing order, ties nudged apart as ``simulate_sgrp`` nudges them.
-
-    Equal times are interchangeable, so the order of a heap merge that breaks
-    ties by stream index is the sorted order (``superpose._nudge_ties``).
-    """
-    out = np.sort(times)
-    _nudge_ties(out)
-    return out
-
-
 def simulate_algorithm1(am: ApproxModel, n_events=None, seed=None, *,
                         horizon=None) -> MaskedHistory:
     """Stream-decomposition sampler: the earliest times of all streams.
@@ -137,10 +126,10 @@ def _algorithm1_run(am, n_events, seed, horizon):
         if not cut < inf:  # fewer than n_events finite times (NaN fails too)
             raise DomainError("a stream's time left the float range")
         times = np.concatenate(blocks, axis=None)
-        out = _merge(times[times <= cut])[:n_events]
-        if n_events is None:
-            # nudged ties move times up, so the merge is cut at the horizon again
-            out = out[:np.searchsorted(out, horizon, side="right")]
+        # equal times are interchangeable, so the sorted order is a heap
+        # merge's that breaks ties by stream index; ties nudged as in simulate_sgrp
+        out = np.sort(times[times <= cut])[:n_events]
+        out = out[:_nudge_ties(out, horizon)]
         return MaskedHistory(times=out, n=n, t_obs=float(out[-1] if horizon is None else horizon))
 
     return (groups, n_events, horizon), finish
@@ -170,12 +159,10 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     window's start and the ``CHAIN_ENDS`` window ends that the doubling rule
     reaches from there, each end computed with the loop's own float steps
     and horizon clip, so every majorant is the float a call at that end
-    alone gives. Every call forms its ages in one buffer held for the whole
-    run, which the rate kernel overwrites in place. A candidate is accepted
-    without evaluating the intensity when ``U * majorant <= (1 - kappa) * L``
-    (Marsaglia's squeeze), where L is the intensity already computed at the
-    window's start over the same lags: the event time, a missed window's end
-    or a rejected candidate.
+    alone gives. A candidate is accepted without evaluating the intensity
+    when ``U * majorant <= (1 - kappa) * L`` (Marsaglia's squeeze), where L
+    is the intensity already computed at the window's start over the same
+    lags: the event time, a missed window's end or a rejected candidate.
 
     The squeeze decides only what the evaluation would: for s <= t and
     nonnegative ages, ``fl((1 - kappa) * L(s)) <= L(t)`` with
@@ -212,9 +199,6 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
     # single-component offset W(N) in front
     state, offsets = am.repair.offset_state(), np.zeros(n + 1)
     newer, older = offsets[1:n], offsets[:n - 1]
-    # one buffer holds every rate call's ages, a row per time: ``ages[k]`` is its first k rows
-    buffer = np.empty((CHAIN_ENDS + 1, n + 1))
-    ages = [buffer[:k] for k in range(CHAIN_ENDS + 2)]
     t = 0.0
     window = float(am.hazard.inverse_cumulative(1.0)) / n
     # one rate call evaluates ``rows``: the window's start, then the window
@@ -234,7 +218,7 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
                     break
                 rows.append(end)
                 w *= 2.0
-            lam = intensity(rows, offsets, ages[len(rows)])
+            lam = intensity(rows, offsets)
             floor = squeeze * lam[0]
             if not floor < inf:  # NaN fails too
                 raise DomainError("the model intensity left the float range")
@@ -252,7 +236,7 @@ def simulate_thinning(am: ApproxModel, *, n_events=None, horizon=None,
         t = t + gap
         rows, i = [], 0  # the next window starts at t
         accept = uniform() * majorant
-        if accept <= floor or accept <= intensity(t, offsets, ages[1]):
+        if accept <= floor or accept <= intensity(t, offsets):
             if times:
                 spacing = t - times[-1]
                 gaps.append(spacing)

@@ -283,19 +283,21 @@ def _stable_order(values):
     return order
 
 
-def _nudge_ties(times):
-    """Nudge the ties of the sorted ``times`` apart in place; True when one moved.
+def _nudge_ties(times, horizon=None):
+    """Nudge the ties of the sorted ``times`` apart in place; how many to keep.
 
     Equal times are interchangeable, so only their values change, not their
     order. A time not above the one before it (or not above 0 for the first)
-    becomes the next float up, sequentially from the first such tie.
+    becomes the next float up, sequentially from the first such tie. A nudge
+    can pass ``horizon``: the count kept is of the times at or before it, or
+    all of them when there is no horizon.
     """
     ties = np.flatnonzero(times <= np.concatenate(([0.0], times[:-1])))
     for k in range(ties[0] if ties.size else times.size, times.size):
         prev = times[k - 1] if k else 0.0
         if times[k] <= prev:  # float coincidence across streams
             times[k] = np.nextafter(prev, np.inf)
-    return bool(ties.size)
+    return times.size if horizon is None else int(np.searchsorted(times, horizon, side="right"))
 
 
 def _check_stop(n_events, horizon):
@@ -338,11 +340,9 @@ def _sgrp_run(n, model, hazard, n_events, horizon, seed):
         kept = np.flatnonzero(flat <= cut)
         order = kept[_stable_order(flat[kept])][:n_events]
         times = flat[order]
-        if _nudge_ties(times):
-            if horizon is not None:  # a nudged tie can pass the horizon
-                order = order[:np.searchsorted(times, horizon, side="right")]
-                times = times[:order.size]
-            flat[order] = times  # each component carries its nudged times
+        count = _nudge_ties(times, horizon)
+        order, times = order[:count], times[:count]
+        flat[order] = times  # each component carries its nudged times
         comps = order // columns.shape[1]
         counts = np.bincount(comps, minlength=n)
         per_component = tuple(columns[c, :k].copy() for c, k in enumerate(counts))

@@ -377,8 +377,8 @@ class RampHazard(Hazard):
     cap: float
     is_nondecreasing = True
 
-    def rate_unchecked(self, ages, out=None):
-        return np.multiply(self.slope, np.minimum(ages, self.cap, out=out), out=out)
+    def rate_unchecked(self, ages):
+        return self.slope * np.minimum(ages, self.cap)
 
     def cumulative_unchecked(self, ages):
         x = np.minimum(ages, self.cap)

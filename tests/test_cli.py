@@ -655,30 +655,22 @@ class TestErrorPaths:
         assert lines[0].startswith("error: domain: ")
         assert not (tmp_path / "o").exists()
 
-    def test_a_refused_run_leaves_no_output(self, tmp_path, capsys):
-        # a harmful repair this strong sends an age past the float range; the
-        # sampler refuses it before events.csv is written, so the run leaves
-        # no --out
-        cfg = base_config(repair={"model": "ara", "m": 2, "rho": -1e300})
-        out = tmp_path / "o"
-        code = main(["simulate-sgrp", "--config", write_config(tmp_path, cfg), "--out", str(out)])
-        self.assert_one_line(capsys, code, 4, "domain")
-        assert not out.exists()
-
-    def test_ties_end_every_run_cleanly(self, tmp_path, capsys):
-        # beta = 1e13 gives exact ties across components; both exact
-        # subcommands nudge them apart as the stream sampler does, so each
-        # run exits 0 or with one error line, and delta = 1 is the masked
-        # exact run byte for byte
-        cfg = write_config(tmp_path, base_config(
+    @staticmethod
+    def tie_config(tmp_path):
+        # beta = 1e13 gives exact ties across components
+        return write_config(tmp_path, base_config(
             hazard={"family": "power_law", "beta": 1e13, "eta": 1.0},
             repair={"model": "minimal"}, system={"n": 100},
             approx={"delta": 1.0, "normalization": "component"},
             run={"n_events": 300, "seed": 1}))
+
+    def test_ties_end_every_run_cleanly(self, tmp_path, capsys):
+        # both exact samplers nudge ties apart alike, so each run exits 0 or
+        # with one error line, and delta = 1 is the masked exact run byte for
+        # byte. Thinning's majorant at this steepness is past the float range
+        cfg = self.tie_config(tmp_path)
         for args, code, kind in [(["simulate-sgrp"], 0, None),
                                  (["simulate-approx", "--method", "algorithm1"], 0, None),
-                                 # rates near 1e13 are past the sandwich's absolute slack
-                                 (["bounds-check"], 1, "check"),
                                  (["simulate-approx", "--method", "thinning"], 4, "domain")]:
             got = main([*args, "--config", cfg, "--out", str(tmp_path / args[-1])])
             if kind:
@@ -687,6 +679,13 @@ class TestErrorPaths:
                 assert got == code and capsys.readouterr().err == ""
         exact = (tmp_path / "simulate-sgrp" / "events_masked.csv").read_bytes()
         assert (tmp_path / "algorithm1" / "events.csv").read_bytes() == exact
+
+    @pytest.mark.xfail(strict=True, reason="known defect: SANDWICH_SLACK is absolute, so "
+                       "one-ulp differences at rates near 1e13 count as envelope violations")
+    def test_bounds_check_on_ties_finds_no_violation(self, tmp_path, capsys):
+        code = main(["bounds-check", "--config", self.tie_config(tmp_path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 0 and capsys.readouterr().err == ""
 
     def assert_one_line(self, capsys, code, expected_code, kind):
         assert code == expected_code
@@ -830,13 +829,14 @@ class TestErrorPaths:
     @pytest.mark.parametrize("rho", [-math.inf, -1e300])
     def test_harmful_repair_past_the_float_range(self, tmp_path, rho):
         # an age that overflows is one domain error line, without numpy's
-        # warnings
+        # warnings, and leaves no --out
         cfg = write_config(tmp_path, base_config(repair={"model": "ara", "m": 1, "rho": rho}))
         proc = run_cli(["simulate-sgrp", "--config", cfg, "--out", "out"], tmp_path)
         assert proc.returncode == 4
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, lines
         assert lines[0].startswith("error: domain: ")
+        assert not (tmp_path / "out").exists()
 
 
 def with_value(section, key, value):

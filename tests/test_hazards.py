@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
-from history_oracle import RampHazard
 from sgrpsim import (ConfigError, ConstantHazard, DomainError, PowerLawHazard,
                      hazard_from_config)
 
@@ -230,21 +229,6 @@ class TestKernelContract:
                 got = getattr(h, public)(x)
             assert isinstance(got, np.ndarray) and got.shape == x.shape
             assert bits(got) == bits(want)
-
-    @settings(max_examples=200, deadline=None)
-    @given(h=HAZARDS | st.builds(RampHazard, st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
-           x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
-                                                     max_side=5), elements=VALUES),
-           alias=st.booleans())
-    def test_rate_into_out_is_the_rate(self, h, x, alias):
-        # rate_unchecked(a, out=buf) fills buf, the ages themselves or
-        # another array, and returns it with the bits of rate_unchecked(a)
-        with np.errstate(divide="ignore"):
-            want = h.rate_unchecked(x.copy())
-            buf = x.copy() if alias else np.full(x.shape, np.nan)
-            got = h.rate_unchecked(buf if alias else x, out=buf)
-        assert got is buf
-        assert bits(got) == bits(want)
 
     @settings(max_examples=100, deadline=None)
     @given(h=HAZARDS, bad=st.one_of(st.just(np.nan), st.floats(max_value=-1e-300)),
