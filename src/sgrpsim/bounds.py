@@ -23,8 +23,8 @@ component's offset 0 (:func:`envelope_offset_row`), so ``t - row`` gives all
 n + 1 ages in one subtraction.
 
 With a different hazard per component, :func:`heterogeneous_upper` takes
-the largest over c of the upper envelope's labelling on component c: every
-failure there, the other components fresh, so its offset is lag 0 too.
+the largest over c of a failure at ``T_N`` on component c, offset
+``rho * T_N``, the others fresh: a bound for every m, and lag 0 for m = 1.
 
 Evaluation at a failure time uses the left limit: the history handed in must
 exclude an event exactly at ``t``.
@@ -210,20 +210,20 @@ def sgrp_bounds_at_events(times, n, model, hazard):
 def heterogeneous_upper(mh: MaskedHistory, hazards, model, t) -> float:
     """Upper envelope for components with different hazards, one per component.
 
-    The largest over c of ``sum_{c' != c} rate_c'(t) + rate_c(t - W(N))``:
-    every masked failure on component c, the others fresh. For m = 1 the
-    component that failed at ``T_N`` carries offset ``W(N)`` and every other
-    rate is at most its fresh rate, so this is the least upper bound over all
-    labellings, for nondecreasing hazards in any order. For m >= 2, ``W(N)``
-    can round an ulp above the offset ``fl(rho * T_N)`` of a component that
-    failed at ``T_N`` alone, and a rate steep at such ages exceeds this. All
+    The largest over c of ``sum_{c' != c} rate_c'(t) + rate_c(t - rho * T_N)``
+    (offset 0 for no failures): a failure at ``T_N`` on c, the others fresh.
+    A bound for every m and nondecreasing hazards in any order: the component
+    that failed at ``T_N`` has offset at least ``fl(rho * T_N)``, the first
+    term of its float fold, which nonnegative terms or the clamp at ``T_N``
+    cannot lower. For m = 1 the offset is ``W(N)``, and each candidate is
+    attained, so this is the least upper bound over all labellings. All
     components share the repair model; ties keep the first maximiser.
     """
     if len(hazards) != mh.n:
         raise DomainError(f"need one hazard per component: {len(hazards)} != n={mh.n}")
     _require_envelope(model, *hazards)
     t = _one_time(mh, t)
-    age = t - model.offset_after(mh.times)
+    age = t - (model.rho * mh.times[-1] if mh.times.size else 0.0)
     rates = [float(h.rate(t)) for h in hazards]
     return max(sum(rates[:c] + rates[c + 1:]) + float(h.rate(age))
                for c, h in enumerate(hazards))

@@ -168,13 +168,19 @@ def cmd_simulate_approx(args, cfg: RunConfig, seed, out):
     return files, {"method": args.method, "events": len(masked)}, None
 
 
+def _violations(n, true, lower, upper):
+    """How many ``true`` leave ``[lower, upper]`` by more than ``SANDWICH_SLACK`` plus the
+    float error of two n-term rate sums, ``(n + 4) eps max(|lower|, |upper|)``."""
+    slack = SANDWICH_SLACK + (n + 4) * np.finfo(float).eps * np.maximum(abs(lower), abs(upper))
+    return int(np.sum((true < lower - slack) | (true > upper + slack)))
+
+
 def cmd_bounds_check(args, cfg: RunConfig, seed, out):
     full = simulate_sgrp(cfg.n, cfg.repair, cfg.hazard, n_events=cfg.n_events,
                          horizon=cfg.horizon, seed=seed)
     lower, upper = sgrp_bounds_at_events(full.times, cfg.n, cfg.repair, cfg.hazard)
     true = true_intensity_at_events(full, cfg.repair, cfg.hazard)
-    violations = int(np.sum((true < lower - SANDWICH_SLACK)
-                            | (true > upper + SANDWICH_SLACK)))
+    violations = _violations(cfg.n, true, lower, upper)
     files = [write_bounds_csv(out / "bounds.csv", full.times, lower, upper, true)]
     print(f"events={len(full)} violations={violations}")
     failure = f"{violations} envelope violations" if violations else None

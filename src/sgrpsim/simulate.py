@@ -8,11 +8,11 @@ the weighted envelope combination:
   one inhomogeneous Poisson stream carrying the fresh-component mass, and one
   extra rejuvenating stream for the single-component term — then emits the
   earliest times across streams. Each group of streams sharing a hazard
-  draws from its own derived generator, and its rejuvenating streams advance
-  in the lock-step engine of ``superpose``, stacked with those of any other
-  run they share a vector step with; the result depends neither on the
-  block sizes nor on the other runs, and memory is O(n_events + n) at a
-  steady pace.
+  draws from its own derived generator and is a stack of the lock-step
+  engine of ``superpose``, sent a block height: the Poisson stream alone,
+  the rejuvenating groups with those of any run they share a vector step
+  with. The result depends neither on the block sizes nor on the other
+  runs, and memory is O(n_events + n) at a steady pace.
 * ``simulate_thinning`` samples directly from the exact model intensity by
   window thinning and serves as the oracle for the stream decomposition,
   whose faithfulness to the model is reported rather than assumed.
@@ -35,7 +35,7 @@ from .approx import ApproxModel
 from .errors import DomainError, positive_int
 from .rng import stream_rng
 from .superpose import (COMPONENTS, POISSON, SINGLE, MaskedHistory, _advance_streams, _check_stop,
-                        _nudge_ties)
+                        _nudge_ties, _poisson_stream)
 
 __all__ = ["nhpp_sample", "simulate_algorithm1", "simulate_thinning"]
 
@@ -51,24 +51,9 @@ def nhpp_sample(hazard, count, rng) -> np.ndarray:
     unit exponentials from ``rng``, mapped through the inverse cumulative
     hazard, t_k = inf{v : cumulative(v) >= tau_k}.
     """
-    stream = _poisson_stream(hazard, rng)
+    stream = _poisson_stream([(None, hazard, rng, 1, 1.0)])
     next(stream)
     return stream.send(positive_int("count", count))[:, 0]
-
-
-def _poisson_stream(hazard, rng):
-    """An inhomogeneous Poisson stream, extended a block at a time.
-
-    A generator like ``superpose._rejuvenating_streams``, with one column.
-    The unit exponentials accumulate left to right from the last one, as a
-    running sum drawn one at a time does.
-    """
-    tau = np.zeros(1)
-    k = yield
-    while True:
-        taus = np.cumsum(np.concatenate((tau, rng.exponential(size=k))))
-        tau = taus[-1:]
-        k = yield hazard.inverse_cumulative_unchecked(taus[1:])[:, None]
 
 
 def simulate_algorithm1(am: ApproxModel, n_events=None, seed=None, *,
@@ -108,16 +93,14 @@ def _algorithm1_run(am, n_events, seed, horizon):
     n, d = am.n, am.delta
     base = am.component_hazard()
 
-    # (repair or None, hazard, generator or stream generator, how many
-    # streams, each stream's share of the initial system rate)
+    # (repair, None for the Poisson stream; hazard; generator; how many
+    # streams; each stream's share of the initial system rate)
     groups = []
     if d > 0.0:
         groups.append((am.repair, base.scaled(d), stream_rng(seed, COMPONENTS), n, d / n))
     share = (1.0 - d) * (n - 1)
     if share > 0.0:
-        hazard = base.scaled(share)
-        groups.append((None, hazard, _poisson_stream(hazard, stream_rng(seed, POISSON)), 1,
-                       share / n))
+        groups.append((None, base.scaled(share), stream_rng(seed, POISSON), 1, share / n))
     if d < 1.0:
         groups.append((am.repair, base.scaled(1.0 - d), stream_rng(seed, SINGLE), 1,
                        (1.0 - d) / n))

@@ -23,9 +23,8 @@ sampler's merge moves it, in its component's times too.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,10 +97,29 @@ class FullHistory:
 
 
 def _per_column(objects, field, widths):
-    """``objects[0]`` with ``field`` the array of each one's value over its ``widths`` columns."""
-    out = copy.copy(objects[0])
+    """``objects[0]``'s dataclass fields alone (no cached value), ``field`` the array of each
+    one's value over its ``widths`` columns."""
+    out = object.__new__(type(objects[0]))
+    for f in fields(out):
+        object.__setattr__(out, f.name, getattr(objects[0], f.name))
     object.__setattr__(out, field, np.repeat([getattr(x, field) for x in objects], widths))
     return out
+
+
+def _poisson_stream(groups):
+    """An inhomogeneous Poisson stream, the stack of one group ``(None, hazard, rng, 1, share)``.
+
+    Sent ``k`` as :func:`_rejuvenating_streams` is. The unit exponentials
+    accumulate left to right from the last one, as a running sum drawn one
+    at a time does, into the inverse cumulative hazard.
+    """
+    ((_, hazard, rng, *_),) = groups
+    tau = np.zeros(1)
+    k = yield
+    while True:
+        taus = np.cumsum(np.concatenate((tau, rng.exponential(size=k))))
+        tau = taus[-1:]
+        k = yield hazard.inverse_cumulative_unchecked(taus[1:])[:, None]
 
 
 def _rejuvenating_streams(groups):
@@ -109,14 +127,13 @@ def _rejuvenating_streams(groups):
 
     ``groups`` holds ``(model, hazard, rng, width, share)``: hazards that
     differ at most in their ``scale``, repairs that share m. A generator:
-    each ``send((k, live))`` returns the next ``k`` failure times of every
-    stream of the groups indexed by ``live`` (a group that leaves does not
-    come back) as one ``(k, width)`` array, the groups side by side. A
+    each ``send(k)`` returns the next ``k`` failure times of every stream of
+    every group as one ``(k, width)`` array, the groups side by side. A
     group's exponentials are one row-major ``(k, width)`` draw from its own
     ``rng``: its stream i's j-th failure takes draw ``j * width + i``
     however the steps are blocked or stacked. A step is ``next_failure_time``
     and ``ARA.offset_step`` elementwise, on per-column ``rho`` and scale
-    while several groups are live: each column is its stream stepped alone.
+    for a stack of several groups: each column is its stream stepped alone.
 
     Three or more streams step a block without ``next_failure_time``'s guard
     and check it once: if every time is above the one before it in its
@@ -128,39 +145,34 @@ def _rejuvenating_streams(groups):
     """
     widths = [g[3] for g in groups]
 
-    def draw():  # a row-major (k, width) draw from each live group's generator, side by side
-        draws = [groups[g][2].standard_exponential(size=(k, widths[g])) for g in live]
+    def draw():  # a row-major (k, width) draw from each group's generator, side by side
+        draws = [rng.standard_exponential(size=(k, width)) for _, _, rng, width, _ in groups]
         return draws[0] if len(draws) == 1 else np.hstack(draws)
 
-    k, live = yield
+    k = yield
     if sum(widths) <= 2:
         # one or two streams step on Python floats, which cost less than 1-
         # or 2-element arrays (at five streams the arrays are the cheaper)
-        columns = [(g, groups[g][0].offset_state(), 0.0, 0.0) for g in live
-                   for _ in range(widths[g])]
+        columns = [(model, hazard, model.offset_state(), 0.0, 0.0)
+                   for model, hazard, _, width, _ in groups for _ in range(width)]
         while True:
-            columns = [c for c in columns if c[0] in live]
             block = draw()
-            for i, (g, state, offset, t) in enumerate(columns):
-                model, hazard, times = *groups[g][:2], []
+            for i, (model, hazard, state, offset, t) in enumerate(columns):
+                times = []
                 for e in block[:, i].tolist():
                     t = next_failure_time(hazard, offset, t, e)
                     state, offset = model.offset_step(state, t)
                     times.append(t)
                 block[:, i] = times
-                columns[i] = g, state, offset, t
-            k, live = yield block
-    stacked, state, offset, t = None, groups[0][0].offset_state(), 0.0, 0.0
+                columns[i] = model, hazard, state, offset, t
+            k = yield block
+    model, hazard = groups[0][:2]
+    if len(groups) > 1:  # one vector step for groups of different scales and rho
+        model = _per_column([grp[0] for grp in groups], "rho", widths)
+        hazard = _per_column([grp[1] for grp in groups], hazard.scale, widths)
+    state, offset, t = model.offset_state(), 0.0, 0.0
     while True:
-        if live != stacked:
-            if stacked:  # groups past their run's cut leave, with their columns
-                keep = np.repeat([g in live for g in stacked], [widths[g] for g in stacked])
-                state, offset, t = tuple(s[keep] for s in state), offset[keep], t[keep]
-            stacked, (model, hazard), ws = live, groups[live[0]][:2], [widths[g] for g in live]
-            if len(live) > 1:  # one vector step for groups of different scales and rho
-                model = _per_column([groups[g][0] for g in live], "rho", ws)
-                hazard = _per_column([groups[g][1] for g in live], hazard.scale, ws)
-        start, bits = (state, offset, t), [groups[g][2].bit_generator.state for g in live]
+        start, bits = (state, offset, t), [grp[2].bit_generator.state for grp in groups]
         block = draw()
         for guard in (False, True):
             state, offset, t = start
@@ -176,10 +188,10 @@ def _rejuvenating_streams(groups):
             # every time past the one before it: no guard would have fired
             if guard or (block[0] > start[2]).all() and (block[1:] > block[:-1]).all():
                 break
-            for g, b in zip(live, bits):
-                groups[g][2].bit_generator.state = b
+            for grp, b in zip(groups, bits):
+                grp[2].bit_generator.state = b
             block = draw()
-        k, live = yield block
+        k = yield block
 
 
 # a harmful repair (rho < 0) can push an age past the float range; a stream's
@@ -189,15 +201,16 @@ def _advance_streams(runs):
     """Advance the lock-step groups of every run until each stream passes its run's cut.
 
     A run is ``(groups, count, horizon)``, one stop None; a group is
-    ``(model, hazard, source, width, share)``: ``width`` streams under
-    repair ``model`` drawing from the generator ``source`` (or, ``model``
-    None, a stream generator stepped alone: the Poisson stream) and each
-    stream's share of its run's initial rate. Rejuvenating groups of all
-    runs whose hazards share the family and every field but ``scale``,
-    under one m, step as one stack (:func:`_rejuvenating_streams`). The cut
-    is the ``count``-th smallest time of the run's streams, or its horizon.
-    Returns per run its times per group as one ``(steps, width)`` array,
-    every time up to the cut in them, and the cut.
+    ``(model, hazard, rng, width, share)``: ``width`` streams under repair
+    ``model`` (None: a Poisson stream) drawing from the generator ``rng``,
+    and each stream's share of its run's initial rate. Each group is in one
+    stack, a generator sent ``k`` for its groups' next ``k`` rows: the
+    rejuvenating groups of all runs whose hazards share the family and every
+    dataclass field but ``scale``, under one m (:func:`_rejuvenating_streams`);
+    any other group alone. The cut is the ``count``-th smallest time of the
+    run's streams, or its horizon. Returns per run its times per group as
+    one ``(steps, width)`` array, every time up to the cut in them, and the
+    cut.
 
     Blocks aim to end at the cut. A group's first block is sized for its
     slowest stream, ``mu + 3 sqrt(mu)`` steps (the extra at most ``width /
@@ -207,48 +220,43 @@ def _advance_streams(runs):
     stream's pace to the horizon, or to the frontier (the run's earliest
     last time) scaled by ``count`` over the times up to it, which estimates
     the ``count``-th time: at least one step, at most the group's steps so
-    far. A stack's block takes the most steps any of its groups plans, at
-    most ``FIRST_BLOCK_TIMES`` times; a group whose slowest stream is past
-    its run's cut leaves its stack. Each stream's times are its draws in
-    order, so neither blocks nor other runs change a result.
+    far. A stack's block takes the most steps any of its groups short of
+    its run's cut plans, at most ``FIRST_BLOCK_TIMES`` times; all its groups
+    step it, the rows of those past their cut dropped. Each stream's times
+    are its draws in order, so neither blocks nor other runs change a result.
     """
     plans, stacks = [], {}
     for r, (groups, count, horizon) in enumerate(runs):
         steps = []
-        for g, (model, hazard, source, width, share) in enumerate(groups):
+        for g, (model, hazard, _, width, share) in enumerate(groups):
             mu = min(count * share if horizon is None else float(hazard.cumulative(horizon)),
                      FIRST_BLOCK_TIMES)
             # at least one step: the cumulative hazard underflows to 0 at a tiny horizon
             steps.append(max(1, min(count or FIRST_BLOCK_TIMES,
                                     math.ceil(mu + min(3.0 * math.sqrt(mu), width / 4.0)))))
-            if model is None:
-                next(source)  # run the stream generator to its first send
-                continue
-            key = (r, g) if hazard.scale is None else (
-                type(hazard), model.m, *(v for f, v in vars(hazard).items() if f != hazard.scale))
+            # a Poisson group, or a hazard with no per-column form, is a stack alone
+            key = (r, g) if not model or hazard.scale is None else (type(hazard), model.m, *(
+                getattr(hazard, f.name) for f in fields(hazard) if f.name != hazard.scale))
             stacks.setdefault(key, []).append((r, g))
         plans.append((steps, [[] for _ in groups], list(range(len(groups)))))
-    stacks = [(members, _rejuvenating_streams([runs[r][0][g] for r, g in members]))
-              for members in stacks.values()]
-    for _, streams in stacks:
+    engines = []
+    for members in stacks.values():
+        groups = [runs[r][0][g] for r, g in members]
+        streams = (_rejuvenating_streams if groups[0][0] else _poisson_stream)(groups)
         next(streams)
+        engines.append((members, np.cumsum([0, *(grp[3] for grp in groups)]).tolist(), streams))
     cuts = [horizon for *_, horizon in runs]
     while any(pending for *_, pending in plans):
-        for members, streams in stacks:
-            live = [i for i, (r, g) in enumerate(members) if g in plans[r][2]]
-            if live:
-                owners = [members[i] for i in live]
-                widths = [runs[r][0][g][3] for r, g in owners]
-                k = min(max(plans[r][0][g] for r, g in owners), FIRST_BLOCK_TIMES // sum(widths))
-                block = streams.send((max(k, 1), live))
-                for (r, g), lo, w in zip(owners, np.cumsum([0, *widths]), widths):
-                    plans[r][1][g].append(block[:, lo:lo + w])
-        for r, ((groups, count, _), (steps, blocks, pending)) in enumerate(zip(runs, plans)):
+        for members, edges, streams in engines:
+            short = [plans[r][0][g] for r, g in members if g in plans[r][2]]
+            if short:
+                block = streams.send(min(max(short), max(FIRST_BLOCK_TIMES // edges[-1], 1)))
+                for (r, g), lo, hi in zip(members, edges, edges[1:]):
+                    if g in plans[r][2]:
+                        plans[r][1][g].append(block[:, lo:hi])
+        for r, ((_, count, _), (steps, blocks, pending)) in enumerate(zip(runs, plans)):
             if not pending:
                 continue
-            for g in pending:
-                if groups[g][0] is None:
-                    blocks[g].append(groups[g][2].send(steps[g]))
             slowest = [bs[-1][-1].min() for bs in blocks]  # each group's earliest last time
             target = cuts[r]
             if count is not None:

@@ -23,7 +23,8 @@ envelope route the package used before its offset rows carried the fresh
 component's zero: the n lag ages written into an empty block, the fresh age
 copied in as a last column, the power-law rate in three temporaries and the
 sums on 0-d arrays for a float time. ``RampHazard`` is a hazard family
-outside the shipped ones.
+outside the shipped ones. ``wrap_stacks`` routes the lock-step engine's
+block requests and blocks through a test's hooks.
 """
 
 import heapq
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import sgrpsim.superpose as superpose
 from sgrpsim import DomainError, MaskedHistory, stream_rng
 from sgrpsim.approx import _check_history_n
 from sgrpsim.bounds import _eval_time
@@ -180,6 +182,24 @@ def nhpp_stream(hazard, rng):
     while True:
         tau += float(rng.exponential())
         yield float(hazard.inverse_cumulative(tau))
+
+
+def wrap_stacks(monkeypatch, limit, seen=lambda block: None):
+    """Forward every block request ``k`` of the engine's stacks as ``limit(k)``.
+
+    Each block a stack hands back is passed to ``seen`` first. Both stream
+    generators, rejuvenating and Poisson, take the one request ``send(k)``.
+    """
+    for name in ("_rejuvenating_streams", "_poisson_stream"):
+        def wrapped(groups, make=getattr(superpose, name)):
+            streams = make(groups)
+            k = yield next(streams)
+            while True:
+                block = streams.send(limit(k))
+                seen(block)
+                k = yield block
+
+        monkeypatch.setattr(superpose, name, wrapped)
 
 
 def heap_merge(streams, count):

@@ -680,12 +680,20 @@ class TestErrorPaths:
         exact = (tmp_path / "simulate-sgrp" / "events_masked.csv").read_bytes()
         assert (tmp_path / "algorithm1" / "events.csv").read_bytes() == exact
 
-    @pytest.mark.xfail(strict=True, reason="known defect: SANDWICH_SLACK is absolute, so "
-                       "one-ulp differences at rates near 1e13 count as envelope violations")
     def test_bounds_check_on_ties_finds_no_violation(self, tmp_path, capsys):
         code = main(["bounds-check", "--config", self.tie_config(tmp_path),
                      "--out", str(tmp_path / "o")])
         assert code == 0 and capsys.readouterr().err == ""
+
+    def test_slack_scales_with_the_rates(self):
+        # a one-ulp gap at 1e13 is rounding of equal sums, far past the
+        # absolute 1e-9; a true value 1e-6 relative below the lower is not
+        lower = np.array([1e13])
+        upper = np.nextafter(lower, np.inf)
+        assert cli._violations(100, lower, upper, upper) == 0
+        assert cli._violations(100, upper, lower, lower) == 0
+        assert cli._violations(100, lower * (1.0 - 1e-6), lower, upper) == 1
+        assert cli._violations(5, np.array([1.0 - 2e-9]), np.array([1.0]), np.array([1.0])) == 1
 
     def assert_one_line(self, capsys, code, expected_code, kind):
         assert code == expected_code

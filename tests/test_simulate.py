@@ -11,7 +11,7 @@ import sgrpsim.simulate as simulate
 import sgrpsim.superpose as superpose
 from history_oracle import (RampHazard, group_draws, grp_stream, grp_stream_from_history,
                             heap_merge, nhpp_stream, simulate_algorithm1_heap,
-                            simulate_thinning_from_history)
+                            simulate_thinning_from_history, wrap_stacks)
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, Kijima1,
                      Minimal, MaskedHistory, Normalization, Perfect, PowerLawHazard, mask,
                      approx_intensity, intensity_integral, ks_exp1, nhpp_sample,
@@ -204,14 +204,14 @@ class TestAlgorithm1:
     @pytest.mark.parametrize("cap", [1, 7, 64])
     @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
     def test_run_does_not_depend_on_block_size(self, delta, cap, monkeypatch):
-        # every stack and every Poisson stream hands back at most ``cap``
+        # every stack (the Poisson stream is one) hands back at most ``cap``
         # steps per request, so the engine's schedule across the stack of
         # the n-stream and single-stream groups and the Poisson stream
         # changes; the run is the one of uncapped blocks, in both stop modes
         am = ApproxModel(5, delta, PL, ARA(2, 0.4))
         count = simulate_algorithm1(am, 600, seed=21)
         horizon = simulate_algorithm1(am, seed=21, horizon=0.5 * count.t_obs)
-        cap_requests(monkeypatch, lambda k: min(k, cap))
+        wrap_stacks(monkeypatch, lambda k: min(k, cap))
         got = simulate_algorithm1(am, 600, seed=21)
         assert np.array_equal(got.times, count.times)
         got = simulate_algorithm1(am, seed=21, horizon=horizon.t_obs)
@@ -240,7 +240,7 @@ class TestAlgorithm1:
             assert k <= count
             return k
 
-        cap_requests(monkeypatch, checked)
+        wrap_stacks(monkeypatch, checked)
         am = ApproxModel(n, 0.5, PowerLawHazard(0.3, 1.0),
                          ARA(9, 0.999999))
         out = simulate_algorithm1(am, count, seed=0)
@@ -271,29 +271,6 @@ class TestAlgorithm1:
             got = merged[:count]
             assert np.array_equal(got, expect)
             assert np.all(np.diff(got, prepend=0.0) > 0.0)
-
-
-def cap_requests(monkeypatch, limit):
-    """Forward every block request of the engine's stacks and Poisson streams as ``limit(k)``.
-
-    A stack is sent ``(k, live groups)``, a Poisson stream ``k``.
-    """
-    stack, poisson = superpose._rejuvenating_streams, simulate._poisson_stream
-
-    def stacked(*args):
-        streams = stack(*args)
-        k, live = yield next(streams)
-        while True:
-            k, live = yield streams.send((limit(k), live))
-
-    def alone(*args):
-        stream = poisson(*args)
-        k = yield next(stream)
-        while True:
-            k = yield stream.send(limit(k))
-
-    monkeypatch.setattr(superpose, "_rejuvenating_streams", stacked)
-    monkeypatch.setattr(simulate, "_poisson_stream", alone)
 
 
 #: one run of a lock-step batch: exact superposition (else the stream

@@ -1,4 +1,5 @@
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy import stats as sps
 
 import sgrpsim.superpose as superpose
 from history_oracle import (RampHazard, grp_stream, simulate_sgrp_from_history,
-                            true_intensity_per_component)
+                            true_intensity_per_component, wrap_stacks)
 from sgrpsim import (ARA, ApproxModel, ConstantHazard, DomainError, FullHistory, Kijima1,
                      MaskedHistory, Minimal, Normalization, Perfect, PowerLawHazard, mask,
                      simulate_algorithm1, simulate_sgrp, stream_rng, true_intensity_at_events,
@@ -351,15 +352,7 @@ def assert_block_size_free(n, model, hazard, cap, monkeypatch, seed=23):
     count = simulate_sgrp(n, model, hazard, n_events=600, seed=seed)
     horizon = simulate_sgrp(n, model, hazard, horizon=0.5 * float(count.times[-1]),
                             seed=seed)
-    make = superpose._rejuvenating_streams
-
-    def capped(*args):
-        streams = make(*args)
-        k, live = yield next(streams)
-        while True:
-            k, live = yield streams.send((min(k, cap), live))
-
-    monkeypatch.setattr(superpose, "_rejuvenating_streams", capped)
+    wrap_stacks(monkeypatch, lambda k: min(k, cap))
     for whole in (count, horizon):
         stop = (dict(n_events=len(whole)) if whole is count
                 else dict(horizon=whole.horizon))
@@ -369,20 +362,14 @@ def assert_block_size_free(n, model, hazard, cap, monkeypatch, seed=23):
 
 
 def engine_work(monkeypatch, run):
-    """Lock-step steps and blocks of the rejuvenating streams ``run()`` takes."""
+    """Lock-step steps and blocks of the engine's stacks that ``run()`` takes."""
     work = {"steps": 0, "blocks": 0}
-    make = superpose._rejuvenating_streams
 
-    def counted(*args):
-        streams = make(*args)
-        k = yield next(streams)
-        while True:
-            block = streams.send(k)
-            work["steps"] += len(block)
-            work["blocks"] += 1
-            k = yield block
+    def counted(block):
+        work["steps"] += len(block)
+        work["blocks"] += 1
 
-    monkeypatch.setattr(superpose, "_rejuvenating_streams", counted)
+    wrap_stacks(monkeypatch, lambda k: k, counted)
     run()
     return work
 
@@ -540,7 +527,7 @@ def test_a_step_onto_its_predecessor_is_guarded_in_lock_step(width, m, size):
     rng = ZeroDraws(stream_rng(seed, superpose.COMPONENTS), width, places)
     streams = superpose._rejuvenating_streams([(model, hazard, rng, width, 1.0)])
     next(streams)
-    got = np.concatenate([streams.send((size, [0])) for _ in range(steps // size)])
+    got = np.concatenate([streams.send(size) for _ in range(steps // size)])
 
     draws = stream_rng(seed, superpose.COMPONENTS).standard_exponential(size=(steps, width))
     draws[tuple(zip(*places))] = 0.0
@@ -557,9 +544,9 @@ def test_a_stack_re_steps_every_group_from_its_own_draws(m, size):
     # two groups at rates 0.5 and 2 step as one stack on a per-column rate:
     # powers of two, so a zero draw lands a step on its predecessor as under
     # the ramp above. A block holding one re-draws both groups from their own
-    # generators and re-steps the stack with the guard. Group 0 leaves the
-    # stack after four blocks, the last zero falling after that, and each
-    # group's streams are the ones stepped alone on their draws
+    # generators and re-steps the stack with the guard, the last zero falling
+    # in the sixth block, and each group's streams are the ones stepped
+    # alone on their draws
     model, seeds, widths = ARA(m, 0.5), [41, 42], [3, 4]
     hazards = [ConstantHazard(0.5), ConstantHazard(2.0)]
     places = [[(3, 1)], [(2 * size, 3), (5 * size, 0)]]
@@ -568,9 +555,8 @@ def test_a_stack_re_steps_every_group_from_its_own_draws(m, size):
     streams = superpose._rejuvenating_streams(
         [(model, hazard, rng, width, 0.5) for hazard, rng, width in zip(hazards, rngs, widths)])
     next(streams)
-    both = np.concatenate([streams.send((size, [0, 1])) for _ in range(4)])
-    alone = np.concatenate([streams.send((size, [1])) for _ in range(2)])
-    got = [both[:, :3], np.concatenate([both[:, 3:], alone])]
+    both = np.concatenate([streams.send(size) for _ in range(6)])
+    got = [both[:, :3], both[:, 3:]]
 
     for block, seed, width, hazard, where in zip(got, seeds, widths, hazards, places):
         draws = stream_rng(seed, superpose.COMPONENTS).standard_exponential(
@@ -581,6 +567,35 @@ def test_a_stack_re_steps_every_group_from_its_own_draws(m, size):
         assert np.array_equal(block, expect)
         for j, i in where:
             assert expect[j, i] == np.nextafter(expect[j - 1, i], np.inf)
+
+
+class CachedPowerLaw(PowerLawHazard):
+    """A power law whose inverse cumulative hazard reads a cached 0-d array of ``eta``."""
+
+    @cached_property
+    def eta_array(self):
+        return np.array(self.eta)
+
+    def inverse_cumulative_unchecked(self, u):
+        return self.eta_array * np.power(u, 1.0 / self.beta)
+
+
+def test_a_cached_attribute_neither_keys_nor_rides_into_a_stack(monkeypatch):
+    # the cached array, read before the batch, is no dataclass field: it
+    # neither joins the stack key (an array does not hash) nor rides into the
+    # per-column hazard (its stale eta would step both groups at the first's)
+    hazards = [CachedPowerLaw(1.3, 40.0), CachedPowerLaw(1.3, 25.0)]
+    solos = [simulate_sgrp(3, ARA(2, 0.4), h, n_events=200, seed=7) for h in hazards]
+    assert all(h.eta_array.ndim == 0 for h in hazards)
+    widths = []
+    wrap_stacks(monkeypatch, lambda k: k, lambda block: widths.append(block.shape[1]))
+    plans = [superpose._sgrp_run(3, ARA(2, 0.4), h, 200, None, 7) for h in hazards]
+    results = superpose._advance_streams([run for run, _ in plans])
+    assert set(widths) == {6}  # one stack of both runs
+    for (_, finish), result, solo in zip(plans, results, solos):
+        got = finish(*result)
+        assert np.array_equal(got.times, solo.times)
+        assert np.array_equal(got.labels, solo.labels)
 
 
 def test_horizon_must_be_finite():
